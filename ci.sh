@@ -78,6 +78,21 @@ LIGER_PROP_SEED=0xfa0175 cargo test -q --release --test chaos
 echo "==> chaos storm tier (fresh seed)"
 cargo test -q --release --test chaos
 
+# Repository benchmark (BENCHMARK.json): its own metric math tests, then a
+# one-second untraced smoke run of every workload. Each run checks its own
+# outputs (completion, bit-identical passes, repeatable allocation counts)
+# and prints one JSON line; a non-zero exit or "correct": false fails CI.
+echo "==> perfbench tests + workload smoke runs"
+cargo test -q --manifest-path perfbench/Cargo.toml
+for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; do
+    result=$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 7 --seconds 1 --trace 0 | tail -n 1)
+    case "$result" in
+        '{"correct": true,'*) echo "    $w: correct" ;;
+        *) echo "perfbench $w failed its checks: $result" >&2; exit 1 ;;
+    esac
+done
+
 echo "==> bench_simcore --smoke"
 cargo run --release -q -p liger-bench --bin bench_simcore -- --smoke
 

@@ -17,11 +17,14 @@
 //! the configured [`SyncMode`].
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use liger_collectives::{NcclConfig, Topology};
 use liger_gpu_sim::{DeviceId, EventId, HostId, KernelClass, SimTime, Simulation, StreamId, Wake};
 use liger_model::{CostModel, ModelConfig};
-use liger_parallelism::launch::{batch_working_set_bytes, comm_specs, compute_spec, EngineMemory};
+use liger_parallelism::launch::{
+    batch_working_set_bytes, compute_spec, launch_collective, EngineMemory,
+};
 use liger_parallelism::{check_divisibility, check_divisibility_relaxed};
 use liger_serving::{InferenceEngine, Request};
 
@@ -80,7 +83,12 @@ pub struct LigerEngine {
     waiting: VecDeque<FuncVec>,
     processing: VecDeque<FuncVec>,
     round: u64,
+    /// The previous round's per-device E2 events, gating this round's
+    /// secondary stream.
     prev_e2: Option<Vec<EventId>>,
+    /// The E2 list of the round before that, kept to be refilled: rounds
+    /// alternate between the two buffers instead of allocating a list each.
+    spare_e2: Vec<EventId>,
     phase: Phase,
     completed: Vec<(u64, SimTime)>,
     /// Rounds planned so far (exposed for tests/diagnostics).
@@ -159,6 +167,7 @@ impl LigerEngine {
             processing: VecDeque::new(),
             round: 0,
             prev_e2: None,
+            spare_e2: Vec::new(),
             phase: Phase::Idle,
             completed: Vec::new(),
             rounds_planned: 0,
@@ -260,10 +269,9 @@ impl LigerEngine {
         self.processing.retain(|v| !v.is_empty());
         while self.processing.len() < self.config.processing_slots {
             let Some(v) = self.waiting.pop_front() else { break };
-            let devices = self.devices.clone();
             self.memory.batch_submitted(
                 sim,
-                &devices,
+                &self.devices,
                 v.batch_id,
                 batch_working_set_bytes(&self.cfg, v.shape, self.devices.len() as u32),
             );
@@ -292,7 +300,7 @@ impl LigerEngine {
                 self.launch_round(sim, &plan, false);
                 // Block every host on both streams having drained.
                 let mut remaining = 0;
-                for &d in &self.devices.clone() {
+                for &d in &self.devices {
                     for stream in [PRIMARY_STREAM, SECONDARY_STREAM] {
                         let ev = sim.record_event(HostId(d.0), StreamId::new(d, stream));
                         sim.host_sync(HostId(d.0), ev, control_token(KIND_E1, self.round));
@@ -344,6 +352,9 @@ impl LigerEngine {
             completions += self.launch_secondary(sim, plan, gate.as_deref());
             completions += self.launch_primary(sim, plan, round, hybrid_events);
         }
+        if let Some(gate) = gate {
+            self.spare_e2 = gate;
+        }
         completions
     }
 
@@ -356,7 +367,6 @@ impl LigerEngine {
         round: u64,
         hybrid_events: bool,
     ) -> u32 {
-        let devices = self.devices.clone();
         let mut completions = 0;
 
         // Cross-stream dependency: if the primary batch previously ran in a
@@ -365,7 +375,7 @@ impl LigerEngine {
             if let Some(v) = self.find_batch(primary_item.batch) {
                 if v.1 == Some(SECONDARY_STREAM) {
                     if let Some(deps) = v.2 {
-                        for (i, &d) in devices.iter().enumerate() {
+                        for (i, &d) in self.devices.iter().enumerate() {
                             sim.stream_wait(HostId(d.0), StreamId::new(d, PRIMARY_STREAM), deps[i]);
                         }
                     }
@@ -378,9 +388,9 @@ impl LigerEngine {
             // E1 sits immediately before the kernel whose successor switches
             // type (the run's last kernel).
             if hybrid_events && idx == n - 1 {
-                let e1 = sim
-                    .record_event(HostId(devices[0].0), StreamId::new(devices[0], PRIMARY_STREAM));
-                sim.notify_on_event(e1, HostId(devices[0].0), control_token(KIND_E1, round));
+                let d0 = self.devices[0];
+                let e1 = sim.record_event(HostId(d0.0), StreamId::new(d0, PRIMARY_STREAM));
+                sim.notify_on_event(e1, HostId(d0.0), control_token(KIND_E1, round));
             }
             self.launch_item(sim, item, PRIMARY_STREAM);
             if item.completes_batch {
@@ -393,14 +403,18 @@ impl LigerEngine {
         // secondary stream waits on it. Hybrid mode uses it as the
         // CPU-free inter-stream gate; the other modes still chain rounds on
         // it so they cannot slide over each other.
-        let e2: Vec<EventId> = devices
-            .iter()
-            .map(|&d| sim.record_event(HostId(d.0), StreamId::new(d, PRIMARY_STREAM)))
-            .collect();
+        let mut e2 = std::mem::take(&mut self.spare_e2);
+        e2.clear();
+        e2.extend(
+            self.devices
+                .iter()
+                .map(|&d| sim.record_event(HostId(d.0), StreamId::new(d, PRIMARY_STREAM))),
+        );
         if self.config.adaptive_factor && !plan.secondary.is_empty() {
             // Observe the primary window's end for factor adaptation
             // (rounds without a secondary subset have nothing to compare).
-            sim.notify_on_event(e2[0], HostId(devices[0].0), control_token(KIND_PRI_END, round));
+            let d0 = self.devices[0];
+            sim.notify_on_event(e2[0], HostId(d0.0), control_token(KIND_PRI_END, round));
             self.observations.entry(round).or_default().window_ns = plan.window.as_nanos();
         }
         self.prev_e2 = Some(e2);
@@ -426,9 +440,8 @@ impl LigerEngine {
         if plan.secondary.is_empty() {
             return 0;
         }
-        let devices = self.devices.clone();
         if let Some(prev) = gate {
-            for (i, &d) in devices.iter().enumerate() {
+            for (i, &d) in self.devices.iter().enumerate() {
                 sim.stream_wait(HostId(d.0), StreamId::new(d, SECONDARY_STREAM), prev[i]);
             }
         }
@@ -442,19 +455,21 @@ impl LigerEngine {
         }
         // One dependency event per device covers every secondary batch of
         // this round: if any of them is promoted to primary later, its
-        // stream-0 run waits on these.
-        let deps: Vec<EventId> = devices
+        // stream-0 run waits on these. The batches share the one list.
+        let deps: Arc<[EventId]> = self
+            .devices
             .iter()
             .map(|&d| sim.record_event(HostId(d.0), StreamId::new(d, SECONDARY_STREAM)))
             .collect();
         if self.config.adaptive_factor {
             let round = self.round.saturating_sub(1);
-            sim.notify_on_event(deps[0], HostId(devices[0].0), control_token(KIND_SEC_END, round));
+            let d0 = self.devices[0];
+            sim.notify_on_event(deps[0], HostId(d0.0), control_token(KIND_SEC_END, round));
         }
         for item in &plan.secondary {
             if let Some(v) = self.processing.iter_mut().find(|v| v.batch_id == item.batch) {
                 v.last_stream = Some(SECONDARY_STREAM);
-                v.dep_events = Some(deps.clone());
+                v.dep_events = Some(Arc::clone(&deps));
             }
         }
         completions
@@ -462,7 +477,7 @@ impl LigerEngine {
 
     /// Launches one item on `stream` of every device (compute: one kernel
     /// per device; comm: a rendezvous collective across all devices).
-    fn launch_item(&mut self, sim: &mut Simulation, item: &LaunchItem, stream: usize) {
+    fn launch_item(&self, sim: &mut Simulation, item: &LaunchItem, stream: usize) {
         let devices = &self.devices;
         match item.op.class() {
             KernelClass::Compute => {
@@ -478,10 +493,7 @@ impl LigerEngine {
                 if devices.len() < 2 {
                     return; // degenerate single-device deployment
                 }
-                let specs = comm_specs(sim, &item.op, devices, &self.nccl, item.batch);
-                for (d, spec) in specs {
-                    sim.launch(HostId(d.0), StreamId::new(d, stream), spec);
-                }
+                launch_collective(sim, &item.op, devices, stream, &self.nccl, item.batch);
             }
         }
     }
@@ -498,11 +510,11 @@ impl LigerEngine {
     /// Looks a batch up in the processing list, returning
     /// `(batch_id, last_stream, dep_events)`.
     #[allow(clippy::type_complexity)]
-    fn find_batch(&self, id: u64) -> Option<(u64, Option<usize>, Option<&Vec<EventId>>)> {
+    fn find_batch(&self, id: u64) -> Option<(u64, Option<usize>, Option<&[EventId]>)> {
         self.processing
             .iter()
             .find(|v| v.batch_id == id)
-            .map(|v| (v.batch_id, v.last_stream, v.dep_events.as_ref()))
+            .map(|v| (v.batch_id, v.last_stream, v.dep_events.as_deref()))
     }
 }
 
@@ -517,8 +529,7 @@ impl InferenceEngine for LigerEngine {
 
     fn submit(&mut self, request: Request, sim: &mut Simulation) {
         let world = self.world() as u32;
-        let devices = self.devices.clone();
-        self.memory.ensure_weights(sim, &devices, self.cfg.weight_bytes() / world as u64);
+        self.memory.ensure_weights(sim, &self.devices, self.cfg.weight_bytes() / world as u64);
         let v = FuncVec::assemble(
             request.id,
             request.shape,

@@ -9,6 +9,7 @@
 //! the cross-stream dependency event).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use liger_gpu_sim::{EventId, KernelClass, SimDuration, SimTime};
 use liger_model::{assemble, BatchShape, CostModel, ModelConfig, PricedOp};
@@ -27,8 +28,8 @@ pub struct FuncVec {
     pub last_stream: Option<usize>,
     /// Per-device events recorded after the batch's most recent
     /// secondary-subset kernels (used to order its first primary kernel
-    /// across streams).
-    pub dep_events: Option<Vec<EventId>>,
+    /// across streams). Every secondary batch of a round shares one list.
+    pub dep_events: Option<Arc<[EventId]>>,
 }
 
 impl FuncVec {
@@ -111,6 +112,14 @@ impl FuncVec {
         self.ops.push_front(op);
     }
 
+    /// Number of kernels in the maximal same-class run at the head.
+    pub fn head_run_len(&self) -> usize {
+        let Some(class) = self.next_class() else {
+            return 0;
+        };
+        self.ops.iter().take_while(|op| op.class() == class).count()
+    }
+
     /// Duration of the maximal same-class run at the head.
     pub fn head_run_duration(&self) -> SimDuration {
         let Some(class) = self.next_class() else {
@@ -173,6 +182,15 @@ mod tests {
         let v = fv(vec![op(Comm, 7)]);
         assert_eq!(v.head_run_duration(), SimDuration::from_micros(7));
         assert_eq!(fv(vec![]).head_run_duration(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn head_run_len_counts_the_leading_run() {
+        use KernelClass::*;
+        let v = fv(vec![op(Compute, 10), op(Compute, 15), op(Comm, 100), op(Compute, 1)]);
+        assert_eq!(v.head_run_len(), 2);
+        assert_eq!(fv(vec![op(Comm, 7)]).head_run_len(), 1);
+        assert_eq!(fv(vec![]).head_run_len(), 0);
     }
 
     #[test]

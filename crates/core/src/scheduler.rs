@@ -112,7 +112,7 @@ pub fn plan_round(
     let primary_class = primary_batch.next_class()?;
 
     // -- collect the primary run (Algorithm 1, lines 4-9) ---------------------
-    let mut primary = Vec::new();
+    let mut primary = Vec::with_capacity(primary_batch.head_run_len());
     let mut window = SimDuration::ZERO;
     loop {
         let ends_run = primary_batch.switch();

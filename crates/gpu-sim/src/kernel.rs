@@ -6,7 +6,7 @@
 //! its SM footprint, and optionally the collective (rendezvous group) it
 //! belongs to.
 
-use std::sync::Arc;
+use std::borrow::Cow;
 
 use crate::ids::CollectiveId;
 use crate::time::SimDuration;
@@ -51,7 +51,9 @@ impl KernelClass {
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
     /// Human-readable kernel name (e.g. `"gemm_qkv"`, `"allreduce_attn"`).
-    pub name: Arc<str>,
+    /// Static names are borrowed, so building a spec from one allocates
+    /// nothing; generated names (`format!`) are owned.
+    pub name: Cow<'static, str>,
     /// Computation or communication.
     pub class: KernelClass,
     /// No-load execution time of the kernel. Contention stretches this at
@@ -71,7 +73,7 @@ pub struct KernelSpec {
 
 impl KernelSpec {
     /// Starts building a compute kernel with the given name and work.
-    pub fn compute(name: impl Into<Arc<str>>, work: SimDuration) -> KernelSpec {
+    pub fn compute(name: impl Into<Cow<'static, str>>, work: SimDuration) -> KernelSpec {
         KernelSpec {
             name: name.into(),
             class: KernelClass::Compute,
@@ -83,7 +85,7 @@ impl KernelSpec {
     }
 
     /// Starts building a communication kernel with the given name and work.
-    pub fn comm(name: impl Into<Arc<str>>, work: SimDuration) -> KernelSpec {
+    pub fn comm(name: impl Into<Cow<'static, str>>, work: SimDuration) -> KernelSpec {
         KernelSpec {
             name: name.into(),
             class: KernelClass::Comm,
@@ -153,6 +155,14 @@ mod tests {
         assert_eq!(c.class, KernelClass::Comm);
         assert!(c.is_collective());
         assert_eq!(c.collective, Some(CollectiveId(3)));
+    }
+
+    #[test]
+    fn static_names_are_borrowed() {
+        let k = KernelSpec::compute("gemm", SimDuration::from_micros(1));
+        assert!(matches!(k.name, Cow::Borrowed("gemm")));
+        let k = KernelSpec::comm(format!("ar{}", 3), SimDuration::from_micros(1));
+        assert!(matches!(k.name, Cow::Owned(ref n) if n == "ar3"));
     }
 
     #[test]

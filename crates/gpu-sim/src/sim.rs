@@ -134,10 +134,12 @@ pub trait Driver {
 // Internal runtime state
 // ---------------------------------------------------------------------------
 
-/// An operation queued on a device hardware queue.
+/// An operation queued on a device hardware queue. Kernel specs are held
+/// inline: launching a kernel moves its spec through the host queue into
+/// the device queue without a heap allocation of its own.
 #[derive(Debug, Clone)]
 pub(crate) enum StreamOp {
-    Kernel(Box<KernelSpec>, KernelId),
+    Kernel(KernelSpec, KernelId),
     Record(EventId),
     Wait(EventId),
 }
@@ -1161,10 +1163,7 @@ impl Simulation {
         }
         let id = KernelId(self.next_kernel);
         self.next_kernel += 1;
-        self.host_push(
-            host.0,
-            HostOp::Enqueue { stream, op: StreamOp::Kernel(Box::new(spec), id) },
-        );
+        self.host_push(host.0, HostOp::Enqueue { stream, op: StreamOp::Kernel(spec, id) });
         id
     }
 
@@ -1924,17 +1923,26 @@ impl Simulation {
         }
     }
 
+    /// The `i`-th gathered member `(device, queue)` of collective `ci`.
+    /// Member loops index instead of cloning the list: nothing they call
+    /// changes the membership of a gathered collective, and the repricing
+    /// they trigger reads it.
+    fn member(&self, ci: usize, i: usize) -> (usize, usize) {
+        self.collectives[ci].members[i]
+    }
+
     fn start_collective(&mut self, ci: usize, class: KernelClass, blocks: u32) {
-        let members: Vec<(usize, usize)> = self.collectives[ci].members.clone();
-        self.probe_mark(|p| {
-            for &(d, _) in &members {
+        let n = self.collectives[ci].members.len();
+        if let Some(p) = self.probe.as_mut() {
+            for &(d, _) in &self.collectives[ci].members {
                 p.devices.insert(d);
             }
-        });
-        for &(d, _q) in &members {
-            self.settle_device(d);
         }
-        for &(d, q) in &members {
+        for i in 0..n {
+            self.settle_device(self.member(ci, i).0);
+        }
+        for i in 0..n {
+            let (d, q) = self.member(ci, i);
             self.devices[d].queues[q].head = HeadState::Running { slot: usize::MAX };
             self.devices[d].active_colls.push(ci);
             let now = self.now;
@@ -1945,8 +1953,8 @@ impl Simulation {
         coll.settled_at = self.now;
         coll.started_at = self.now;
         coll.gen += 1;
-        for &(d, _) in &members {
-            self.reprice_device(d);
+        for i in 0..n {
+            self.reprice_device(self.member(ci, i).0);
         }
         // reprice_device re-prices collectives touching each device, which
         // includes this one; nothing more to do.
@@ -1983,27 +1991,30 @@ impl Simulation {
         let fault_factor = self.faults.device_factor(DeviceId(d), now);
         self.devices[d].reprice_plain(d, now, fault_factor, &mut self.device_lanes[d]);
         // Collectives: rate = min over member devices of local comm rate.
-        let mut coll_updates: Vec<(usize, f64)> = Vec::new();
-        for &ci in &self.devices[d].active_colls {
+        // Split borrow: take the active list out while repricing in place.
+        // A rate depends only on device populations and the fault schedule,
+        // never on another collective's rate, so pricing and rescheduling
+        // each collective in turn matches pricing them all first.
+        let active = std::mem::take(&mut self.devices[d].active_colls);
+        for &ci in &active {
             let coll = &self.collectives[ci];
-            if coll.state == CollState::Running {
-                let mut rate = f64::INFINITY;
-                for &(md, _) in &coll.members {
-                    let dev = &self.devices[md];
-                    let r = 1.0
-                        / dev.slowdown(KernelClass::Comm)
-                        / self.faults.device_factor(DeviceId(md), now);
-                    rate = rate.min(r);
-                }
-                // Fault hook: a degraded/partitioned link between any pair of
-                // members stretches the whole rendezvous.
-                let link = self
-                    .faults
-                    .collective_link_factor(coll.members.iter().map(|(md, _)| DeviceId(*md)), now);
-                coll_updates.push((ci, rate / link));
+            if coll.state != CollState::Running {
+                continue;
             }
-        }
-        for (ci, rate) in coll_updates {
+            let mut rate = f64::INFINITY;
+            for &(md, _) in &coll.members {
+                let dev = &self.devices[md];
+                let r = 1.0
+                    / dev.slowdown(KernelClass::Comm)
+                    / self.faults.device_factor(DeviceId(md), now);
+                rate = rate.min(r);
+            }
+            // Fault hook: a degraded/partitioned link between any pair of
+            // members stretches the whole rendezvous.
+            let link = self
+                .faults
+                .collective_link_factor(coll.members.iter().map(|(md, _)| DeviceId(*md)), now);
+            let rate = rate / link;
             // Settle on the collective's own clock before changing its rate:
             // settle_device(d) already settled it if it touches d (it does).
             let coll = &mut self.collectives[ci];
@@ -2016,6 +2027,7 @@ impl Simulation {
                 Pending::CollectiveDone { coll: ci, gen },
             );
         }
+        self.devices[d].active_colls = active;
     }
 
     fn kernel_done(&mut self, d: usize, slot: usize, gen: u64) {
@@ -2051,16 +2063,20 @@ impl Simulation {
                 return; // stale
             }
         }
-        let members = self.collectives[ci].members.clone();
+        // The member list stays in place after completion: `launch` reads it
+        // to reject kernels joining a finished collective.
+        let n = self.collectives[ci].members.len();
         let started_at = self.collectives[ci].started_at;
-        for &(d, _) in &members {
-            self.settle_device(d);
+        for i in 0..n {
+            self.settle_device(self.member(ci, i).0);
         }
         self.collectives[ci].state = CollState::Done;
-        for &(d, _) in &members {
+        for i in 0..n {
+            let d = self.member(ci, i).0;
             self.devices[d].active_colls.retain(|&c| c != ci);
         }
-        for &(d, q) in &members {
+        for i in 0..n {
+            let (d, q) = self.member(ci, i);
             // Capture kernel identity from the queue head before popping.
             let (kernel, class, blocks) =
                 match &self.devices[d].queues[q].front().expect("collective member queue empty").op
@@ -2072,10 +2088,11 @@ impl Simulation {
             self.devices[d].apply_class_delta(now, class, blocks, -1);
             self.finish_queue_head(d, q, kernel, class, started_at, false);
         }
-        for &(d, _) in &members {
-            self.reprice_device(d);
+        for i in 0..n {
+            self.reprice_device(self.member(ci, i).0);
         }
-        for &(d, q) in &members {
+        for i in 0..n {
+            let (d, q) = self.member(ci, i);
             self.poll_queue(d, q);
         }
     }

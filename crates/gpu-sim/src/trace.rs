@@ -10,9 +10,9 @@
 //! schedules. [`Trace::from_chrome_json`] reads that format back, so
 //! checked-in golden traces remain analyzable.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use crate::ids::{CollectiveId, DeviceId, KernelId};
 use crate::json::{JsonArray, JsonError, JsonObject, JsonParser, JsonValue, ToJson};
@@ -24,8 +24,9 @@ use crate::time::{SimDuration, SimTime};
 pub struct TraceEvent {
     /// Kernel identity.
     pub kernel: KernelId,
-    /// Kernel name.
-    pub name: Arc<str>,
+    /// Kernel name, moved out of the kernel's [`KernelSpec`](crate::KernelSpec)
+    /// (borrowed for static names, owned for generated or parsed ones).
+    pub name: Cow<'static, str>,
     /// Computation or communication.
     pub class: KernelClass,
     /// User correlation tag (batch id, …).
@@ -443,7 +444,7 @@ fn parse_event(v: &JsonValue, offset: usize) -> Result<TraceEvent, TraceParseErr
     };
     Ok(TraceEvent {
         kernel: KernelId(u64_field(args, "kernel", offset)?),
-        name: str_field(v, "name", offset)?.into(),
+        name: Cow::Owned(str_field(v, "name", offset)?.to_owned()),
         class,
         tag: u64_field(args, "tag", offset)?,
         device: DeviceId(u64_field(v, "pid", offset)? as usize),

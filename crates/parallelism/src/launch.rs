@@ -1,7 +1,9 @@
 //! Shared kernel-launch helpers for the engines.
 
 use liger_collectives::NcclConfig;
-use liger_gpu_sim::{DeviceId, HostId, KernelClass, KernelSpec, SimDuration, Simulation, StreamId};
+use liger_gpu_sim::{
+    CollectiveId, DeviceId, HostId, KernelClass, KernelSpec, SimDuration, Simulation, StreamId,
+};
 use liger_model::PricedOp;
 
 /// Builds the [`KernelSpec`] for a priced compute op.
@@ -10,27 +12,31 @@ pub fn compute_spec(op: &PricedOp, tag: u64) -> KernelSpec {
     KernelSpec::compute(op.placed.op.name(), op.duration).with_tag(tag)
 }
 
-/// Builds the per-rank [`KernelSpec`]s of a priced communication op,
-/// allocating its rendezvous group.
-pub fn comm_specs(
+/// Builds one rank's member [`KernelSpec`] of a priced communication op in
+/// rendezvous group `group`.
+pub fn comm_spec(op: &PricedOp, group: CollectiveId, nccl: &NcclConfig, tag: u64) -> KernelSpec {
+    debug_assert_eq!(op.class(), KernelClass::Comm);
+    KernelSpec::comm(op.placed.op.name(), op.duration)
+        .with_blocks(nccl.channels)
+        .with_collective(group)
+        .with_tag(tag)
+}
+
+/// Launches a priced communication op as one collective across `ranks`:
+/// allocates its rendezvous group and launches each rank's member kernel on
+/// that rank's `stream` (host `d` launches for device `d`).
+pub fn launch_collective(
     sim: &mut Simulation,
     op: &PricedOp,
     ranks: &[DeviceId],
+    stream: usize,
     nccl: &NcclConfig,
     tag: u64,
-) -> Vec<(DeviceId, KernelSpec)> {
-    debug_assert_eq!(op.class(), KernelClass::Comm);
+) {
     let group = sim.new_collective(ranks.len());
-    ranks
-        .iter()
-        .map(|&rank| {
-            let spec = KernelSpec::comm(op.placed.op.name(), op.duration)
-                .with_blocks(nccl.channels)
-                .with_collective(group)
-                .with_tag(tag);
-            (rank, spec)
-        })
-        .collect()
+    for &rank in ranks {
+        sim.launch(HostId(rank.0), StreamId::new(rank, stream), comm_spec(op, group, nccl, tag));
+    }
 }
 
 /// Launches a tensor-parallel-symmetric op list across `devices`: every
@@ -58,9 +64,7 @@ pub fn launch_symmetric(
                 if devices.len() < 2 {
                     continue;
                 }
-                for (d, spec) in comm_specs(sim, op, devices, nccl, tag) {
-                    sim.launch(HostId(d.0), StreamId::new(d, stream), spec);
-                }
+                launch_collective(sim, op, devices, stream, nccl, tag);
             }
         }
     }
@@ -120,6 +124,13 @@ mod tests {
     use super::*;
     use liger_model::{GemmKind, LayerOp, PlacedOp};
 
+    /// A driver with nothing to do on wakes.
+    struct Idle;
+
+    impl liger_gpu_sim::Driver for Idle {
+        fn on_wake(&mut self, _: liger_gpu_sim::Wake, _: &mut Simulation) {}
+    }
+
     fn priced(op: LayerOp, us: u64) -> PricedOp {
         PricedOp { placed: PlacedOp { layer: 0, op }, duration: SimDuration::from_micros(us) }
     }
@@ -132,23 +143,48 @@ mod tests {
         assert_eq!(spec.tag, 9);
         assert_eq!(spec.class, KernelClass::Compute);
         assert_eq!(&*spec.name, "gemm_qkv");
+        assert!(
+            matches!(spec.name, std::borrow::Cow::Borrowed(_)),
+            "a static op name is borrowed, not copied to the heap"
+        );
     }
 
     #[test]
-    fn comm_specs_share_a_collective() {
+    fn comm_spec_carries_channels_group_and_tag() {
+        let op = priced(LayerOp::AllReduce { bytes: 1024, ranks: 3 }, 20);
+        let spec = comm_spec(&op, CollectiveId(5), &NcclConfig::liger_tuned(), 1);
+        assert_eq!(spec.blocks, 3, "NCCL channel count becomes the block footprint");
+        assert_eq!(spec.collective, Some(CollectiveId(5)));
+        assert_eq!((spec.class, spec.tag, spec.work), (KernelClass::Comm, 1, op.duration));
+        assert!(matches!(spec.name, std::borrow::Cow::Borrowed("nccl_allreduce")));
+    }
+
+    #[test]
+    fn launch_collective_shares_one_rendezvous() {
         let mut sim = Simulation::builder()
             .devices(liger_gpu_sim::DeviceSpec::test_device(), 3)
+            .capture_trace(true)
             .build()
             .unwrap();
         let op = priced(LayerOp::AllReduce { bytes: 1024, ranks: 3 }, 20);
         let devices: Vec<DeviceId> = (0..3).map(DeviceId).collect();
-        let specs = comm_specs(&mut sim, &op, &devices, &NcclConfig::liger_tuned(), 1);
-        assert_eq!(specs.len(), 3);
-        let group = specs[0].1.collective.unwrap();
-        for (_, s) in &specs {
-            assert_eq!(s.collective, Some(group));
-            assert_eq!(s.blocks, 3, "NCCL channel count becomes the block footprint");
-            assert_eq!(s.class, KernelClass::Comm);
+        launch_collective(&mut sim, &op, &devices, 2, &NcclConfig::liger_tuned(), 1);
+        sim.run_to_completion(&mut Idle);
+        let trace = sim.take_trace().unwrap();
+        let events = trace.events();
+        let mut ranks: Vec<DeviceId> = events.iter().map(|e| e.device).collect();
+        ranks.sort_unstable();
+        assert_eq!(ranks, devices, "one member kernel per rank");
+        let group = events[0].collective.expect("members carry their rendezvous group");
+        for e in events {
+            assert_eq!(e.collective, Some(group));
+            assert_eq!(e.class, KernelClass::Comm);
+            assert_eq!((e.tag, e.stream, &*e.name), (1, 2, "nccl_allreduce"));
+            assert_eq!(
+                (e.started_at, e.ended_at),
+                (events[0].started_at, events[0].ended_at),
+                "members of one collective start and end together"
+            );
         }
     }
 
