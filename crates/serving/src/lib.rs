@@ -19,12 +19,15 @@ pub mod disagg;
 pub mod engine;
 pub mod generation;
 pub mod health;
+mod membership;
 pub mod metrics;
 pub mod prefix;
 pub mod recovery;
 pub mod request;
 pub mod runner;
 pub mod scheduler;
+#[cfg(test)]
+mod testutil;
 
 pub use admission::{AdmissionConfig, AdmissionController, ShedReason, ShedRecord};
 pub use analysis::{dg1_wait, mg1_latency, mg1_wait, service_moments, utilization};
@@ -44,21 +47,18 @@ pub use generation::{
     GenerationRunner,
 };
 pub use health::{HealthConfig, HealthEvents, HealthMonitor};
+pub use membership::RecoveryPhase;
 pub use metrics::{
     BatchingCounters, FaultCounters, MetricsSections, PrefixCounters, RecoveryCounters,
     ServingMetrics, SpecCounters,
 };
 pub use prefix::{block_digests, output_token, prompt_token, PrefixTag, SpecDecodeConfig};
-pub use recovery::{
-    serve_with_recovery, serve_with_recovery_on, RecoveryConfig, RecoveryPhase, RecoveryRunner,
-};
+pub use recovery::{serve_with_recovery, serve_with_recovery_on, RecoveryConfig};
 pub use request::{Completion, Request};
 pub use runner::{
     core_lookahead, serve, serve_on, serve_with_policy, serve_with_policy_on, RetryPolicy,
     ServingRunner,
 };
-pub use scheduler::{
-    serve_continuous, serve_continuous_on, ContinuousReport, ContinuousScheduler, SchedulerConfig,
-};
+pub use scheduler::{serve_continuous, serve_continuous_on, ContinuousReport, SchedulerConfig};
 
 pub use liger_kvcache::{BlockPool, BlockPoolConfig, OutOfBlocks};

@@ -1,27 +1,24 @@
-//! Elastic recovery from permanent device loss: the drain-and-replan
+//! Elastic recovery from device loss: the drain-and-replan request
 //! serving loop.
 //!
-//! The [`RecoveryRunner`] wraps any [`InferenceEngine`] with the full
-//! failure-handling pipeline the paper's serving scenario needs when a GPU
-//! drops out of the node for good:
+//! [`serve_with_recovery`] serves a request trace through any
+//! [`InferenceEngine`] under the full failure-handling pipeline the paper's
+//! serving scenario needs when a GPU drops out of the node: a
+//! [`HealthMonitor`](crate::health::HealthMonitor) confirms the loss, the
+//! engine drains and replans over the survivors
+//! ([`InferenceEngine::on_device_loss`]), the KV cache shards lost with the
+//! dead device are rebuilt under the configured [`RecoveryPolicy`]
+//! (*recompute* replays the prefills on the survivors, *replicate* restores
+//! a surviving copy over the interconnect), and the deferred backlog is
+//! trimmed to the admission watermark before serving resumes on the
+//! survivors. A device whose outage ends rejoins after its quarantine and
+//! the engine re-expands onto it.
 //!
-//! 1. **Detect** — a [`HealthMonitor`] heartbeats every device; a loss is
-//!    acted on only once the watchdog *confirms* it (the simulator's
-//!    [`Wake::DeviceDown`] oracle wake is recorded purely as ground truth
-//!    for the detection-latency metric).
-//! 2. **Drain** — the engine abandons every in-flight and queued request
-//!    ([`InferenceEngine::on_device_loss`]) and rebuilds its placement over
-//!    the survivors; the runner then waits for barrier events behind all
-//!    outstanding survivor work so no stale kernel overlaps the replan.
-//! 3. **Recover** — the KV cache shards lost with the dead device are
-//!    rebuilt under the configured [`RecoveryPolicy`]: *recompute* replays
-//!    the prefills on the survivors (priced through the roofline cost
-//!    model, at the degraded parallelism degree), *replicate* restores a
-//!    surviving copy over the interconnect.
-//! 4. **Shed & resume** — on re-entry to serving the deferred backlog is
-//!    trimmed to the admission watermark (oldest shed first, each with an
-//!    explicit [`ShedReason`]); survivors is
-//!    the new normal until the next loss.
+//! The state machine itself lives in the crate's membership controller,
+//! shared with continuous batching; this module is the request driver it
+//! steers: arrivals that land mid-replan are deferred, requests the engine
+//! abandons are requeued in arrival order and their KV is priced, and the
+//! backlog is resubmitted when serving resumes.
 //!
 //! Every phase transition is timestamped into
 //! [`ServingMetrics::recovery_timeline`]; the recovery counters record
@@ -30,35 +27,15 @@
 
 use std::collections::VecDeque;
 
-use liger_gpu_sim::{
-    CoreSelect, DeviceId, Driver, HostId, KernelSpec, SimDuration, SimTime, Simulation, StreamId,
-    Wake,
-};
-use liger_model::{kv_recovery_plan, CostModel, LayerOp, ModelConfig, RecoveryPolicy};
+use liger_gpu_sim::{CoreSelect, DeviceId, Simulation, Wake};
+use liger_model::{CostModel, ModelConfig, RecoveryPolicy};
 
-use crate::admission::{AdmissionConfig, AdmissionController, ShedReason};
+use crate::admission::AdmissionConfig;
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
-use crate::health::{HealthConfig, HealthEvents, HealthMonitor};
+use crate::health::HealthConfig;
+use crate::membership::{MembershipController, MembershipDriver};
 use crate::metrics::ServingMetrics;
 use crate::request::{Completion, Request};
-
-/// Token base handed to the health monitor (bit 63 = runner namespace,
-/// bit 59 = health sub-namespace; the monitor fills the low 49 bits).
-const HEALTH_BASE: u64 = RUNNER_TOKEN_BASE | (1 << 59);
-
-/// Drain-barrier completion token (one event per survivor stream).
-const DRAIN_TOKEN: u64 = RUNNER_TOKEN_BASE | (1 << 56);
-
-/// KV-recovery completion token.
-const RECOVERED_TOKEN: u64 = RUNNER_TOKEN_BASE | (1 << 55);
-
-/// Re-expansion completion token (the rejoined device is warm and the KV
-/// migrate/recompute work has drained).
-const EXPANDED_TOKEN: u64 = RUNNER_TOKEN_BASE | (1 << 53);
-
-/// Engine streams the drain barrier covers (the Liger engine launches on
-/// streams 0 and 1; probes ride elsewhere).
-const BARRIER_STREAMS: usize = 2;
 
 /// Parameters of the elastic-recovery pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,456 +58,91 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Where the runner is in the recovery state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPhase {
-    /// Serving normally; no confirmed loss outstanding.
-    Normal,
-    /// Loss confirmed; waiting for survivor streams to drain.
-    Draining,
-    /// Replanned; KV recovery work is running on the survivors.
-    Recovering,
-    /// Serving again on reduced capacity.
-    Degraded,
-    /// A quarantined device rejoined; the engine has replanned onto the
-    /// wider set and the warmup + KV migrate/recompute work is running.
-    Expanding,
-}
-
-impl RecoveryPhase {
-    /// Stable label (timeline, tables).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RecoveryPhase::Normal => "normal",
-            RecoveryPhase::Draining => "draining",
-            RecoveryPhase::Recovering => "recovering",
-            RecoveryPhase::Degraded => "degraded",
-            RecoveryPhase::Expanding => "expanding",
-        }
-    }
-}
-
-/// A watchdog-confirmed status change queued behind an in-progress
-/// recovery or expansion, in confirmation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PendingChange {
-    Loss(DeviceId),
-    Rejoin(DeviceId),
-}
-
-/// Serving driver with health monitoring, drain-and-replan device-loss
-/// handling, KV recovery, and admission control. See the module docs for
-/// the state machine.
-pub struct RecoveryRunner<'a, E: InferenceEngine + ?Sized> {
+/// Request driver steered by a [`MembershipController`]: submits arrivals,
+/// defers them mid-replan, and requeues what the engine abandons.
+pub(crate) struct RecoveryRunner<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     requests: Vec<Request>,
-    model: &'a ModelConfig,
-    cost: &'a CostModel,
-    config: RecoveryConfig,
-    admission: AdmissionController,
     metrics: ServingMetrics,
-    monitor: Option<HealthMonitor>,
-    phase: RecoveryPhase,
     /// Requests neither completed nor shed.
     outstanding: usize,
     /// Terminal (completed or shed) flags, indexed by request id.
     done: Vec<bool>,
-    /// Arrivals deferred during recovery plus cancelled in-flight requests,
+    /// Arrivals deferred during a replan plus cancelled in-flight requests,
     /// in arrival order (front = oldest).
     deferred: VecDeque<u64>,
-    /// Cancelled in-flight ids whose KV must be recovered.
+    /// Cancelled in-flight ids whose KV the replan must rebuild.
     lost: Vec<u64>,
-    /// Status changes confirmed while a recovery or expansion was already
-    /// in progress, replayed strictly in confirmation order. Stale entries
-    /// are never dropped: even if a lost device has since rejoined, the
-    /// engine's in-flight work died with it and must still be replanned.
-    pending_changes: VecDeque<PendingChange>,
-    /// Oracle death instants from [`Wake::DeviceDown`], for the
-    /// detection-latency metric only.
-    ground_truth: Vec<(DeviceId, SimTime)>,
-    survivors: Vec<DeviceId>,
-    /// The serving world: devices the engine is currently planned over.
-    /// Distinct from `Simulation::alive_devices` — a device whose outage
-    /// window closed is sim-alive while it still sits in rejoin quarantine,
-    /// and joins this set only on a watchdog-confirmed rejoin.
-    world: Vec<DeviceId>,
-    drain_pending: usize,
-    drain_started: SimTime,
-    recover_started: SimTime,
-    expand_started: SimTime,
-    /// World size at start; reaching it again on expansion restores
-    /// [`RecoveryPhase::Normal`].
-    full_world: usize,
 }
 
 impl<'a, E: InferenceEngine + ?Sized> RecoveryRunner<'a, E> {
     /// Creates a runner over `requests` (dense ids, sorted by arrival).
-    pub fn new(
-        engine: &'a mut E,
-        requests: Vec<Request>,
-        model: &'a ModelConfig,
-        cost: &'a CostModel,
-        config: RecoveryConfig,
-    ) -> Self {
-        config.health.validate().expect("invalid health config");
-        let outstanding = requests.len();
-        let done = vec![false; requests.len()];
+    pub(crate) fn new(engine: &'a mut E, requests: Vec<Request>) -> Self {
         RecoveryRunner {
             engine,
+            outstanding: requests.len(),
+            done: vec![false; requests.len()],
             requests,
-            model,
-            cost,
-            config,
-            admission: AdmissionController::new(config.admission),
             metrics: ServingMetrics::new(),
-            monitor: None,
-            phase: RecoveryPhase::Normal,
-            outstanding,
-            done,
             deferred: VecDeque::new(),
             lost: Vec::new(),
-            pending_changes: VecDeque::new(),
-            ground_truth: Vec::new(),
-            survivors: Vec::new(),
-            world: Vec::new(),
-            drain_pending: 0,
-            drain_started: SimTime::ZERO,
-            recover_started: SimTime::ZERO,
-            expand_started: SimTime::ZERO,
-            full_world: 0,
         }
     }
 
-    /// The collected metrics (complete once the simulation has stopped).
-    pub fn into_metrics(mut self) -> ServingMetrics {
-        if let Some(m) = &self.monitor {
-            let rec = self.metrics.recovery_mut();
-            rec.flaps = m.flaps();
-            rec.rejoins = m.rejoins();
-        }
-        self.metrics
-    }
-
-    /// Current state-machine phase.
-    pub fn phase(&self) -> RecoveryPhase {
-        self.phase
-    }
-
-    /// Live view of the metrics accumulated so far (health-monitor counters
-    /// are only folded in by [`into_metrics`](Self::into_metrics)).
-    pub fn metrics(&self) -> &ServingMetrics {
-        &self.metrics
-    }
-
-    fn owns_health(&self, token: u64) -> bool {
-        self.monitor.as_ref().is_some_and(|m| m.owns(token))
-    }
-
-    fn set_phase(&mut self, phase: RecoveryPhase, now: SimTime) {
-        self.phase = phase;
-        self.metrics.recovery_mut().timeline.push((phase.name(), now));
-    }
-
-    /// A watchdog-confirmed loss: record detection latency and either start
-    /// a recovery or queue the loss behind the one in progress.
-    fn confirm_loss(&mut self, dead: DeviceId, sim: &mut Simulation) {
-        let now = sim.now();
-        let rec = self.metrics.recovery_mut();
-        rec.losses += 1;
-        if let Some(&(_, death)) = self.ground_truth.iter().find(|&&(d, _)| d == dead) {
-            rec.detection_latency = now.saturating_since(death);
-        }
-        match self.phase {
-            RecoveryPhase::Normal | RecoveryPhase::Degraded => self.handle_loss(dead, sim),
-            RecoveryPhase::Draining | RecoveryPhase::Recovering | RecoveryPhase::Expanding => {
-                self.pending_changes.push_back(PendingChange::Loss(dead));
-            }
-        }
-    }
-
-    /// A watchdog-confirmed rejoin (the device answered probes through the
-    /// full quarantine): either re-expand now or queue behind the change in
-    /// progress. A device that has already died again is dropped here — the
-    /// watchdog will confirm the fresh loss on its own.
-    fn confirm_rejoin(&mut self, device: DeviceId, sim: &mut Simulation) {
-        match self.phase {
-            RecoveryPhase::Normal | RecoveryPhase::Degraded => {
-                if sim.alive_devices().contains(&device) {
-                    self.handle_rejoin(device, sim);
-                }
-            }
-            RecoveryPhase::Draining | RecoveryPhase::Recovering | RecoveryPhase::Expanding => {
-                self.pending_changes.push_back(PendingChange::Rejoin(device));
-            }
-        }
-    }
-
-    /// Replay the oldest queued status change, skipping rejoins whose
-    /// device has died again in the meantime. Queued losses are never
-    /// skipped: the engine's in-flight work died with the device even if
-    /// it is alive again now.
-    fn pop_pending(&mut self, sim: &mut Simulation) {
-        while let Some(change) = self.pending_changes.pop_front() {
-            match change {
-                PendingChange::Loss(dead) => {
-                    self.handle_loss(dead, sim);
-                    return;
-                }
-                PendingChange::Rejoin(device) => {
-                    if sim.alive_devices().contains(&device) {
-                        self.handle_rejoin(device, sim);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-expansion: the engine replans onto the widened set, the cancelled
-    /// work's KV is either migrated back or recomputed (whichever the cost
-    /// model prices cheaper, per request), and the rejoined device reloads
-    /// its weight shard before anything else lands on it.
-    fn handle_rejoin(&mut self, rejoined: DeviceId, sim: &mut Simulation) {
-        let now = sim.now();
-        if self.world.contains(&rejoined) {
-            return; // duplicate confirmation; already serving
-        }
-        self.set_phase(RecoveryPhase::Expanding, now);
-        self.expand_started = now;
-        // Widen by exactly the confirmed device: other sim-alive devices
-        // may still be in quarantine and join only on their own rejoin.
-        self.world.push(rejoined);
-        self.world.sort_unstable_by_key(|d| d.0);
-        // Plan only over sim-alive members: one may have died again with
-        // its loss not yet confirmed, and work placed on it would vanish.
-        let alive = sim.alive_devices();
-        let devices: Vec<DeviceId> =
-            self.world.iter().copied().filter(|d| alive.contains(d)).collect();
-        let ways = devices.len() as u32;
-        // KV for in-flight work currently lives on the narrower pre-rejoin
-        // placement; those devices hold the copies a migrate would source.
-        let holders = (devices.len() - 1).max(1) as u32;
-        let mut cancelled = self.engine.on_device_rejoin(rejoined, &devices, sim);
+    /// Requeues the requests a replan abandoned ahead of every deferred
+    /// arrival (they are older) and keeps them for KV pricing.
+    fn requeue(&mut self, mut cancelled: Vec<u64>) {
         cancelled.sort_unstable();
         cancelled.retain(|&id| !self.done[id as usize]);
-        for &id in cancelled.iter().rev() {
-            self.deferred.push_front(id);
-        }
-        // Price each cancelled request's KV both ways and take the cheaper:
-        // migrate the live shards onto the wider placement, or recompute
-        // them there from the prompt.
-        let mut migrate = SimDuration::ZERO;
-        let mut recompute = SimDuration::ZERO;
-        let mut tokens = 0u64;
-        for &id in &cancelled {
-            let shape = self.requests[id as usize].shape;
-            let mig = kv_recovery_plan(
-                self.model,
-                self.cost,
-                RecoveryPolicy::Replicate,
-                ways,
-                holders,
-                shape.batch,
-                shape.phase.kv_len(),
-            );
-            let rec = kv_recovery_plan(
-                self.model,
-                self.cost,
-                RecoveryPolicy::Recompute,
-                ways,
-                ways,
-                shape.batch,
-                shape.phase.kv_len(),
-            );
-            if rec.duration < mig.duration {
-                recompute += rec.duration;
-                tokens += rec.recompute_tokens;
-            } else {
-                migrate += mig.duration;
-            }
-        }
-        self.metrics.recovery_mut().recompute_tokens += tokens;
-        let dev = HostId(rejoined.0);
-        let stream = StreamId::new(rejoined, 0);
-        // Warm the rejoined device first: its weight shard travels over the
-        // interconnect before any KV or serving kernel may land on it.
-        let warm = self
-            .cost
-            .op_time(&LayerOp::P2p { bytes: self.model.weight_bytes() / u64::from(ways.max(1)) });
-        sim.launch(dev, stream, KernelSpec::comm("rejoin-warmup", warm));
-        if migrate > SimDuration::ZERO {
-            sim.launch(dev, stream, KernelSpec::comm("kv-expand-migrate", migrate));
-        }
-        if recompute > SimDuration::ZERO {
-            sim.launch(dev, stream, KernelSpec::compute("kv-expand-recompute", recompute));
-        }
-        let ev = sim.record_event(dev, stream);
-        sim.notify_on_event(ev, dev, EXPANDED_TOKEN);
-    }
-
-    /// The rejoined device is warm: re-admit what was shed for queue depth
-    /// while degraded, resubmit the backlog, and return to full-capacity
-    /// serving (or degraded, if other devices are still out).
-    fn finish_expansion(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        {
-            let done = &self.done;
-            let rec = self.metrics.recovery_mut();
-            rec.replan_time += now.saturating_since(self.expand_started);
-            rec.re_expansions += 1;
-            // Capacity is back: un-shed queue-depth victims and fold them
-            // into the backlog. KV-exhaustion sheds stay final.
-            let mut readmitted = Vec::new();
-            rec.shed.retain(|s| {
-                if s.reason == ShedReason::QueueDepth && done[s.id as usize] {
-                    readmitted.push(s.id);
-                    false
-                } else {
-                    true
-                }
-            });
-            for id in readmitted {
-                self.done[id as usize] = false;
-                self.outstanding += 1;
-                self.deferred.push_back(id);
-            }
-        }
-        // Re-admitted sheds are older than deferred arrivals; restore
-        // arrival order before resubmitting.
-        let mut backlog: Vec<u64> = std::mem::take(&mut self.deferred).into();
-        backlog.sort_unstable();
-        backlog.dedup();
-        let all_back = self.world.len() == self.full_world;
-        self.set_phase(if all_back { RecoveryPhase::Normal } else { RecoveryPhase::Degraded }, now);
-        for id in backlog {
-            if !self.done[id as usize] {
-                self.engine.submit(self.requests[id as usize], sim);
-            }
-        }
-        self.pop_pending(sim);
-    }
-
-    /// Drain-and-replan: the engine abandons its work and replans over the
-    /// survivors; barrier events behind all remaining survivor work gate the
-    /// transition to KV recovery.
-    fn handle_loss(&mut self, dead: DeviceId, sim: &mut Simulation) {
-        let now = sim.now();
-        // Only serving-world members can be lost: a device that died again
-        // while quarantining holds no serving state, and condemning the
-        // only member (a false positive under congestion) is unactionable.
-        if !self.world.contains(&dead) {
-            return;
-        }
-        // Survivors must also be sim-alive: a world member that has died
-        // again (its own loss not yet confirmed) cannot host drain-barrier
-        // records — dead devices drop them, and the drain would never
-        // complete. Its confirmation will run its own drain later.
-        let alive = sim.alive_devices();
-        let survivors: Vec<DeviceId> =
-            self.world.iter().copied().filter(|&d| d != dead && alive.contains(&d)).collect();
-        if survivors.is_empty() {
-            return;
-        }
-        self.set_phase(RecoveryPhase::Draining, now);
-        self.drain_started = now;
-        self.survivors = survivors;
-        self.world.retain(|&d| d != dead);
-        let mut cancelled = self.engine.on_device_loss(dead, &self.survivors, sim);
-        cancelled.sort_unstable();
-        cancelled.retain(|&id| !self.done[id as usize]);
-        // Cancelled in-flight requests predate every deferred arrival, so
-        // prepending (in reverse) keeps the queue in arrival order.
         for &id in cancelled.iter().rev() {
             self.deferred.push_front(id);
         }
         self.lost = cancelled;
-        // Barrier: one event per survivor engine stream, enqueued after any
-        // still-running work, so every pre-loss record has fired before the
-        // recovery kernels (and the resubmissions behind them) launch.
-        self.drain_pending = 0;
-        for &d in &self.survivors {
-            for s in 0..BARRIER_STREAMS {
-                let ev = sim.record_event(HostId(d.0), StreamId::new(d, s));
-                sim.notify_on_event(ev, HostId(d.0), DRAIN_TOKEN);
-                self.drain_pending += 1;
-            }
-        }
+    }
+}
+
+impl<E: InferenceEngine + ?Sized> MembershipDriver for RecoveryRunner<'_, E> {
+    fn metrics(&mut self) -> &mut ServingMetrics {
+        &mut self.metrics
     }
 
-    /// Survivor streams are empty: price the lost KV shards and launch the
-    /// recovery work (or skip straight to degraded serving if nothing was
-    /// in flight).
-    fn begin_recovery(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        self.metrics.recovery_mut().drain_time += now.saturating_since(self.drain_started);
-        self.set_phase(RecoveryPhase::Recovering, now);
-        self.recover_started = now;
-        // KV was sharded over the pre-loss degree (survivors + the dead).
-        let ways = self.survivors.len() as u32 + 1;
-        let mut duration = SimDuration::ZERO;
-        let mut tokens = 0u64;
-        for &id in &self.lost {
-            let shape = self.requests[id as usize].shape;
-            let plan = kv_recovery_plan(
-                self.model,
-                self.cost,
-                self.config.policy,
-                ways,
-                self.survivors.len() as u32,
-                shape.batch,
-                shape.phase.kv_len(),
+    fn start(&mut self, sim: &mut Simulation) -> bool {
+        assert!(
+            // Ids must stay clear of the drain/recovered/health marker bits.
+            self.requests.len() < (1u64 << 55) as usize,
+            "request count overflows the recovery-runner token namespace"
+        );
+        let Some(first) = self.requests.first() else { return false };
+        for (i, r) in self.requests.iter().enumerate() {
+            debug_assert_eq!(r.id as usize, i, "request ids must be dense arrival indices");
+            debug_assert!(
+                i == 0 || self.requests[i - 1].arrival <= r.arrival,
+                "requests must be sorted by arrival"
             );
-            duration += plan.duration;
-            tokens += plan.recompute_tokens;
         }
-        self.metrics.recovery_mut().recompute_tokens += tokens;
-        self.lost.clear();
-        if duration == SimDuration::ZERO {
-            self.finish_recovery(sim);
-            return;
-        }
-        let spec = match self.config.policy {
-            RecoveryPolicy::Recompute => KernelSpec::compute("kv-recover-recompute", duration),
-            RecoveryPolicy::Replicate => KernelSpec::comm("kv-recover-replicate", duration),
-        };
-        for &d in &self.survivors {
-            sim.launch(HostId(d.0), StreamId::new(d, 0), spec.clone());
-        }
-        let d0 = self.survivors[0];
-        let ev = sim.record_event(HostId(d0.0), StreamId::new(d0, 0));
-        sim.notify_on_event(ev, HostId(d0.0), RECOVERED_TOKEN);
+        sim.set_timer(first.arrival, RUNNER_TOKEN_BASE);
+        true
     }
 
-    fn finish_recovery(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        self.metrics.recovery_mut().replan_time += now.saturating_since(self.recover_started);
-        self.enter_degraded(sim);
-    }
-
-    /// Back to serving: shed the backlog beyond the watermark (oldest
-    /// first), resubmit the rest, then take on any loss that was confirmed
-    /// while this recovery ran.
-    fn enter_degraded(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        self.set_phase(RecoveryPhase::Degraded, now);
-        let shed = self.admission.shed_excess(&mut self.deferred, now);
-        for s in &shed {
-            let idx = s.id as usize;
-            if !self.done[idx] {
-                self.done[idx] = true;
-                self.outstanding = self.outstanding.saturating_sub(1);
+    fn on_wake(&mut self, wake: Wake, serving: bool, sim: &mut Simulation) {
+        match wake {
+            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
+                let id = (token & !RUNNER_TOKEN_BASE) as usize;
+                if let Some(next) = self.requests.get(id + 1) {
+                    sim.set_timer(next.arrival, RUNNER_TOKEN_BASE | next.id);
+                }
+                if serving {
+                    self.engine.submit(self.requests[id], sim);
+                } else {
+                    // Mid-replan arrivals wait it out.
+                    self.deferred.push_back(id as u64);
+                }
             }
+            other => self.engine.on_wake(other, sim),
         }
-        self.metrics.recovery_mut().shed.extend(shed);
-        while let Some(id) = self.deferred.pop_front() {
-            if !self.done[id as usize] {
-                self.engine.submit(self.requests[id as usize], sim);
-            }
-        }
-        self.pop_pending(sim);
     }
 
-    fn collect(&mut self, sim: &mut Simulation) {
+    fn collect(&mut self, _serving: bool, _sim: &mut Simulation) -> bool {
         for (id, finished) in self.engine.drain_completions() {
             let idx = id as usize;
             if self.done[idx] {
@@ -541,105 +153,70 @@ impl<'a, E: InferenceEngine + ?Sized> RecoveryRunner<'a, E> {
             self.metrics.record(Completion { id, arrival, finished });
             self.outstanding = self.outstanding.saturating_sub(1);
         }
-        if self.outstanding == 0 {
-            if let Some(m) = &mut self.monitor {
-                m.stop();
-            }
-            sim.request_stop();
-        }
-    }
-}
-
-impl<E: InferenceEngine + ?Sized> Driver for RecoveryRunner<'_, E> {
-    fn start(&mut self, sim: &mut Simulation) {
-        assert!(
-            // Ids must stay clear of the drain/recovered/health marker bits.
-            self.requests.len() < (1u64 << 55) as usize,
-            "request count overflows the recovery-runner token namespace"
-        );
-        self.full_world = sim.alive_devices().len();
-        self.world = sim.alive_devices();
-        let mut monitor = HealthMonitor::new(self.config.health, sim.alive_devices(), HEALTH_BASE);
-        monitor.start(sim);
-        self.monitor = Some(monitor);
-        if self.requests.is_empty() {
-            self.monitor.as_mut().expect("just set").stop();
-            sim.request_stop();
-            return;
-        }
-        for (i, r) in self.requests.iter().enumerate() {
-            debug_assert_eq!(r.id as usize, i, "request ids must be dense arrival indices");
-            debug_assert!(
-                i == 0 || self.requests[i - 1].arrival <= r.arrival,
-                "requests must be sorted by arrival"
-            );
-        }
-        sim.set_timer(self.requests[0].arrival, RUNNER_TOKEN_BASE);
+        self.outstanding == 0
     }
 
-    fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
-        // The monitor inspects every wake; confirmations come back here.
-        let events = match &mut self.monitor {
-            Some(m) => m.on_wake(&wake, sim),
-            None => HealthEvents::default(),
-        };
-        for dead in events.lost {
-            self.confirm_loss(dead, sim);
+    fn on_loss(&mut self, dead: DeviceId, survivors: &[DeviceId], sim: &mut Simulation) {
+        let cancelled = self.engine.on_device_loss(dead, survivors, sim);
+        self.requeue(cancelled);
+    }
+
+    fn on_rejoin(&mut self, rejoined: DeviceId, devices: &[DeviceId], sim: &mut Simulation) {
+        let cancelled = self.engine.on_device_rejoin(rejoined, devices, sim);
+        self.requeue(cancelled);
+    }
+
+    fn kv_to_price(&mut self) -> Vec<(u32, u32)> {
+        std::mem::take(&mut self.lost)
+            .into_iter()
+            .map(|id| {
+                let shape = self.requests[id as usize].shape;
+                (shape.batch, shape.phase.kv_len())
+            })
+            .collect()
+    }
+
+    fn backlog(&mut self) -> &mut VecDeque<u64> {
+        &mut self.deferred
+    }
+
+    fn shed(&mut self, id: u64) {
+        let idx = id as usize;
+        if !self.done[idx] {
+            self.done[idx] = true;
+            self.outstanding = self.outstanding.saturating_sub(1);
         }
-        for device in events.rejoined {
-            self.confirm_rejoin(device, sim);
+    }
+
+    fn readmit(&mut self, ids: Vec<u64>) {
+        for id in ids {
+            self.done[id as usize] = false;
+            self.outstanding += 1;
+            self.deferred.push_back(id);
         }
-        match wake {
-            // Oracle knowledge: logged for the detection-latency metric,
-            // never acted on directly.
-            Wake::DeviceDown { device, at } => {
-                self.ground_truth.push((device, at));
+        // Re-admitted sheds are older than deferred arrivals; restore
+        // arrival order before resubmitting.
+        let mut backlog: Vec<u64> = std::mem::take(&mut self.deferred).into();
+        backlog.sort_unstable();
+        backlog.dedup();
+        self.deferred = backlog.into();
+    }
+
+    fn resume(&mut self, sim: &mut Simulation) {
+        while let Some(id) = self.deferred.pop_front() {
+            if !self.done[id as usize] {
+                self.engine.submit(self.requests[id as usize], sim);
             }
-            Wake::Timer { token } if self.owns_health(token) => {}
-            Wake::EventFired { token, .. } if self.owns_health(token) => {}
-            Wake::EventFired { token, .. } if token == DRAIN_TOKEN => {
-                self.drain_pending = self.drain_pending.saturating_sub(1);
-                if self.drain_pending == 0 && self.phase == RecoveryPhase::Draining {
-                    self.begin_recovery(sim);
-                }
-            }
-            Wake::EventFired { token, .. } if token == RECOVERED_TOKEN => {
-                if self.phase == RecoveryPhase::Recovering {
-                    self.finish_recovery(sim);
-                }
-            }
-            Wake::EventFired { token, .. } if token == EXPANDED_TOKEN => {
-                if self.phase == RecoveryPhase::Expanding {
-                    self.finish_expansion(sim);
-                }
-            }
-            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
-                let id = (token & !RUNNER_TOKEN_BASE) as usize;
-                if let Some(next) = self.requests.get(id + 1) {
-                    sim.set_timer(next.arrival, RUNNER_TOKEN_BASE | next.id);
-                }
-                match self.phase {
-                    RecoveryPhase::Normal | RecoveryPhase::Degraded => {
-                        self.engine.submit(self.requests[id], sim);
-                    }
-                    // Mid-recovery and mid-expansion arrivals wait out the
-                    // replan.
-                    RecoveryPhase::Draining
-                    | RecoveryPhase::Recovering
-                    | RecoveryPhase::Expanding => {
-                        self.deferred.push_back(id as u64);
-                    }
-                }
-            }
-            other => self.engine.on_wake(other, sim),
         }
-        self.collect(sim);
     }
 }
 
 /// Serves `requests` with `engine` on `sim` under the elastic-recovery
 /// pipeline; `model` and `cost` price the KV-recovery work. Returns the
 /// metrics, including the recovery counters and phase timeline.
+///
+/// # Panics
+/// If `config.health` is invalid.
 pub fn serve_with_recovery<E: InferenceEngine + ?Sized>(
     sim: &mut Simulation,
     engine: &mut E,
@@ -654,6 +231,9 @@ pub fn serve_with_recovery<E: InferenceEngine + ?Sized>(
 /// [`serve_with_recovery`] on an explicit event core. A parallel core gets
 /// its lookahead derived from the host launch overhead and the cost model's
 /// interconnect latency ([`core_lookahead`](crate::runner::core_lookahead)).
+///
+/// # Panics
+/// If `config.health` is invalid.
 pub fn serve_with_recovery_on<E: InferenceEngine + ?Sized>(
     core: CoreSelect,
     sim: &mut Simulation,
@@ -663,109 +243,26 @@ pub fn serve_with_recovery_on<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: RecoveryConfig,
 ) -> ServingMetrics {
+    config.health.validate().expect("invalid health config");
     let lookahead = crate::runner::core_lookahead(sim, cost);
-    let mut runner = RecoveryRunner::new(engine, requests, model, cost, config);
-    crate::runner::run_core(core, Some(lookahead), sim, &mut runner);
-    runner.into_metrics()
+    let mut controller = MembershipController::new(
+        RecoveryRunner::new(engine, requests),
+        model,
+        cost,
+        config.policy,
+        Some(config.health),
+        config.admission,
+    );
+    crate::runner::run_core(core, Some(lookahead), sim, &mut controller);
+    controller.into_driver().metrics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liger_gpu_sim::{DeviceSpec, EventId, FaultSpec, HostSpec};
+    use crate::testutil::{sim, StepToy};
+    use liger_gpu_sim::{FaultSpec, SimDuration, SimTime};
     use liger_model::BatchShape;
-
-    /// A round-robin one-kernel engine with honest device-loss support:
-    /// abandons in-flight work, bumps its completion epoch so stale records
-    /// are ignored, and reshards onto the survivors.
-    struct ToyEngine {
-        devices: Vec<DeviceId>,
-        next: usize,
-        epoch: u64,
-        inflight: Vec<u64>,
-        done: Vec<(u64, SimTime)>,
-        pending: Vec<(EventId, u64)>,
-    }
-
-    impl ToyEngine {
-        fn new(world: usize) -> ToyEngine {
-            ToyEngine {
-                devices: (0..world).map(DeviceId).collect(),
-                next: 0,
-                epoch: 0,
-                inflight: Vec::new(),
-                done: Vec::new(),
-                pending: Vec::new(),
-            }
-        }
-    }
-
-    impl InferenceEngine for ToyEngine {
-        fn name(&self) -> &'static str {
-            "toy"
-        }
-        fn submit(&mut self, request: Request, sim: &mut Simulation) {
-            let d = self.devices[self.next % self.devices.len()];
-            self.next += 1;
-            let stream = StreamId::new(d, 0);
-            sim.launch(
-                HostId(d.0),
-                stream,
-                KernelSpec::compute("job", SimDuration::from_micros(40)).with_tag(request.id),
-            );
-            let ev = sim.record_event(HostId(d.0), stream);
-            sim.notify_on_event(ev, HostId(d.0), (self.epoch << 32) | request.id);
-            self.pending.push((ev, request.id));
-            self.inflight.push(request.id);
-        }
-        fn on_wake(&mut self, wake: Wake, _: &mut Simulation) {
-            if let Wake::EventFired { token, fired_at, .. } = wake {
-                if token >> 32 != self.epoch {
-                    return; // stale completion from before a replan
-                }
-                let id = token & 0xffff_ffff;
-                self.inflight.retain(|&x| x != id);
-                self.done.push((id, fired_at));
-            }
-        }
-        fn drain_completions(&mut self) -> Vec<(u64, SimTime)> {
-            std::mem::take(&mut self.done)
-        }
-        fn on_device_loss(
-            &mut self,
-            _dead: DeviceId,
-            survivors: &[DeviceId],
-            _sim: &mut Simulation,
-        ) -> Vec<u64> {
-            self.epoch += 1;
-            self.devices = survivors.to_vec();
-            self.next = 0;
-            let mut ids = std::mem::take(&mut self.inflight);
-            ids.sort_unstable();
-            ids
-        }
-        fn on_device_rejoin(
-            &mut self,
-            _rejoined: DeviceId,
-            devices: &[DeviceId],
-            _sim: &mut Simulation,
-        ) -> Vec<u64> {
-            self.epoch += 1;
-            self.devices = devices.to_vec();
-            self.next = 0;
-            let mut ids = std::mem::take(&mut self.inflight);
-            ids.sort_unstable();
-            ids
-        }
-    }
-
-    fn sim(world: usize, faults: FaultSpec) -> Simulation {
-        let mut b = Simulation::builder().devices(DeviceSpec::test_device(), world).faults(faults);
-        for _ in 0..world {
-            b = b.host(HostSpec::instant());
-        }
-        b.build().unwrap()
-    }
 
     fn trace(n: usize, gap_us: u64) -> Vec<Request> {
         (0..n)
@@ -787,7 +284,7 @@ mod tests {
     ) -> ServingMetrics {
         let model = ModelConfig::opt_30b();
         let cost = CostModel::v100_node();
-        let mut engine = ToyEngine::new(world);
+        let mut engine = StepToy::with_times(world, 40, 40);
         serve_with_recovery(&mut sim(world, faults), &mut engine, requests, &model, &cost, config)
     }
 

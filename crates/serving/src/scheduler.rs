@@ -25,57 +25,37 @@
 //!    the *youngest* sequence is preempted (blocks evicted, prefill to be
 //!    recomputed — priced through `kv_recovery_plan`) until the step fits.
 //!
-//! Device loss composes with the elastic-recovery pipeline: the watchdog
+//! Device loss composes with the elastic-recovery pipeline through the same
+//! membership controller that steers [`serve_with_recovery`]: the watchdog
 //! confirms the loss, the engine drains and replans over the survivors, the
 //! pool frees the dead device's side of every block, cancelled prefills
 //! re-queue, and the surviving sequences' lost shard is rebuilt under the
 //! configured [`RecoveryPolicy`] before degraded serving resumes behind the
 //! admission shedder.
+//!
+//! [`serve_with_recovery`]: crate::recovery::serve_with_recovery
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use liger_gpu_sim::{
-    CoreSelect, DeviceId, Driver, HostId, KernelSpec, SimDuration, SimTime, Simulation, StreamId,
-    Wake,
-};
+use liger_gpu_sim::{CoreSelect, DeviceId, SimDuration, SimTime, Simulation, Wake};
 use liger_kvcache::{BlockPool, BlockPoolConfig, PrefixAdmit};
-use liger_model::{
-    kv_recovery_plan, spec_draft_time, CostModel, LayerOp, ModelConfig, RecoveryPolicy,
-};
+use liger_model::{kv_recovery_plan, spec_draft_time, CostModel, ModelConfig, RecoveryPolicy};
 
-use crate::admission::{AdmissionConfig, AdmissionController, ShedReason, ShedRecord};
+use crate::admission::{AdmissionConfig, ShedReason, ShedRecord};
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
 #[allow(unused_imports)] // doc link
 use crate::generation::serve_generations;
 use crate::generation::{GenerationJob, GenerationMetrics, GenerationResult};
-use crate::health::{HealthConfig, HealthEvents, HealthMonitor};
+use crate::health::HealthConfig;
+use crate::membership::{MembershipController, MembershipDriver};
 use crate::metrics::ServingMetrics;
 use crate::prefix::{block_digests, output_token, SpecDecodeConfig};
-use crate::recovery::{PendingChange, RecoveryPhase};
 use crate::request::{Completion, Request};
-
-/// Token base handed to the health monitor (bit 63 = runner namespace,
-/// bit 59 = health sub-namespace; the monitor fills the low 49 bits).
-const HEALTH_BASE: u64 = RUNNER_TOKEN_BASE | (1 << 59);
-
-/// Drain-barrier completion token (one event per survivor stream).
-const DRAIN_TOKEN: u64 = RUNNER_TOKEN_BASE | (1 << 56);
-
-/// KV-recovery completion token.
-const RECOVERED_TOKEN: u64 = RUNNER_TOKEN_BASE | (1 << 55);
-
-/// Re-expansion completion token (the rejoined device is warm and the KV
-/// migrate/recompute work has drained).
-const EXPANDED_TOKEN: u64 = RUNNER_TOKEN_BASE | (1 << 53);
 
 /// Draft-burst timer namespace (bit 54); the low bits carry the round's
 /// epoch so a timer set before a device loss cannot trigger a stale
 /// verification afterwards.
 const SPEC_DRAFT_BASE: u64 = RUNNER_TOKEN_BASE | (1 << 54);
-
-/// Engine streams the drain barrier covers (the Liger engine launches on
-/// streams 0 and 1; probes ride elsewhere).
-const BARRIER_STREAMS: usize = 2;
 
 /// Parameters of the continuous-batching scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,19 +191,20 @@ impl SeqState {
     }
 }
 
-/// Iteration-level serving driver: continuous batching over a paged KV
-/// pool, composed with the health watchdog, drain-and-replan recovery, and
-/// admission shedding. See the module docs for the scheduling loop.
-pub struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
+/// Iteration-level serving driver steered by a [`MembershipController`]:
+/// continuous batching over a paged KV pool. See the module docs for the
+/// scheduling loop.
+///
+/// Internal state (`done`, timers, `states`, the queues, the pool's
+/// sequences) is keyed by each job's index in `jobs`; `job.id` passes
+/// through untouched to the metrics, the shed records and the token oracle.
+pub(crate) struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     jobs: Vec<GenerationJob>,
     model: &'a ModelConfig,
     cost: &'a CostModel,
     config: SchedulerConfig,
     pool: BlockPool,
-    admission: AdmissionController,
-    monitor: Option<HealthMonitor>,
-    phase: RecoveryPhase,
 
     states: HashMap<u64, SeqState>,
     /// Arrival/preemption queue (front = next to admit; preempted sequences
@@ -232,7 +213,7 @@ pub struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     /// Sequences with live KV decoding together, admission order (the
     /// youngest is last — the preemption victim).
     running: Vec<u64>,
-    /// In-flight prefill requests: request id → (job id, charged prefill
+    /// In-flight prefill requests: request id → (job index, charged prefill
     /// tokens) — the charge is the *novel* span when the prefix cache
     /// served part of the prompt.
     prefill_inflight: HashMap<u64, (u64, u64)>,
@@ -251,24 +232,12 @@ pub struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     outputs: BTreeMap<u64, Vec<u64>>,
     outstanding: usize,
     done: Vec<bool>,
-
-    /// Recovery state (mirrors `RecoveryRunner`).
-    pending_changes: VecDeque<PendingChange>,
-    ground_truth: Vec<(DeviceId, SimTime)>,
-    survivors: Vec<DeviceId>,
-    drain_pending: usize,
-    drain_started: SimTime,
-    recover_started: SimTime,
-    expand_started: SimTime,
-    /// World size at start; reaching it again on expansion restores
-    /// [`RecoveryPhase::Normal`].
-    full_world: usize,
 }
 
 impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
-    /// Creates a scheduler over `jobs` (dense ids, sorted by arrival),
-    /// paging KV through a pool over `devices` (the live devices at start).
-    pub fn new(
+    /// Creates a scheduler over `jobs` (unique ids), paging KV through a
+    /// pool over `devices` (the live devices at start).
+    pub(crate) fn new(
         engine: &'a mut E,
         jobs: Vec<GenerationJob>,
         model: &'a ModelConfig,
@@ -276,76 +245,41 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
         config: SchedulerConfig,
         devices: Vec<DeviceId>,
     ) -> Self {
-        config.validate().expect("invalid SchedulerConfig");
-        let outstanding = jobs.len();
-        let done = vec![false; jobs.len()];
-        let pool = BlockPool::new(config.pool, devices);
-        let admission = AdmissionController::new(config.admission);
         ContinuousScheduler {
-            spec_pending: None,
-            spec_epoch: 0,
-            outputs: BTreeMap::new(),
             engine,
+            outstanding: jobs.len(),
+            done: vec![false; jobs.len()],
             jobs,
             model,
             cost,
+            pool: BlockPool::new(config.pool, devices),
             config,
-            pool,
-            admission,
-            monitor: None,
-            phase: RecoveryPhase::Normal,
             states: HashMap::new(),
             waiting: VecDeque::new(),
             running: Vec::new(),
             prefill_inflight: HashMap::new(),
             decode_inflight: None,
+            spec_pending: None,
+            spec_epoch: 0,
             prefill_tokens_inflight: 0,
             next_request: 0,
             generation: GenerationMetrics::default(),
             serving: ServingMetrics::new(),
-            outstanding,
-            done,
-            pending_changes: VecDeque::new(),
-            ground_truth: Vec::new(),
-            survivors: Vec::new(),
-            drain_pending: 0,
-            drain_started: SimTime::ZERO,
-            recover_started: SimTime::ZERO,
-            expand_started: SimTime::ZERO,
-            full_world: 0,
+            outputs: BTreeMap::new(),
         }
     }
 
-    /// The collected report (complete once the simulation has stopped).
-    pub fn into_report(mut self) -> ContinuousReport {
-        if let Some(m) = &self.monitor {
-            let rec = self.serving.recovery_mut();
-            rec.flaps = m.flaps();
-            rec.rejoins = m.rejoins();
+    /// The collected report (complete once the simulation has stopped),
+    /// with shed records carrying job ids.
+    fn into_report(mut self) -> ContinuousReport {
+        for s in &mut self.serving.recovery_mut().shed {
+            s.id = self.jobs[s.id as usize].id;
         }
         ContinuousReport {
             generation: self.generation,
             serving: self.serving,
             outputs: self.outputs,
         }
-    }
-
-    /// Current recovery phase.
-    pub fn phase(&self) -> RecoveryPhase {
-        self.phase
-    }
-
-    fn owns_health(&self, token: u64) -> bool {
-        self.monitor.as_ref().is_some_and(|m| m.owns(token))
-    }
-
-    fn set_phase(&mut self, phase: RecoveryPhase, now: SimTime) {
-        self.phase = phase;
-        self.serving.recovery_mut().timeline.push((phase.name(), now));
-    }
-
-    fn serving_phase(&self) -> bool {
-        matches!(self.phase, RecoveryPhase::Normal | RecoveryPhase::Degraded)
     }
 
     // -- the scheduling loop ------------------------------------------------
@@ -733,20 +667,101 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
     fn finish(&mut self, id: u64, finished: SimTime, sim: &mut Simulation) {
         let state = self.states.remove(&id).expect("finishing sequence has state");
         self.pool.release(sim, id);
+        let (job, arrival) = (state.job.id, state.job.arrival);
         self.generation.record(GenerationResult {
-            id,
-            arrival: state.job.arrival,
+            id: job,
+            arrival,
             first_token: state.first_token.unwrap_or(finished),
             finished,
             tokens: state.job.output_tokens,
             batch: state.job.batch,
         });
-        self.serving.record(Completion { id, arrival: state.job.arrival, finished });
+        self.serving.record(Completion { id: job, arrival, finished });
         self.done[id as usize] = true;
         self.outstanding = self.outstanding.saturating_sub(1);
     }
 
-    fn collect(&mut self, sim: &mut Simulation) {
+    /// A replan kills the cached prefix chains and any in-flight
+    /// speculative round: chains published on the old placement would
+    /// serve blocks with a missing or unfilled shard, and the round's
+    /// members roll back to their verified span (the epoch bump
+    /// invalidates its draft timer).
+    fn abandon_round(&mut self, sim: &mut Simulation) {
+        let flushed = self.pool.flush_prefix_cache(sim);
+        self.serving.prefix_mut().flushed_blocks += flushed;
+        if let Some(round) = self.spec_pending.take() {
+            self.spec_epoch += 1;
+            for (id, _) in round.members {
+                if let Some(s) = self.states.get(&id) {
+                    let cached = s.cached_tokens();
+                    let dropped = self.pool.truncate(sim, id, cached);
+                    self.serving.spec_mut().rollback_blocks += dropped;
+                }
+            }
+        }
+    }
+
+    /// Cancelled prefills lose their (partial) KV and replay from the front
+    /// of the queue — they were admitted before anything still waiting, so
+    /// prepending in reverse order keeps FCFS. A cancelled decode step
+    /// re-forms once serving resumes; its members keep their KV.
+    fn requeue(&mut self, cancelled: Vec<u64>, sim: &mut Simulation) {
+        let mut requeue: Vec<u64> = Vec::new();
+        for rid in cancelled {
+            if let Some((id, charged)) = self.prefill_inflight.remove(&rid) {
+                self.prefill_tokens_inflight = self.prefill_tokens_inflight.saturating_sub(charged);
+                self.pool.release(sim, id);
+                requeue.push(id);
+            } else if self.decode_inflight.as_ref().is_some_and(|&(d, _)| d == rid) {
+                self.decode_inflight = None;
+            }
+        }
+        requeue.sort_unstable();
+        for &id in requeue.iter().rev() {
+            self.waiting.push_front(id);
+        }
+    }
+}
+
+impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E> {
+    fn metrics(&mut self) -> &mut ServingMetrics {
+        &mut self.serving
+    }
+
+    fn start(&mut self, sim: &mut Simulation) -> bool {
+        assert!(
+            // Indices must stay clear of the drain/recovered/expanded/
+            // health/spec-draft marker bits (the lowest is bit 53).
+            self.jobs.len() < (1u64 << 53) as usize,
+            "job count overflows the scheduler token namespace"
+        );
+        for (i, job) in self.jobs.iter().enumerate() {
+            sim.set_timer(job.arrival, RUNNER_TOKEN_BASE | i as u64);
+        }
+        !self.jobs.is_empty()
+    }
+
+    fn on_wake(&mut self, wake: Wake, _serving: bool, sim: &mut Simulation) {
+        match wake {
+            Wake::Timer { token } if token & SPEC_DRAFT_BASE == SPEC_DRAFT_BASE => {
+                let epoch = token & !SPEC_DRAFT_BASE;
+                // A stale timer (its round died with a replan) is a no-op:
+                // the epoch moved on.
+                if self.spec_pending.as_ref().is_some_and(|r| r.epoch == epoch && r.rid.is_none()) {
+                    self.submit_spec_verify(sim);
+                }
+            }
+            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
+                let id = token & !RUNNER_TOKEN_BASE;
+                let job = self.jobs[id as usize];
+                self.states.insert(id, SeqState { job, first_token: None, steps_done: 0 });
+                self.waiting.push_back(id);
+            }
+            other => self.engine.on_wake(other, sim),
+        }
+    }
+
+    fn collect(&mut self, serving: bool, sim: &mut Simulation) -> bool {
         for (rid, finished) in self.engine.drain_completions() {
             if let Some((id, charged)) = self.prefill_inflight.remove(&rid) {
                 self.prefill_tokens_inflight = self.prefill_tokens_inflight.saturating_sub(charged);
@@ -767,7 +782,7 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
                 // Mid-replan completions never republish — a chain indexed
                 // before the rejoined device is warm would hand out blocks
                 // with an unfilled shard.
-                if self.config.prefix_cache && self.serving_phase() {
+                if self.config.prefix_cache && serving {
                     let (job, rows) = {
                         let s = &self.states[&id];
                         (s.job, s.job.batch)
@@ -809,453 +824,77 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
             let flushed = self.pool.flush_prefix_cache(sim);
             self.serving.prefix_mut().flushed_blocks += flushed;
             debug_assert!(self.pool.is_empty(), "serve ended with live KV blocks");
-            if let Some(m) = &mut self.monitor {
-                m.stop();
-            }
-            sim.request_stop();
-        } else if self.serving_phase() {
+            return true;
+        }
+        if serving {
             self.pump(sim);
         }
+        false
     }
 
-    // -- device loss (mirrors RecoveryRunner) -------------------------------
-
-    fn confirm_loss(&mut self, dead: DeviceId, sim: &mut Simulation) {
-        let now = sim.now();
-        let rec = self.serving.recovery_mut();
-        rec.losses += 1;
-        if let Some(&(_, death)) = self.ground_truth.iter().find(|&&(d, _)| d == dead) {
-            rec.detection_latency = now.saturating_since(death);
-        }
-        match self.phase {
-            RecoveryPhase::Normal | RecoveryPhase::Degraded => self.handle_loss(dead, sim),
-            RecoveryPhase::Draining | RecoveryPhase::Recovering | RecoveryPhase::Expanding => {
-                self.pending_changes.push_back(PendingChange::Loss(dead));
-            }
-        }
+    /// The dead device's side of every block goes with it; cancelled
+    /// prefills re-queue, and the running sequences' lost shard is rebuilt
+    /// before serving resumes.
+    fn on_loss(&mut self, dead: DeviceId, survivors: &[DeviceId], sim: &mut Simulation) {
+        let cancelled = self.engine.on_device_loss(dead, survivors, sim);
+        self.pool.on_device_loss(sim, dead);
+        self.abandon_round(sim);
+        self.requeue(cancelled, sim);
     }
 
-    /// A watchdog-confirmed rejoin: re-expand now or queue behind the
-    /// change in progress. A device that has already died again is dropped
-    /// here — the watchdog will confirm the fresh loss on its own.
-    fn confirm_rejoin(&mut self, device: DeviceId, sim: &mut Simulation) {
-        match self.phase {
-            RecoveryPhase::Normal | RecoveryPhase::Degraded => {
-                if sim.alive_devices().contains(&device) {
-                    self.handle_rejoin(device, sim);
-                }
-            }
-            RecoveryPhase::Draining | RecoveryPhase::Recovering | RecoveryPhase::Expanding => {
-                self.pending_changes.push_back(PendingChange::Rejoin(device));
-            }
-        }
-    }
-
-    /// Replay the oldest queued status change, skipping rejoins whose
-    /// device has died again in the meantime. Queued losses are never
-    /// skipped: the engine's in-flight work died with the device even if
-    /// it is alive again now.
-    fn pop_pending(&mut self, sim: &mut Simulation) {
-        while let Some(change) = self.pending_changes.pop_front() {
-            match change {
-                PendingChange::Loss(dead) => {
-                    self.handle_loss(dead, sim);
-                    return;
-                }
-                PendingChange::Rejoin(device) => {
-                    if sim.alive_devices().contains(&device) {
-                        self.handle_rejoin(device, sim);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-expansion onto a rejoined device: the engine replans over the
-    /// widened set, the pool resumes sharding across it, running sequences'
-    /// KV is migrated back or recomputed (whichever prices cheaper per
-    /// sequence), and the device reloads its weight shard before anything
-    /// else lands on it. Cached prefix chains are flushed and republish
-    /// only once serving resumes on the warm placement.
-    fn handle_rejoin(&mut self, rejoined: DeviceId, sim: &mut Simulation) {
-        let now = sim.now();
-        if self.pool.devices().contains(&rejoined) {
-            return; // duplicate confirmation; already serving
-        }
-        self.set_phase(RecoveryPhase::Expanding, now);
-        self.expand_started = now;
-        // Widen by exactly the confirmed device: other sim-alive devices
-        // may still be in quarantine and join only on their own rejoin.
-        // Plan only over sim-alive members — one may have died again with
-        // its loss not yet confirmed, and work placed on it would vanish.
-        let alive = sim.alive_devices();
-        let mut devices: Vec<DeviceId> =
-            self.pool.devices().iter().copied().filter(|d| alive.contains(d)).collect();
-        devices.push(rejoined);
-        devices.sort_unstable_by_key(|d| d.0);
-        let ways = devices.len() as u32;
-        let holders = (devices.len() - 1).max(1) as u32;
-        let cancelled = self.engine.on_device_rejoin(rejoined, &devices, sim);
-        // Chains published on the narrower placement have no shard on the
-        // rejoined device; drop the index rather than serve them short.
-        let flushed = self.pool.flush_prefix_cache(sim);
-        self.serving.prefix_mut().flushed_blocks += flushed;
-        // An in-flight speculative round dies with the replan, exactly as
-        // on a loss: roll members back to their verified span and
-        // invalidate the draft timer.
-        if let Some(round) = self.spec_pending.take() {
-            self.spec_epoch += 1;
-            for (id, _) in round.members {
-                if let Some(s) = self.states.get(&id) {
-                    let cached = s.cached_tokens();
-                    let dropped = self.pool.truncate(sim, id, cached);
-                    self.serving.spec_mut().rollback_blocks += dropped;
-                }
-            }
-        }
-        // Now widen the pool: every live block gains a backing page on the
-        // rejoined device, filled by the migrate/recompute work below.
+    /// The pool resumes sharding across the rejoined device: every live
+    /// block gains a backing page there, filled by the migrate/recompute
+    /// work the controller prices. Prefix chains republish only once
+    /// serving resumes on the warm placement.
+    fn on_rejoin(&mut self, rejoined: DeviceId, devices: &[DeviceId], sim: &mut Simulation) {
+        let cancelled = self.engine.on_device_rejoin(rejoined, devices, sim);
+        self.abandon_round(sim);
         self.pool.on_device_rejoin(sim, rejoined);
-        // Cancelled prefills replay from the front of the queue; a
-        // cancelled decode step re-forms once serving resumes.
-        let mut requeue: Vec<u64> = Vec::new();
-        for rid in cancelled {
-            if let Some((id, charged)) = self.prefill_inflight.remove(&rid) {
-                self.prefill_tokens_inflight = self.prefill_tokens_inflight.saturating_sub(charged);
-                self.pool.release(sim, id);
-                requeue.push(id);
-            } else if self.decode_inflight.as_ref().is_some_and(|&(d, _)| d == rid) {
-                self.decode_inflight = None;
-            }
-        }
-        requeue.sort_unstable();
-        for &id in requeue.iter().rev() {
-            self.waiting.push_front(id);
-        }
-        // Price each running sequence's KV both ways and take the cheaper:
-        // migrate the live shards onto the wider placement, or recompute
-        // them there from the prompt.
-        let mut migrate = SimDuration::ZERO;
-        let mut recompute = SimDuration::ZERO;
-        let mut tokens = 0u64;
-        for &id in &self.running {
-            let s = &self.states[&id];
-            let mig = kv_recovery_plan(
-                self.model,
-                self.cost,
-                RecoveryPolicy::Replicate,
-                ways,
-                holders,
-                s.job.batch,
-                s.cached_tokens(),
-            );
-            let rec = kv_recovery_plan(
-                self.model,
-                self.cost,
-                RecoveryPolicy::Recompute,
-                ways,
-                ways,
-                s.job.batch,
-                s.cached_tokens(),
-            );
-            if rec.duration < mig.duration {
-                recompute += rec.duration;
-                tokens += rec.recompute_tokens;
-            } else {
-                migrate += mig.duration;
-            }
-        }
-        self.serving.recovery_mut().recompute_tokens += tokens;
-        let dev = HostId(rejoined.0);
-        let stream = StreamId::new(rejoined, 0);
-        // Warm the rejoined device first: its weight shard travels over
-        // the interconnect before any KV or serving kernel may land on it.
-        let warm = self
-            .cost
-            .op_time(&LayerOp::P2p { bytes: self.model.weight_bytes() / u64::from(ways.max(1)) });
-        sim.launch(dev, stream, KernelSpec::comm("rejoin-warmup", warm));
-        if migrate > SimDuration::ZERO {
-            sim.launch(dev, stream, KernelSpec::comm("kv-expand-migrate", migrate));
-        }
-        if recompute > SimDuration::ZERO {
-            sim.launch(dev, stream, KernelSpec::compute("kv-expand-recompute", recompute));
-        }
-        let ev = sim.record_event(dev, stream);
-        sim.notify_on_event(ev, dev, EXPANDED_TOKEN);
+        self.requeue(cancelled, sim);
     }
 
-    /// The rejoined device is warm: re-admit queue-depth shed jobs (the
-    /// capacity that forced them out is back), resume the scheduling loop
-    /// at full (or less-degraded) capacity.
-    fn finish_expansion(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        let mut readmitted = Vec::new();
-        {
-            let done = &self.done;
-            let rec = self.serving.recovery_mut();
-            rec.replan_time += now.saturating_since(self.expand_started);
-            rec.re_expansions += 1;
-            rec.shed.retain(|s| {
-                if s.reason == ShedReason::QueueDepth && done[s.id as usize] {
-                    readmitted.push(s.id);
-                    false
-                } else {
-                    true
-                }
-            });
+    fn kv_to_price(&mut self) -> Vec<(u32, u32)> {
+        self.running
+            .iter()
+            .map(|id| {
+                let s = &self.states[id];
+                (s.job.batch, s.cached_tokens())
+            })
+            .collect()
+    }
+
+    fn backlog(&mut self) -> &mut VecDeque<u64> {
+        &mut self.waiting
+    }
+
+    fn shed(&mut self, id: u64) {
+        let idx = id as usize;
+        if !self.done[idx] {
+            self.done[idx] = true;
+            self.outstanding = self.outstanding.saturating_sub(1);
+            self.states.remove(&id);
         }
+    }
+
+    fn readmit(&mut self, mut ids: Vec<u64>) {
         // Shed jobs predate everything still waiting (they were shed oldest
         // first): push to the front in reverse so FCFS order holds.
-        readmitted.sort_unstable();
-        for &id in readmitted.iter().rev() {
+        ids.sort_unstable();
+        for &id in ids.iter().rev() {
             self.done[id as usize] = false;
             self.outstanding += 1;
             let job = self.jobs[id as usize];
             self.states.insert(id, SeqState { job, first_token: None, steps_done: 0 });
             self.waiting.push_front(id);
         }
-        let all_back = self.pool.devices().len() == self.full_world;
-        self.set_phase(if all_back { RecoveryPhase::Normal } else { RecoveryPhase::Degraded }, now);
+    }
+
+    fn resume(&mut self, sim: &mut Simulation) {
         self.pump(sim);
-        self.pop_pending(sim);
     }
 
-    /// Drain-and-replan: the engine abandons its work, the pool frees the
-    /// dead device's side of every block, cancelled prefills re-queue (their
-    /// partial KV is gone), and barrier events gate the KV recovery.
-    fn handle_loss(&mut self, dead: DeviceId, sim: &mut Simulation) {
-        let now = sim.now();
-        // The serving world is the pool's member set, not `alive_devices`:
-        // a device whose outage window closed is sim-alive while it still
-        // sits in rejoin quarantine, and must not re-enter through the loss
-        // path — only a confirmed rejoin widens the world.
-        if !self.pool.devices().contains(&dead) {
-            // The condemned device died again while quarantining; it holds
-            // no serving state, so there is nothing to drain.
-            return;
-        }
-        // Survivors must also be sim-alive: a pool member that has died
-        // again (its own loss not yet confirmed) cannot host drain-barrier
-        // records — dead devices drop them, and the drain would never
-        // complete. Its confirmation will run its own drain later.
-        let alive = sim.alive_devices();
-        let survivors: Vec<DeviceId> = self
-            .pool
-            .devices()
-            .iter()
-            .copied()
-            .filter(|&d| d != dead && alive.contains(&d))
-            .collect();
-        if survivors.is_empty() {
-            // The watchdog condemned the only serving device (a false
-            // positive under congestion). Shrinking onto nothing is
-            // unactionable: keep serving and let the probes recover.
-            return;
-        }
-        self.set_phase(RecoveryPhase::Draining, now);
-        self.drain_started = now;
-        self.survivors = survivors;
-        let cancelled = self.engine.on_device_loss(dead, &self.survivors, sim);
-        // The dead device's shard of every live block is gone.
-        self.pool.on_device_loss(sim, dead);
-        // A cached prefix missing a shard would serve corrupt KV to its next
-        // adopter: drop the whole index (survivor-side frees only — the dead
-        // device's side was already freed above).
-        let flushed = self.pool.flush_prefix_cache(sim);
-        self.serving.prefix_mut().flushed_blocks += flushed;
-        // An in-flight speculative round dies with the loss: roll every
-        // member's table back to its verified span and invalidate the draft
-        // timer (the epoch bump) so it cannot submit a stale verification.
-        if let Some(round) = self.spec_pending.take() {
-            self.spec_epoch += 1;
-            for (id, _) in round.members {
-                if let Some(s) = self.states.get(&id) {
-                    let cached = s.cached_tokens();
-                    let dropped = self.pool.truncate(sim, id, cached);
-                    self.serving.spec_mut().rollback_blocks += dropped;
-                }
-            }
-        }
-        // Cancelled prefills lose their (partial) KV entirely and replay
-        // from the front of the queue; cancelled decode members keep their
-        // surviving shards and re-step after recovery.
-        let mut requeue: Vec<u64> = Vec::new();
-        for rid in cancelled {
-            if let Some((id, charged)) = self.prefill_inflight.remove(&rid) {
-                self.prefill_tokens_inflight = self.prefill_tokens_inflight.saturating_sub(charged);
-                self.pool.release(sim, id);
-                requeue.push(id);
-            } else if self.decode_inflight.as_ref().is_some_and(|&(d, _)| d == rid) {
-                self.decode_inflight = None;
-            }
-        }
-        // Cancelled prefills predate every waiting arrival (they were
-        // admitted first), so prepending in reverse id order keeps FCFS.
-        requeue.sort_unstable();
-        for &id in requeue.iter().rev() {
-            self.waiting.push_front(id);
-        }
-        self.drain_pending = 0;
-        for &d in &self.survivors {
-            for s in 0..BARRIER_STREAMS {
-                let ev = sim.record_event(HostId(d.0), StreamId::new(d, s));
-                sim.notify_on_event(ev, HostId(d.0), DRAIN_TOKEN);
-                self.drain_pending += 1;
-            }
-        }
-    }
-
-    /// Survivor streams are empty: price rebuilding the running sequences'
-    /// lost KV shard and launch the recovery work.
-    fn begin_recovery(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        self.serving.recovery_mut().drain_time += now.saturating_since(self.drain_started);
-        self.set_phase(RecoveryPhase::Recovering, now);
-        self.recover_started = now;
-        // KV was sharded over the pre-loss degree (survivors + the dead).
-        let ways = self.survivors.len() as u32 + 1;
-        let mut duration = SimDuration::ZERO;
-        let mut tokens = 0u64;
-        for &id in &self.running {
-            let s = &self.states[&id];
-            let plan = kv_recovery_plan(
-                self.model,
-                self.cost,
-                self.config.policy,
-                ways,
-                self.survivors.len() as u32,
-                s.job.batch,
-                s.cached_tokens(),
-            );
-            duration += plan.duration;
-            tokens += plan.recompute_tokens;
-        }
-        self.serving.recovery_mut().recompute_tokens += tokens;
-        if duration == SimDuration::ZERO {
-            self.finish_recovery(sim);
-            return;
-        }
-        let spec = match self.config.policy {
-            RecoveryPolicy::Recompute => KernelSpec::compute("kv-recover-recompute", duration),
-            RecoveryPolicy::Replicate => KernelSpec::comm("kv-recover-replicate", duration),
-        };
-        for &d in &self.survivors {
-            sim.launch(HostId(d.0), StreamId::new(d, 0), spec.clone());
-        }
-        let d0 = self.survivors[0];
-        let ev = sim.record_event(HostId(d0.0), StreamId::new(d0, 0));
-        sim.notify_on_event(ev, HostId(d0.0), RECOVERED_TOKEN);
-    }
-
-    fn finish_recovery(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        self.serving.recovery_mut().replan_time += now.saturating_since(self.recover_started);
-        self.enter_degraded(sim);
-    }
-
-    /// Back to serving on the survivors: shed the waiting backlog beyond the
-    /// admission watermark (oldest first), resume the scheduling loop, then
-    /// take on any loss confirmed while this recovery ran.
-    fn enter_degraded(&mut self, sim: &mut Simulation) {
-        let now = sim.now();
-        self.set_phase(RecoveryPhase::Degraded, now);
-        let shed = self.admission.shed_excess(&mut self.waiting, now);
-        for s in &shed {
-            let idx = s.id as usize;
-            if !self.done[idx] {
-                self.done[idx] = true;
-                self.outstanding = self.outstanding.saturating_sub(1);
-                self.states.remove(&s.id);
-            }
-        }
-        self.serving.recovery_mut().shed.extend(shed);
-        self.pump(sim);
-        self.pop_pending(sim);
-    }
-}
-
-impl<E: InferenceEngine + ?Sized> Driver for ContinuousScheduler<'_, E> {
-    fn start(&mut self, sim: &mut Simulation) {
-        assert!(
-            // Ids must stay clear of the drain/recovered/expanded/health/
-            // spec-draft marker bits (the lowest is bit 53).
-            self.jobs.len() < (1u64 << 53) as usize,
-            "job count overflows the scheduler token namespace"
-        );
-        self.full_world = sim.alive_devices().len();
-        if let Some(health) = self.config.health {
-            let mut monitor = HealthMonitor::new(health, sim.alive_devices(), HEALTH_BASE);
-            monitor.start(sim);
-            self.monitor = Some(monitor);
-        }
-        if self.jobs.is_empty() {
-            if let Some(m) = &mut self.monitor {
-                m.stop();
-            }
-            sim.request_stop();
-            return;
-        }
-        for (i, job) in self.jobs.iter().enumerate() {
-            debug_assert_eq!(job.id as usize, i, "job ids must be dense indices");
-            sim.set_timer(job.arrival, RUNNER_TOKEN_BASE | job.id);
-        }
-    }
-
-    fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
-        // The monitor inspects every wake; confirmations come back here.
-        let events = match &mut self.monitor {
-            Some(m) => m.on_wake(&wake, sim),
-            None => HealthEvents::default(),
-        };
-        for dead in events.lost {
-            self.confirm_loss(dead, sim);
-        }
-        for device in events.rejoined {
-            self.confirm_rejoin(device, sim);
-        }
-        match wake {
-            // Oracle knowledge: logged for the detection-latency metric,
-            // never acted on directly.
-            Wake::DeviceDown { device, at } => {
-                self.ground_truth.push((device, at));
-            }
-            Wake::Timer { token } if self.owns_health(token) => {}
-            Wake::EventFired { token, .. } if self.owns_health(token) => {}
-            Wake::EventFired { token, .. } if token == DRAIN_TOKEN => {
-                self.drain_pending = self.drain_pending.saturating_sub(1);
-                if self.drain_pending == 0 && self.phase == RecoveryPhase::Draining {
-                    self.begin_recovery(sim);
-                }
-            }
-            Wake::EventFired { token, .. } if token == RECOVERED_TOKEN => {
-                if self.phase == RecoveryPhase::Recovering {
-                    self.finish_recovery(sim);
-                }
-            }
-            Wake::EventFired { token, .. } if token == EXPANDED_TOKEN => {
-                if self.phase == RecoveryPhase::Expanding {
-                    self.finish_expansion(sim);
-                }
-            }
-            Wake::Timer { token } if token & SPEC_DRAFT_BASE == SPEC_DRAFT_BASE => {
-                let epoch = token & !SPEC_DRAFT_BASE;
-                // A stale timer (its round died with a device loss) is a
-                // no-op: the epoch moved on.
-                if self.spec_pending.as_ref().is_some_and(|r| r.epoch == epoch && r.rid.is_none()) {
-                    self.submit_spec_verify(sim);
-                }
-            }
-            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
-                let id = token & !RUNNER_TOKEN_BASE;
-                let job = self.jobs[id as usize];
-                debug_assert_eq!(job.id, id, "job ids must be dense indices");
-                self.states.insert(id, SeqState { job, first_token: None, steps_done: 0 });
-                self.waiting.push_back(id);
-            }
-            other => self.engine.on_wake(other, sim),
-        }
-        self.collect(sim);
+    fn devices(&self) -> Option<&[DeviceId]> {
+        Some(self.pool.devices())
     }
 }
 
@@ -1264,6 +903,9 @@ impl<E: InferenceEngine + ?Sized> Driver for ContinuousScheduler<'_, E> {
 /// drain-and-replan recovery, and admission shedding. This is the default
 /// generative serving path (the fixed-batch [`serve_generations`] remains
 /// as the static baseline).
+///
+/// # Panics
+/// If `config` is invalid ([`SchedulerConfig::validate`]).
 pub fn serve_continuous<E: InferenceEngine + ?Sized>(
     sim: &mut Simulation,
     engine: &mut E,
@@ -1278,6 +920,9 @@ pub fn serve_continuous<E: InferenceEngine + ?Sized>(
 /// [`serve_continuous`] on an explicit event core. A parallel core gets its
 /// lookahead derived from the host launch overhead and the cost model's
 /// interconnect latency ([`core_lookahead`](crate::runner::core_lookahead)).
+///
+/// # Panics
+/// If `config` is invalid ([`SchedulerConfig::validate`]).
 pub fn serve_continuous_on<E: InferenceEngine + ?Sized>(
     core: CoreSelect,
     sim: &mut Simulation,
@@ -1287,121 +932,23 @@ pub fn serve_continuous_on<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: SchedulerConfig,
 ) -> ContinuousReport {
+    config.validate().expect("invalid SchedulerConfig");
     let lookahead = crate::runner::core_lookahead(sim, cost);
-    let devices = sim.alive_devices();
-    let mut scheduler = ContinuousScheduler::new(engine, jobs, model, cost, config, devices);
-    crate::runner::run_core(core, Some(lookahead), sim, &mut scheduler);
-    scheduler.into_report()
+    let (policy, health, admission) = (config.policy, config.health, config.admission);
+    let scheduler =
+        ContinuousScheduler::new(engine, jobs, model, cost, config, sim.alive_devices());
+    let mut controller =
+        MembershipController::new(scheduler, model, cost, policy, health, admission);
+    crate::runner::run_core(core, Some(lookahead), sim, &mut controller);
+    controller.into_driver().into_report()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prefix::PrefixTag;
-    use liger_gpu_sim::{DeviceSpec, FaultSpec, HostSpec};
-    use liger_model::Phase;
-
-    /// Iteration engine: prefill 10us, decode 2us, round-robin across its
-    /// devices, with epoch-guarded completions and honest loss support.
-    struct StepToy {
-        devices: Vec<DeviceId>,
-        next: usize,
-        epoch: u64,
-        inflight: Vec<u64>,
-        done: Vec<(u64, SimTime)>,
-        decode_batches: Vec<u32>,
-        prefill_lens: Vec<u32>,
-    }
-
-    impl StepToy {
-        fn new(world: usize) -> StepToy {
-            StepToy {
-                devices: (0..world).map(DeviceId).collect(),
-                next: 0,
-                epoch: 0,
-                inflight: Vec::new(),
-                done: Vec::new(),
-                decode_batches: Vec::new(),
-                prefill_lens: Vec::new(),
-            }
-        }
-    }
-
-    impl InferenceEngine for StepToy {
-        fn name(&self) -> &'static str {
-            "step-toy"
-        }
-        fn submit(&mut self, request: Request, sim: &mut Simulation) {
-            let us = match request.shape.phase {
-                Phase::Prefill { seq_len } => {
-                    self.prefill_lens.push(seq_len);
-                    10
-                }
-                Phase::Decode { .. } => {
-                    self.decode_batches.push(request.shape.batch);
-                    2
-                }
-            };
-            let d = self.devices[self.next % self.devices.len()];
-            self.next += 1;
-            let stream = StreamId::new(d, 0);
-            sim.launch(
-                HostId(d.0),
-                stream,
-                KernelSpec::compute("it", SimDuration::from_micros(us)).with_tag(request.id),
-            );
-            let ev = sim.record_event(HostId(d.0), stream);
-            sim.notify_on_event(ev, HostId(d.0), (self.epoch << 48) | request.id);
-            self.inflight.push(request.id);
-        }
-        fn on_wake(&mut self, wake: Wake, _: &mut Simulation) {
-            if let Wake::EventFired { token, fired_at, .. } = wake {
-                if token >> 48 != self.epoch {
-                    return; // stale completion from before a replan
-                }
-                let id = token & ((1 << 48) - 1);
-                self.inflight.retain(|&x| x != id);
-                self.done.push((id, fired_at));
-            }
-        }
-        fn drain_completions(&mut self) -> Vec<(u64, SimTime)> {
-            std::mem::take(&mut self.done)
-        }
-        fn on_device_loss(
-            &mut self,
-            _dead: DeviceId,
-            survivors: &[DeviceId],
-            _sim: &mut Simulation,
-        ) -> Vec<u64> {
-            self.epoch += 1;
-            self.devices = survivors.to_vec();
-            self.next = 0;
-            let mut ids = std::mem::take(&mut self.inflight);
-            ids.sort_unstable();
-            ids
-        }
-        fn on_device_rejoin(
-            &mut self,
-            _rejoined: DeviceId,
-            devices: &[DeviceId],
-            _sim: &mut Simulation,
-        ) -> Vec<u64> {
-            self.epoch += 1;
-            self.devices = devices.to_vec();
-            self.next = 0;
-            let mut ids = std::mem::take(&mut self.inflight);
-            ids.sort_unstable();
-            ids
-        }
-    }
-
-    fn sim(world: usize, faults: FaultSpec) -> Simulation {
-        let mut b = Simulation::builder().devices(DeviceSpec::test_device(), world).faults(faults);
-        for _ in 0..world {
-            b = b.host(HostSpec::instant());
-        }
-        b.build().unwrap()
-    }
+    use crate::testutil::{sim, StepToy};
+    use liger_gpu_sim::{DeviceSpec, FaultSpec};
 
     fn job(id: u64, prompt: u32, tokens: u32, arrival_us: u64) -> GenerationJob {
         GenerationJob {
