@@ -23,23 +23,17 @@
 //! the replica drained — **re-routes** to the healthy replicas in a second
 //! wave (round-robin over the healthy set, preserving arrival order). The
 //! report accounts for every job: completed, re-routed, or lost.
-//!
-//! Job ids are renumbered densely per replica (the continuous scheduler
-//! indexes by id) and every result, output stream, completion and shed
-//! record is remapped back to the global id before merging, so the
-//! aggregate views read in the caller's id space.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use liger_gpu_sim::{CoreSelect, Simulation, Trace};
 use liger_kvcache::mix64;
 use liger_model::{CostModel, ModelConfig};
 
 use crate::engine::InferenceEngine;
-use crate::generation::{GenerationJob, GenerationMetrics, GenerationResult};
+use crate::generation::{GenerationJob, GenerationMetrics};
 use crate::metrics::{MetricsSections, ServingMetrics};
 use crate::prefix::PrefixTag;
-use crate::request::Completion;
 use crate::scheduler::{serve_continuous_on, ContinuousReport, SchedulerConfig};
 
 /// Deterministic request-routing policy of the cluster front.
@@ -309,16 +303,16 @@ pub fn serve_cluster_on<E: InferenceEngine>(
     report
 }
 
-/// One replica run remapped to global ids.
+/// One replica run.
 struct ReplicaOutcome {
     report: ContinuousReport,
     /// Global ids the replica did not complete.
     unfinished: Vec<u64>,
 }
 
-/// Serves `routed` global job ids on one replica: renumbers them densely,
-/// runs [`serve_continuous_on`], and remaps every id in the report back to
-/// the global space.
+/// Serves `routed` global job ids on one replica, in arrival order,
+/// through [`serve_continuous_on`]. Job ids pass through unchanged, so a
+/// job's output stream is the same whichever replica serves it.
 #[allow(clippy::too_many_arguments)]
 fn run_replica<E: InferenceEngine>(
     core: CoreSelect,
@@ -330,70 +324,13 @@ fn run_replica<E: InferenceEngine>(
     cost: &CostModel,
     scheduler: SchedulerConfig,
 ) -> ReplicaOutcome {
-    // Dense local ids in arrival order (the scheduler requires both).
     let mut order: Vec<u64> = routed.to_vec();
     order.sort_unstable_by_key(|id| (by_id[id].arrival, *id));
-    let local_jobs: Vec<GenerationJob> = order
-        .iter()
-        .enumerate()
-        .map(|(local, id)| GenerationJob { id: local as u64, ..by_id[id] })
-        .collect();
-    let mut report = serve_continuous_on(core, sim, engine, local_jobs, model, cost, scheduler);
-
-    // Remap back to global ids.
-    let global = |local: u64| order[local as usize];
-    let mut generation = GenerationMetrics::default();
-    let mut completed = vec![false; order.len()];
-    for r in report.generation.results() {
-        completed[r.id as usize] = true;
-        generation.record(GenerationResult { id: global(r.id), ..*r });
-    }
-    let mut serving = ServingMetrics::new();
-    for c in report.serving.completions() {
-        serving.record(Completion { id: global(c.id), ..*c });
-    }
-    // Counters carry no ids except shed records; remap those in place.
-    let mut counters_only = report.serving.clone();
-    counters_only_strip(&mut counters_only);
-    serving.merge(&counters_only);
-    for s in &report.serving.recovery().shed {
-        let mut s = *s;
-        s.id = global(s.id);
-        serving.recovery_mut().shed.push(s);
-    }
-    report.generation = generation;
-    let outputs: BTreeMap<u64, Vec<u64>> =
-        std::mem::take(&mut report.outputs).into_iter().map(|(id, ts)| (global(id), ts)).collect();
-    report.outputs = outputs;
-    report.serving = serving;
-
-    let unfinished: Vec<u64> =
-        (0..order.len()).filter(|&i| !completed[i]).map(|i| order[i]).collect();
+    let jobs: Vec<GenerationJob> = order.iter().map(|id| by_id[id]).collect();
+    let report = serve_continuous_on(core, sim, engine, jobs, model, cost, scheduler);
+    let completed: BTreeSet<u64> = report.generation.results().iter().map(|r| r.id).collect();
+    let unfinished = order.into_iter().filter(|id| !completed.contains(id)).collect();
     ReplicaOutcome { report, unfinished }
-}
-
-/// Drops the id-bearing pieces (completions, shed records) from a metrics
-/// clone so merging it only adds the scalar counters.
-fn counters_only_strip(metrics: &mut ServingMetrics) {
-    *metrics = {
-        let mut m = ServingMetrics::new();
-        m.faults_mut().merge(metrics.faults());
-        let rec = m.recovery_mut();
-        let o = metrics.recovery();
-        rec.losses = o.losses;
-        rec.detection_latency = o.detection_latency;
-        rec.drain_time = o.drain_time;
-        rec.replan_time = o.replan_time;
-        rec.recompute_tokens = o.recompute_tokens;
-        rec.timeline = o.timeline.clone();
-        rec.flaps = o.flaps;
-        rec.rejoins = o.rejoins;
-        rec.re_expansions = o.re_expansions;
-        m.batching_mut().merge(metrics.batching());
-        m.prefix_mut().merge(metrics.prefix());
-        m.spec_mut().merge(metrics.spec());
-        m
-    };
 }
 
 /// Folds one replica outcome into the cluster report.
@@ -418,7 +355,9 @@ fn absorb(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liger_gpu_sim::SimTime;
+    use crate::prefix::output_token;
+    use crate::testutil::{sim, StepToy};
+    use liger_gpu_sim::{FaultSpec, SimTime};
 
     fn job(id: u64, arrive_us: u64, prompt: u32, out: u32, prefix: PrefixTag) -> GenerationJob {
         GenerationJob {
@@ -479,6 +418,30 @@ mod tests {
                 "{} routing must be pure",
                 policy.name()
             );
+        }
+    }
+
+    #[test]
+    fn streams_keep_the_global_job_identity() {
+        // Round-robin sends odd ids to replica 1, which serves them among
+        // its own jobs; each stream must still be the oracle's under the
+        // job's own id, whichever replica ran it.
+        let jobs: Vec<GenerationJob> =
+            (0..8).map(|i| job(i, i * 20, 32, 3 + i as u32 % 3, PrefixTag::NONE)).collect();
+        let model = ModelConfig::tiny_test();
+        let cost = CostModel::v100_node();
+        let mut sched = SchedulerConfig::sized_for(&model, 1, 16 * (1 << 30));
+        sched.max_running = 4;
+        let config = ClusterConfig::new(2, sched);
+        let report =
+            serve_cluster_on(CoreSelect::Seq, jobs.clone(), &model, &cost, config, |_, _| {
+                (sim(1, FaultSpec::none()), StepToy::new(1))
+            });
+        assert_eq!(report.completed(), jobs.len());
+        for r in report.generation.results() {
+            let job = &jobs[r.id as usize];
+            let oracle: Vec<u64> = (0..job.output_tokens).map(|t| output_token(job, t)).collect();
+            assert_eq!(report.outputs[&r.id], oracle, "job {} stream", r.id);
         }
     }
 
