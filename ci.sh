@@ -38,7 +38,7 @@ cargo test -q --workspace
 # fresh seed per process, widening coverage over time). A failure prints
 # the LIGER_PROP_SEED to rerun the exact case.
 echo "==> fault & property suites (pinned seed)"
-LIGER_PROP_SEED=0xfa0175 cargo test -q --test fault_injection --test golden_trace --test recovery
+LIGER_PROP_SEED=0xfa0175 cargo test -q --test fault_injection --test golden_trace --test recovery_golden --test recovery
 LIGER_PROP_SEED=0xfa0175 cargo test -q -p liger-gpu-sim --test fault_props --test proptests --test core_props
 LIGER_PROP_SEED=0xfa0175 cargo test -q -p liger-kvcache --test pool_props --test prefix_props
 
