@@ -82,6 +82,9 @@ cargo test -q --release --test chaos
 # one-second untraced smoke run of every workload. Each run checks its own
 # outputs (completion, bit-identical passes, repeatable allocation counts)
 # and prints one JSON line; a non-zero exit or "correct": false fails CI.
+# The simulator's host heap must follow the work in flight, not the trace:
+# paper-prefill peaks near 1 MiB, and above 16 MiB its event and collective
+# records are no longer being reclaimed (the unbounded tables took 414 MiB).
 echo "==> perfbench tests + workload smoke runs"
 cargo test -q --manifest-path perfbench/Cargo.toml
 for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; do
@@ -91,6 +94,15 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
         '{"correct": true,'*) echo "    $w: correct" ;;
         *) echo "perfbench $w failed its checks: $result" >&2; exit 1 ;;
     esac
+    if [ "$w" = paper-prefill ]; then
+        heap=$(printf '%s' "$result" |
+            sed -n 's/.*"host_peak_heap_mib": {"value": \([0-9.eE+-]*\).*/\1/p')
+        if [ -z "$heap" ] || awk -v h="$heap" 'BEGIN { exit !(h > 16) }'; then
+            echo "perfbench $w: host_peak_heap_mib ${heap:-missing} exceeds 16 MiB" >&2
+            exit 1
+        fi
+        echo "    $w: host_peak_heap_mib $heap (limit 16)"
+    fi
 done
 
 echo "==> bench_simcore --smoke"

@@ -98,7 +98,7 @@ pub struct LigerEngine {
     factor: f64,
     /// Per-round (primary end, secondary end) observations for adaptation,
     /// keyed by round number; windows in nanoseconds.
-    observations: std::collections::HashMap<u64, RoundObs>,
+    observations: liger_gpu_sim::DetHashMap<u64, RoundObs>,
     /// Count of adaptation decisions taken (diagnostics).
     adaptations: u64,
     /// Rounds planned while a straggler fault window was active (the plan
@@ -172,7 +172,7 @@ impl LigerEngine {
             completed: Vec::new(),
             rounds_planned: 0,
             factor: config.contention_factor,
-            observations: std::collections::HashMap::new(),
+            observations: liger_gpu_sim::DetHashMap::default(),
             adaptations: 0,
             degraded_rounds: 0,
             epoch: 0,

@@ -592,7 +592,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
                 }
                 StreamOp::Wait(ev) => {
                     fp.events.insert(ev.0);
-                    if sim.event_fired(EventId(ev.0)).is_none() {
+                    if !sim.event_has_fired(EventId(ev.0)) {
                         break; // the continuation blocks here
                     }
                 }
@@ -601,7 +601,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
                     fp.streams.insert((dev, qop.stream));
                     if let Some(cid) = spec.collective {
                         fp.events.insert(COLL_FOOTPRINT_BIT | cid.0);
-                        let (members, _) = sim.collective_members(cid.0 as usize);
+                        let members = sim.collective_members(cid.0);
                         for &(md, mq) in members {
                             frontier.push((md, mq, 1));
                         }

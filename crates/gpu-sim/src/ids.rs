@@ -3,6 +3,13 @@
 //! All identifiers are small, copyable newtypes over indices. Devices, hosts
 //! and streams are dense indices into the simulation's arenas; kernels,
 //! events, collectives and timers are monotonically allocated handles.
+//!
+//! Handles are never reused. The simulator drops an event's or a
+//! collective's record once nothing can use it again, but its id stays
+//! unique for the whole run: traces, the sanitizer's record/wait pairing
+//! and the model checker's footprints key on it. An event id whose record
+//! is gone answers "fired" ([`crate::Simulation::event_has_fired`]); a
+//! collective id whose record is gone belongs to a finished group.
 
 use std::fmt;
 

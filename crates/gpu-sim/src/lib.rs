@@ -58,6 +58,7 @@ pub mod device;
 pub mod faults;
 pub mod host;
 pub mod ids;
+mod idtable;
 pub mod json;
 pub mod kernel;
 mod lanes;
@@ -90,6 +91,20 @@ pub use sim::{
 pub use stats::{DeviceStats, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ParsedChromeTrace, Trace, TraceEvent, TraceMark, TraceParseError};
+
+/// A `HashMap` with a fixed-key hasher. std's default `RandomState` seeds
+/// every map afresh, and where a table's hashes land decides whether it
+/// grows or rehashes in place, so two identical serves could differ in
+/// heap use by a few KiB. The serving and engine layers keep their maps in
+/// this type instead, so a serve's heap profile repeats exactly. Use it
+/// only for keys the program assigns itself (request, batch and round
+/// ids): a fixed key gives up the default hasher's defence against keys
+/// crafted to collide.
+pub type DetHashMap<K, V> = std::collections::HashMap<
+    K,
+    V,
+    std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
+>;
 
 /// Glob-import convenience.
 pub mod prelude {

@@ -40,6 +40,7 @@ use crate::device::DeviceSpec;
 use crate::faults::FaultSpec;
 use crate::host::HostSpec;
 use crate::ids::{CollectiveId, DeviceId, EventId, HostId, KernelId, StreamId, TimerId};
+use crate::idtable::IdTable;
 use crate::kernel::{KernelClass, KernelSpec};
 use crate::lanes::EventLane;
 use crate::memory::{AllocationId, MemoryTracker, OutOfMemory};
@@ -275,9 +276,9 @@ pub(crate) struct DeviceRt {
     pub(crate) n_compute: u32,
     pub(crate) n_comm: u32,
     pub(crate) comm_channels: u32,
-    /// Indices of currently *running* collectives with a member on this
-    /// device. Kept small and current so settling/repricing is O(active),
-    /// not O(all collectives ever created).
+    /// Table slots of currently *running* collectives with a member on
+    /// this device. Kept small and current so settling/repricing is
+    /// O(active), not O(all collectives ever created).
     pub(crate) active_colls: Vec<usize>,
     /// Cleared when the device dies permanently ([`Wake::DeviceDown`]).
     pub(crate) alive: bool,
@@ -498,8 +499,9 @@ impl DeviceRt {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum CollState {
+    #[default]
     Gathering,
     Running,
     Done,
@@ -509,11 +511,19 @@ pub(crate) enum CollState {
     Aborted,
 }
 
-#[derive(Debug, Clone)]
+/// A collective rendezvous group. Its record is reclaimed once no member
+/// can name it again: at completion, or for an aborted group once all
+/// `size` members have arrived and failed.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CollectiveRt {
     size: usize,
-    /// (device, queue) of members that have arrived at their queue heads.
+    /// (device, queue) of members gathered at their queue heads. Taken from
+    /// [`Simulation::spare_members`] on the first arrival and returned there
+    /// when the group stops gathering for good.
     members: Vec<(usize, usize)>,
+    /// Members that reached their queue heads or a dead device, gathered
+    /// or failed on arrival.
+    arrived: usize,
     /// Kernel metadata captured from the first member (all members carry the
     /// same nominal work by construction).
     work: f64,
@@ -521,6 +531,9 @@ pub(crate) struct CollectiveRt {
     rate: f64,
     settled_at: SimTime,
     started_at: SimTime,
+    /// Completion-entry generation. It keeps counting across reuse of the
+    /// table slot, so a [`Pending::CollectiveDone`] left behind by an
+    /// earlier occupant never matches the group that now holds the slot.
     gen: u64,
     pub(crate) state: CollState,
 }
@@ -547,6 +560,10 @@ pub(crate) struct HostRt {
     state: HostState,
 }
 
+/// A CUDA-like event. Its record is reclaimed once it has fired, its
+/// waiter and callback lists have drained and no queued host `Sync` op
+/// still names it; a reclaimed id answers "fired". The lists keep their
+/// capacity for the next event that reuses the table slot.
 #[derive(Debug, Default, Clone)]
 struct EventRt {
     fired_at: Option<SimTime>,
@@ -556,6 +573,9 @@ struct EventRt {
     host_waiters: Vec<usize>,
     /// Driver callbacks: (token, latency-reference host).
     callbacks: Vec<(u64, usize)>,
+    /// Host `Sync` ops naming this event that have not resolved yet: each
+    /// reads `fired_at` when it reaches the front of its host queue.
+    syncs: u32,
 }
 
 /// A scheduled simulation event. Which lane it dispatches on is fixed by
@@ -574,6 +594,8 @@ pub(crate) enum Pending {
         slot: usize,
         gen: u64,
     },
+    /// `coll` is the collective's table slot; `gen` tells its current
+    /// occupant's live entry from stale ones.
     CollectiveDone {
         coll: usize,
         gen: u64,
@@ -853,8 +875,9 @@ impl SimulationBuilder {
             device_lanes,
             devices,
             hosts,
-            events: Vec::new(),
-            collectives: Vec::new(),
+            events: IdTable::default(),
+            collectives: IdTable::default(),
+            spare_members: Vec::new(),
             streams_per_device: streams,
             next_kernel: 0,
             next_timer: 0,
@@ -905,8 +928,15 @@ pub struct Simulation {
     pub(crate) device_lanes: Vec<EventLane<Pending>>,
     pub(crate) devices: Vec<DeviceRt>,
     pub(crate) hosts: Vec<HostRt>,
-    events: Vec<EventRt>,
-    pub(crate) collectives: Vec<CollectiveRt>,
+    /// Live event records; see [`EventRt`] for when one is reclaimed.
+    events: IdTable<EventRt>,
+    /// Live collective records; see [`CollectiveRt`] for when one is
+    /// reclaimed.
+    collectives: IdTable<CollectiveRt>,
+    /// Cleared member lists of finished rendezvous groups, reused by the
+    /// next group to gather so that steady-state collectives allocate
+    /// nothing.
+    spare_members: Vec<Vec<(usize, usize)>>,
     streams_per_device: usize,
     next_kernel: u64,
     next_timer: u64,
@@ -1038,9 +1068,33 @@ impl Simulation {
         self.trace.take()
     }
 
-    /// When `ev` has fired, its GPU-side trigger time.
-    pub fn event_fired(&self, ev: EventId) -> Option<SimTime> {
-        self.events[ev.0 as usize].fired_at
+    /// Whether `ev` has fired. Exact for every id ever issued: an event's
+    /// record is reclaimed only after it fired, so a reclaimed id answers
+    /// `true`.
+    ///
+    /// # Panics
+    /// Panics when `ev` was not created by this simulation.
+    pub fn event_has_fired(&self, ev: EventId) -> bool {
+        match self.events.slot(ev.0) {
+            Some(slot) => self.events[slot].fired_at.is_some(),
+            None => {
+                assert!(ev.0 < self.events.issued(), "unknown event {ev}");
+                true
+            }
+        }
+    }
+
+    /// Event records still held: unfired events, plus fired ones a queued
+    /// host sync has yet to read. Follows the synchronisation in flight,
+    /// not the number of events ever created.
+    pub fn live_events(&self) -> usize {
+        self.events.live()
+    }
+
+    /// Collective records still held: groups gathering or running, plus
+    /// aborted ones still waiting for late members to arrive and fail.
+    pub fn live_collectives(&self) -> usize {
+        self.collectives.live()
     }
 
     /// Requests the event loop to stop after the current wake drains.
@@ -1120,28 +1174,26 @@ impl Simulation {
 
     /// Allocates a fresh CUDA-like event (not yet recorded anywhere).
     pub fn new_event(&mut self) -> EventId {
-        let id = EventId(self.events.len() as u64);
-        self.events.push(EventRt::default());
-        id
+        // A recycled record was reset when its previous event was reclaimed.
+        EventId(self.events.alloc().0)
     }
 
     /// Allocates a collective rendezvous group expecting `size` member
     /// kernels (one per participating device).
     pub fn new_collective(&mut self, size: usize) -> CollectiveId {
         assert!(size >= 1, "collective size must be >= 1");
-        let id = CollectiveId(self.collectives.len() as u64);
-        self.collectives.push(CollectiveRt {
-            size,
-            members: Vec::with_capacity(size),
-            work: 0.0,
-            remaining: 0.0,
-            rate: 1.0,
-            settled_at: SimTime::ZERO,
-            started_at: SimTime::ZERO,
-            gen: 0,
-            state: CollState::Gathering,
-        });
-        id
+        let (id, slot) = self.collectives.alloc();
+        let c = &mut self.collectives[slot];
+        debug_assert!(c.members.capacity() == 0, "reclaimed group kept its member list");
+        c.size = size;
+        c.arrived = 0;
+        c.work = 0.0;
+        c.remaining = 0.0;
+        c.rate = 1.0;
+        c.settled_at = SimTime::ZERO;
+        c.started_at = SimTime::ZERO;
+        c.state = CollState::Gathering;
+        CollectiveId(id)
     }
 
     /// Asks host `host` to launch `spec` onto `stream`. The host pays its
@@ -1155,11 +1207,13 @@ impl Simulation {
             stream.index
         );
         if let Some(cid) = spec.collective {
-            let coll = &self.collectives[cid.0 as usize];
-            assert!(
-                coll.members.len() < coll.size || coll.state == CollState::Gathering,
-                "collective {cid} already complete"
-            );
+            assert!(cid.0 < self.collectives.issued(), "unknown collective {cid}");
+            // A reclaimed group finished (or aborted with every member in).
+            let open = self.collectives.slot(cid.0).is_some_and(|ci| {
+                let coll = &self.collectives[ci];
+                coll.members.len() < coll.size || coll.state == CollState::Gathering
+            });
+            assert!(open, "collective {cid} already complete");
         }
         let id = KernelId(self.next_kernel);
         self.next_kernel += 1;
@@ -1181,10 +1235,13 @@ impl Simulation {
     /// the event's identity: replay drivers use this to wire a program's
     /// symbolic event ids to simulator events before any lane runs.
     ///
+    /// Re-recording an event that already fired is a no-op, as on a
+    /// device: the event keeps its first trigger time.
+    ///
     /// # Panics
     /// Panics when `ev` was not created by [`Simulation::new_event`].
     pub fn record_existing_event(&mut self, host: HostId, stream: StreamId, ev: EventId) {
-        assert!((ev.0 as usize) < self.events.len(), "unknown event {ev:?}");
+        assert!(ev.0 < self.events.issued(), "unknown event {ev:?}");
         self.host_push(host.0, HostOp::Enqueue { stream, op: StreamOp::Record(ev) });
     }
 
@@ -1199,15 +1256,28 @@ impl Simulation {
     /// Parks host `host` until `ev` fires (CPU–GPU synchronization,
     /// `cudaEventSynchronize`). The driver is woken with [`Wake::HostSynced`]
     /// once the host resumes (after sync latency + per-rank wake jitter).
+    ///
+    /// # Panics
+    /// Panics when `ev`'s record was already reclaimed (it fired with no
+    /// waiter left), since its trigger time is gone: sync on an event right
+    /// after recording it, as `cudaEventSynchronize` callers do.
     pub fn host_sync(&mut self, host: HostId, ev: EventId, token: u64) {
+        let slot = self.live_event(ev, "host_sync");
+        self.events[slot].syncs += 1;
         self.host_push(host.0, HostOp::Sync { event: ev, token });
     }
 
     /// Registers a driver callback on `ev`: when the event fires, the driver
     /// is woken with [`Wake::EventFired`] after host `latency_host`'s sync
     /// latency (modelling the driver thread observing the completion).
+    ///
+    /// # Panics
+    /// Panics when `ev`'s record was already reclaimed (it fired with no
+    /// waiter left), since its trigger time is gone: register the callback
+    /// right after recording the event.
     pub fn notify_on_event(&mut self, ev: EventId, latency_host: HostId, token: u64) {
-        let e = &mut self.events[ev.0 as usize];
+        let slot = self.live_event(ev, "notify_on_event");
+        let e = &mut self.events[slot];
         if let Some(fired_at) = e.fired_at {
             let latency = self.hosts[latency_host.0].spec.sync_latency;
             let at = self.now.max(fired_at) + latency;
@@ -1218,6 +1288,14 @@ impl Simulation {
         } else {
             e.callbacks.push((token, latency_host.0));
         }
+    }
+
+    /// The table slot of `ev`, which `caller` needs the record of.
+    fn live_event(&self, ev: EventId, caller: &str) -> usize {
+        assert!(ev.0 < self.events.issued(), "unknown event {ev}");
+        self.events
+            .slot(ev.0)
+            .unwrap_or_else(|| panic!("{caller} on {ev}, which already fired and was reclaimed"))
     }
 
     // -- event loop -----------------------------------------------------------
@@ -1303,7 +1381,10 @@ impl Simulation {
             // kernels beginning later reprice against the schedule anyway.
             Pending::FaultBoundary => {
                 self.devices.iter().all(|dev| dev.run.iter().all(|s| !s.live))
-                    && self.collectives.iter().all(|c| c.state != CollState::Running)
+                    && self
+                        .collectives
+                        .iter_live()
+                        .all(|(_, ci)| self.collectives[ci].state != CollState::Running)
             }
             _ => false,
         }
@@ -1331,23 +1412,25 @@ impl Simulation {
         }
     }
 
-    /// A collective's gathered members and expected size (explore-core
-    /// footprints).
-    pub(crate) fn collective_members(&self, ci: usize) -> (&[(usize, usize)], usize) {
-        let c = &self.collectives[ci];
-        (&c.members, c.size)
+    /// Members gathered so far by collective `cid` (explore-core
+    /// footprints). Empty for a reclaimed group.
+    pub(crate) fn collective_members(&self, cid: u64) -> &[(usize, usize)] {
+        self.collectives.slot(cid).map_or(&[], |ci| &self.collectives[ci].members)
     }
 
     /// Queues currently blocked on event `ev` (explore-core footprints).
+    /// Empty once the event's record is reclaimed: it has fired.
     pub(crate) fn event_queue_waiters(&self, ev: u64) -> &[(usize, usize)] {
-        &self.events[ev as usize].queue_waiters
+        self.events.slot(ev).map_or(&[], |slot| &self.events[slot].queue_waiters)
     }
 
     /// True when a host blocking sync or a driver callback is parked on
     /// `ev`: firing it couples into host-side (global) state.
     pub(crate) fn event_has_host_interest(&self, ev: u64) -> bool {
-        let e = &self.events[ev as usize];
-        !e.host_waiters.is_empty() || !e.callbacks.is_empty()
+        self.events.slot(ev).is_some_and(|slot| {
+            let e = &self.events[slot];
+            !e.host_waiters.is_empty() || !e.callbacks.is_empty()
+        })
     }
 
     /// Snapshot of everything unfinished: pending events, queued ops,
@@ -1414,9 +1497,10 @@ impl Simulation {
                 }
             }
         }
-        for (ci, coll) in self.collectives.iter().enumerate() {
+        for (id, ci) in self.collectives.iter_live() {
+            let coll = &self.collectives[ci];
             if coll.state == CollState::Gathering && !coll.members.is_empty() {
-                r.gathering_collectives.push((ci as u64, coll.members.len(), coll.size));
+                r.gathering_collectives.push((id, coll.members.len(), coll.size));
             }
         }
         r
@@ -1497,10 +1581,19 @@ impl Simulation {
             self.finish_queue_head(d, queue, kernel, class, started_at, true);
         }
 
-        // Abort collectives (gathering or running) with a member on `d`.
-        // Collectives whose dead-device member has not arrived yet abort
-        // when that member's launch reaches the dead device.
-        for ci in 0..self.collectives.len() {
+        // Abort collectives (gathering or running) with a member on `d`, in
+        // id order. Collectives whose dead-device member has not arrived yet
+        // abort when that member's launch reaches the dead device. An abort
+        // polls survivor queues, which can start other groups, so each
+        // candidate is checked again when its turn comes.
+        let gathered_on_d: Vec<u64> = self
+            .collectives
+            .iter_live()
+            .filter(|&(_, ci)| self.collectives[ci].members.iter().any(|&(md, _)| md == d))
+            .map(|(id, _)| id)
+            .collect();
+        for id in gathered_on_d {
+            let Some(ci) = self.collectives.slot(id) else { continue };
             let doomed =
                 matches!(self.collectives[ci].state, CollState::Gathering | CollState::Running)
                     && self.collectives[ci].members.iter().any(|&(md, _)| md == d);
@@ -1537,13 +1630,7 @@ impl Simulation {
                     }
                     StreamOp::Kernel(spec, _) => {
                         if let Some(cid) = spec.collective {
-                            let ci = cid.0 as usize;
-                            if matches!(
-                                self.collectives[ci].state,
-                                CollState::Gathering | CollState::Running
-                            ) {
-                                self.abort_collective(ci);
-                            }
+                            self.lose_member(cid);
                         }
                         let (kernel, class) = match &self.devices[d].queues[q]
                             .front()
@@ -1585,6 +1672,9 @@ impl Simulation {
     /// members already gathered (waiting or running) fail and pop from their
     /// queue heads so the queues behind them keep draining; the state moves
     /// to [`CollState::Aborted`] so members arriving later fail on arrival.
+    /// A running group had every member in, so nothing can name it again
+    /// and it is reclaimed here; a gathering one is reclaimed by its last
+    /// late member ([`Simulation::aborted_arrival`]).
     fn abort_collective(&mut self, ci: usize) {
         let was_running = self.collectives[ci].state == CollState::Running;
         let started_at = if was_running { self.collectives[ci].started_at } else { self.now };
@@ -1619,6 +1709,52 @@ impl Simulation {
                 self.poll_queue(md, q);
             }
         }
+        self.recycle_members(members);
+        if was_running {
+            self.reclaim_collective(ci);
+        }
+    }
+
+    /// A member kernel of `cid` reached a dead device: the rendezvous can
+    /// never complete, so it aborts if it still could, and the member
+    /// counts as arrived (it fails there).
+    fn lose_member(&mut self, cid: CollectiveId) {
+        let Some(ci) = self.collectives.slot(cid.0) else { return };
+        match self.collectives[ci].state {
+            CollState::Gathering | CollState::Running => self.abort_collective(ci),
+            CollState::Aborted => {}
+            CollState::Done => return,
+        }
+        if self.collectives.slot(cid.0).is_some() {
+            self.aborted_arrival(ci);
+        }
+    }
+
+    /// A member of aborted group `ci` arrived and fails. The last of its
+    /// `size` members reclaims the group: no kernel can name it again.
+    fn aborted_arrival(&mut self, ci: usize) {
+        let c = &mut self.collectives[ci];
+        debug_assert_eq!(c.state, CollState::Aborted);
+        c.arrived += 1;
+        if c.arrived == c.size {
+            self.reclaim_collective(ci);
+        }
+    }
+
+    /// Returns group `ci`'s slot to the table and its member list to the
+    /// spares.
+    fn reclaim_collective(&mut self, ci: usize) {
+        let members = std::mem::take(&mut self.collectives[ci].members);
+        self.recycle_members(members);
+        self.collectives.reclaim(ci);
+    }
+
+    /// Keeps a member list's capacity for the next group to gather.
+    fn recycle_members(&mut self, mut members: Vec<(usize, usize)>) {
+        if members.capacity() > 0 {
+            members.clear();
+            self.spare_members.push(members);
+        }
     }
 
     // -- host machinery --------------------------------------------------------
@@ -1652,8 +1788,9 @@ impl Simulation {
                 self.push(at, Pending::HostReady { host });
             }
             HostOp::Sync { event, .. } => {
-                let ev = &self.events[event.0 as usize];
-                if ev.fired_at.is_some() {
+                // The queued sync holds the record live (`EventRt::syncs`).
+                let slot = self.events.slot(event.0).expect("queued sync on a reclaimed event");
+                if self.events[slot].fired_at.is_some() {
                     // The event already fired: no cross-GPU wake skew was
                     // involved, only the driver-call latency applies.
                     h.state = HostState::Busy;
@@ -1661,7 +1798,7 @@ impl Simulation {
                     self.push(at, Pending::HostReady { host });
                 } else {
                     h.state = HostState::Blocked;
-                    self.events[event.0 as usize].host_waiters.push(host);
+                    self.events[slot].host_waiters.push(host);
                 }
             }
         }
@@ -1676,9 +1813,14 @@ impl Simulation {
                 self.device_enqueue(stream, op);
             }
             HostOp::Sync { event, token } => {
-                let fired_at = self.events[event.0 as usize]
-                    .fired_at
-                    .expect("blocking sync resumed before event fired");
+                let slot = self.events.slot(event.0).expect("queued sync on a reclaimed event");
+                let e = &mut self.events[slot];
+                let fired_at = e.fired_at.expect("blocking sync resumed before event fired");
+                e.syncs -= 1;
+                if e.syncs == 0 {
+                    // Fired, so its waiter lists drained: the last reader is done.
+                    self.reclaim_event(slot);
+                }
                 self.wakes.push_back(Wake::HostSynced {
                     host: HostId(host),
                     event,
@@ -1726,13 +1868,7 @@ impl Simulation {
             StreamOp::Kernel(spec, kid) => {
                 self.kernels_launched += 1;
                 if let Some(cid) = spec.collective {
-                    let ci = cid.0 as usize;
-                    if matches!(
-                        self.collectives[ci].state,
-                        CollState::Gathering | CollState::Running
-                    ) {
-                        self.abort_collective(ci);
-                    }
+                    self.lose_member(cid);
                 }
                 self.kernels_completed += 1;
                 self.kernels_failed += 1;
@@ -1805,20 +1941,22 @@ impl Simulation {
                         p.streams.insert((d, stream));
                         p.events.insert(ev.0);
                     });
-                    if self.events[ev.0 as usize].fired_at.is_some() {
-                        self.devices[d].queues[q].pop_op();
-                        if let Some(trace) = &mut self.trace {
-                            trace.push_mark(TraceMark::Wait {
-                                event: ev.0,
-                                device: DeviceId(d),
-                                stream,
-                                at: self.now,
-                            });
+                    // A reclaimed record means the event fired long ago.
+                    if let Some(slot) = self.events.slot(ev.0) {
+                        if self.events[slot].fired_at.is_none() {
+                            self.devices[d].queues[q].head = HeadState::WaitingEvent;
+                            self.events[slot].queue_waiters.push((d, q));
+                            return;
                         }
-                    } else {
-                        self.devices[d].queues[q].head = HeadState::WaitingEvent;
-                        self.events[ev.0 as usize].queue_waiters.push((d, q));
-                        return;
+                    }
+                    self.devices[d].queues[q].pop_op();
+                    if let Some(trace) = &mut self.trace {
+                        trace.push_mark(TraceMark::Wait {
+                            event: ev.0,
+                            device: DeviceId(d),
+                            stream,
+                            at: self.now,
+                        });
                     }
                 }
                 StreamOp::Kernel(spec, _) => {
@@ -1886,11 +2024,15 @@ impl Simulation {
                 self.reprice_device(d);
             }
             Some(cid) => {
-                let ci = cid.0 as usize;
+                let ci = self
+                    .collectives
+                    .slot(cid.0)
+                    .unwrap_or_else(|| panic!("kernel joined a non-gathering collective {cid}"));
                 if self.collectives[ci].state == CollState::Aborted {
                     // A member arriving at an aborted rendezvous (a peer
                     // device died) fails immediately and pops, keeping the
                     // queue behind it draining.
+                    self.aborted_arrival(ci);
                     let (kernel, class) = {
                         let head = self.devices[d].queues[q]
                             .front()
@@ -1910,7 +2052,12 @@ impl Simulation {
                     CollState::Gathering,
                     "kernel joined a non-gathering collective {cid}"
                 );
+                if coll.members.capacity() == 0 {
+                    coll.members = self.spare_members.pop().unwrap_or_default();
+                    coll.members.reserve(coll.size);
+                }
                 coll.members.push((d, q));
+                coll.arrived += 1;
                 if coll.work == 0.0 {
                     coll.work = work;
                     coll.remaining = work;
@@ -2063,8 +2210,6 @@ impl Simulation {
                 return; // stale
             }
         }
-        // The member list stays in place after completion: `launch` reads it
-        // to reject kernels joining a finished collective.
         let n = self.collectives[ci].members.len();
         let started_at = self.collectives[ci].started_at;
         for i in 0..n {
@@ -2095,6 +2240,9 @@ impl Simulation {
             let (d, q) = self.member(ci, i);
             self.poll_queue(d, q);
         }
+        // Every member is in and done: nothing can name the group again, and
+        // `launch` rejects its reclaimed id as already complete.
+        self.reclaim_collective(ci);
     }
 
     /// Pops the completed kernel off its queue, records trace/stat entries.
@@ -2137,20 +2285,22 @@ impl Simulation {
 
     fn trigger_event(&mut self, ev: EventId) {
         let now = self.now;
-        let e = &mut self.events[ev.0 as usize];
+        // A reclaimed record fired already; firing is idempotent.
+        let Some(slot) = self.events.slot(ev.0) else { return };
+        let e = &mut self.events[slot];
         if e.fired_at.is_some() {
             return; // idempotent
         }
         e.fired_at = Some(now);
-        let queue_waiters = std::mem::take(&mut e.queue_waiters);
-        let host_waiters = std::mem::take(&mut e.host_waiters);
-        let callbacks = std::mem::take(&mut e.callbacks);
+        let mut queue_waiters = std::mem::take(&mut e.queue_waiters);
+        let mut host_waiters = std::mem::take(&mut e.host_waiters);
+        let mut callbacks = std::mem::take(&mut e.callbacks);
         let host_coupled = !host_waiters.is_empty() || !callbacks.is_empty();
         self.probe_mark(|p| {
             p.events.insert(ev.0);
             p.global |= host_coupled;
         });
-        for (d, q) in queue_waiters {
+        for (d, q) in queue_waiters.drain(..) {
             if self.devices[d].queues[q].head == HeadState::WaitingEvent {
                 // Re-check: the head wait op must still reference this event.
                 if let Some(&QueuedOp { op: StreamOp::Wait(w), stream, .. }) =
@@ -2176,7 +2326,7 @@ impl Simulation {
                 }
             }
         }
-        for h in host_waiters {
+        for h in host_waiters.drain(..) {
             if self.hosts[h].state == HostState::Blocked {
                 let spec = &self.hosts[h].spec;
                 let at = now + spec.sync_latency + spec.wake_jitter;
@@ -2184,7 +2334,7 @@ impl Simulation {
                 self.push(at, Pending::HostReady { host: h });
             }
         }
-        for (token, lat_host) in callbacks {
+        for (token, lat_host) in callbacks.drain(..) {
             let latency = self.hosts[lat_host].spec.sync_latency;
             let at = now + latency;
             self.push(
@@ -2192,6 +2342,32 @@ impl Simulation {
                 Pending::DriverWake { wake: Wake::EventFired { event: ev, token, fired_at: now } },
             );
         }
+        // Nothing joins a fired event's lists (waits pass, syncs do not
+        // park, callbacks are scheduled at once), so the drained lists go
+        // back empty and keep their capacity for the slot's next event.
+        let e = &mut self.events[slot];
+        e.queue_waiters = queue_waiters;
+        e.host_waiters = host_waiters;
+        e.callbacks = callbacks;
+        if e.syncs == 0 {
+            self.reclaim_event(slot);
+        }
+    }
+
+    /// Returns a fired event's slot to the table once nothing reads its
+    /// record again, reset for the next event to reuse.
+    fn reclaim_event(&mut self, slot: usize) {
+        let e = &mut self.events[slot];
+        debug_assert!(
+            e.fired_at.is_some()
+                && e.syncs == 0
+                && e.queue_waiters.is_empty()
+                && e.host_waiters.is_empty()
+                && e.callbacks.is_empty(),
+            "reclaiming an event something still reads"
+        );
+        e.fired_at = None;
+        self.events.reclaim(slot);
     }
 }
 
@@ -2796,18 +2972,24 @@ mod tests {
         let mut sim = test_sim(1);
         struct D {
             ev: Option<EventId>,
+            fired_before_run: bool,
         }
         impl Driver for D {
             fn start(&mut self, sim: &mut Simulation) {
                 let st = StreamId::new(DeviceId(0), 0);
                 sim.launch(HostId(0), st, KernelSpec::compute("a", SimDuration::from_micros(10)));
-                self.ev = Some(sim.record_event(HostId(0), st));
+                let ev = sim.record_event(HostId(0), st);
+                self.fired_before_run = sim.event_has_fired(ev);
+                self.ev = Some(ev);
             }
             fn on_wake(&mut self, _: Wake, _: &mut Simulation) {}
         }
-        let mut d = D { ev: None };
+        let mut d = D { ev: None, fired_before_run: true };
+        assert_eq!(sim.live_events(), 0);
         sim.run_to_completion(&mut d);
-        assert_eq!(sim.event_fired(d.ev.unwrap()), Some(SimTime::from_micros(10)));
+        assert!(!d.fired_before_run);
+        assert!(sim.event_has_fired(d.ev.unwrap()), "a reclaimed event answers fired");
+        assert_eq!(sim.live_events(), 0, "nothing waited, so the record is gone");
     }
 
     #[test]
@@ -3114,7 +3296,7 @@ mod tests {
         };
         sim.run_to_completion(&mut drv);
         let ev = probe.borrow().unwrap();
-        assert_eq!(sim.event_fired(ev), None, "post-death records never fire");
+        assert!(!sim.event_has_fired(ev), "post-death records never fire");
         let wakes = fired.borrow();
         assert_eq!(wakes.len(), 2, "kernel failure + device-down only: {wakes:?}");
         assert!(matches!(wakes[0], Wake::DeviceDown { device: DeviceId(0), .. }));
@@ -3302,5 +3484,233 @@ mod tests {
             sim.take_trace().unwrap().to_chrome_json()
         };
         assert_eq!(run(), run(), "same seed + outage window, byte-identical chrome traces");
+    }
+
+    // -- record reclamation ----------------------------------------------------
+
+    #[test]
+    fn host_sync_on_an_event_fired_before_the_sync_runs_reads_its_time() {
+        // The CpuGpu engine path: record, then sync right away. On an idle
+        // stream the record fires before the host reaches the sync, which
+        // then reads the trigger time from the still-live record.
+        let host = HostSpec {
+            event_overhead: SimDuration::from_micros(5),
+            sync_latency: SimDuration::from_micros(2),
+            ..HostSpec::instant()
+        };
+        let mut sim =
+            Simulation::builder().device(DeviceSpec::test_device()).host(host).build().unwrap();
+        let synced: Rc<RefCell<Vec<(Wake, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
+        let log = synced.clone();
+        let mut drv = Script {
+            on_start: |sim: &mut Simulation| {
+                let ev = sim.record_event(HostId(0), s(0, 0));
+                sim.host_sync(HostId(0), ev, 7);
+            },
+            on_wake: move |w: Wake, sim: &mut Simulation| log.borrow_mut().push((w, sim.now())),
+        };
+        sim.run_to_completion(&mut drv);
+        let synced = synced.borrow();
+        assert_eq!(synced.len(), 1);
+        let (wake, at) = synced[0];
+        assert_eq!(
+            wake,
+            Wake::HostSynced {
+                host: HostId(0),
+                event: EventId(0),
+                token: 7,
+                fired_at: SimTime::from_micros(5),
+            }
+        );
+        assert_eq!(at, SimTime::from_micros(7), "record overhead + sync latency");
+        assert_eq!(sim.live_events(), 0, "the sync was the record's last reader");
+    }
+
+    #[test]
+    fn a_wait_on_an_event_reclaimed_long_ago_resolves_at_once() {
+        const ROUNDS: u64 = 2_000;
+        let mut sim = test_sim(2);
+        let first: Rc<RefCell<Option<EventId>>> = Rc::new(RefCell::new(None));
+        let first2 = first.clone();
+        let mut drv = Script {
+            on_start: move |sim: &mut Simulation| {
+                sim.launch(
+                    HostId(0),
+                    s(0, 0),
+                    KernelSpec::compute("a", SimDuration::from_micros(10)),
+                );
+                *first2.borrow_mut() = Some(sim.record_event(HostId(0), s(0, 0)));
+                sim.set_timer(SimTime::from_micros(20), 1);
+            },
+            on_wake: move |w: Wake, sim: &mut Simulation| {
+                let Wake::Timer { token } = w else { return };
+                if token < ROUNDS {
+                    // Churn: records that fire and are reclaimed at once.
+                    sim.record_event(HostId(0), s(0, 1));
+                    sim.set_timer(sim.now() + SimDuration::from_micros(1), token + 1);
+                } else {
+                    let ev = first.borrow().unwrap();
+                    sim.stream_wait(HostId(1), s(1, 0), ev);
+                    let k = KernelSpec::compute("b", SimDuration::from_micros(5)).with_tag(9);
+                    sim.launch(HostId(1), s(1, 0), k);
+                }
+            },
+        };
+        sim.run_to_completion(&mut drv);
+        assert_eq!(sim.live_events(), 0);
+        let waited_at = SimTime::from_micros(20 + ROUNDS - 1);
+        let trace = sim.take_trace().unwrap();
+        let b = trace.events().iter().find(|e| e.tag == 9).unwrap();
+        assert_eq!(b.started_at, waited_at, "the wait did not block");
+        let marks: Vec<&TraceMark> = trace
+            .marks()
+            .iter()
+            .filter(|m| {
+                matches!(m, TraceMark::Record { event: 0, .. } | TraceMark::Wait { event: 0, .. })
+            })
+            .collect();
+        assert_eq!(marks.len(), 2, "{marks:?}");
+        assert!(
+            matches!(marks[0], TraceMark::Record { at, .. } if *at == SimTime::from_micros(10))
+        );
+        assert!(matches!(marks[1], TraceMark::Wait { at, .. } if *at == waited_at));
+    }
+
+    #[test]
+    fn a_stale_completion_never_finishes_the_group_reusing_its_slot() {
+        // Collective A starts slowed by a compute kernel and schedules its
+        // completion for 200us; the kernel ends early, A speeds up and
+        // finishes at 137.5us, leaving the 200us entry stale. B then takes
+        // A's table slot. Had B's generation restarted, the stale entry
+        // would end B at 200us instead of 137.5 + 200 = 337.5us.
+        let contention = ContentionParams {
+            compute_vs_comm: 1.5,
+            comm_vs_compute: 2.0,
+            compute_self_penalty: 1.0,
+            comm_self_penalty: 1.0,
+            reference_channels: 2,
+            channel_sensitivity: 0.0,
+        };
+        let dev = DeviceSpec::test_device().with_contention(contention);
+        let mut sim = Simulation::builder()
+            .devices(dev, 2)
+            .host(HostSpec::instant())
+            .host(HostSpec::instant())
+            .capture_trace(true)
+            .build()
+            .unwrap();
+        let slots: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
+        let log = slots.clone();
+        let comm = |us: u64, c: CollectiveId, tag: u64| {
+            KernelSpec::comm("ar", SimDuration::from_micros(us)).with_collective(c).with_tag(tag)
+        };
+        let mut drv = Script {
+            on_start: |sim: &mut Simulation| {
+                sim.launch(
+                    HostId(0),
+                    s(0, 0),
+                    KernelSpec::compute("c", SimDuration::from_micros(50)),
+                );
+                let a = sim.new_collective(2);
+                log.borrow_mut().push(sim.collectives.slot(a.0).unwrap());
+                for d in 0..2 {
+                    sim.launch(HostId(d), s(d, 1), comm(100, a, 1));
+                }
+                let ev = sim.record_event(HostId(0), s(0, 1));
+                sim.notify_on_event(ev, HostId(0), 0);
+            },
+            on_wake: |_: Wake, sim: &mut Simulation| {
+                let b = sim.new_collective(2);
+                slots.borrow_mut().push(sim.collectives.slot(b.0).unwrap());
+                for d in 0..2 {
+                    sim.launch(HostId(d), s(d, 1), comm(200, b, 2));
+                }
+            },
+        };
+        sim.run_to_completion(&mut drv);
+        let slots = slots.borrow();
+        assert_eq!(slots[0], slots[1], "B reused A's slot");
+        let trace = sim.take_trace().unwrap();
+        for e in trace.events().iter().filter(|e| e.tag == 1) {
+            assert_eq!(e.ended_at, SimTime::from_nanos(137_500));
+        }
+        let b: Vec<_> = trace.events().iter().filter(|e| e.tag == 2).collect();
+        assert_eq!(b.len(), 2);
+        for e in b {
+            assert_eq!(e.started_at, SimTime::from_nanos(137_500));
+            assert_eq!(e.ended_at, SimTime::from_nanos(337_500));
+        }
+        assert_eq!(sim.live_collectives(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already complete")]
+    fn launching_into_a_finished_collective_still_panics() {
+        let mut sim = test_sim(2);
+        let group: Rc<RefCell<Option<CollectiveId>>> = Rc::new(RefCell::new(None));
+        let g = group.clone();
+        let mut drv = script(move |sim: &mut Simulation| {
+            let c = sim.new_collective(2);
+            for d in 0..2 {
+                let k = KernelSpec::comm("ar", SimDuration::from_micros(10)).with_collective(c);
+                sim.launch(HostId(d), s(d, 1), k);
+            }
+            *g.borrow_mut() = Some(c);
+        });
+        sim.run_to_completion(&mut drv);
+        assert_eq!(sim.live_collectives(), 0, "the finished group was reclaimed");
+        let c = group.borrow().unwrap();
+        let late = KernelSpec::comm("ar", SimDuration::from_micros(10)).with_collective(c);
+        sim.launch(HostId(0), s(0, 1), late);
+    }
+
+    #[test]
+    fn an_aborted_group_is_reclaimed_only_after_its_last_member_fails() {
+        // A 3-rank group: gpu0's member gathers at once, gpu1's queues
+        // behind a 100us kernel, and gpu2 dies at 10us before its member is
+        // launched at 20us. That launch aborts the group (gpu0's member
+        // fails); gpu1's member still fails on arrival at 100us, and only
+        // then is the group reclaimed.
+        let faults = FaultSpec::new(1).device_down(DeviceId(2), SimTime::from_micros(10));
+        let mut sim = faulty_sim(3, faults);
+        let seen: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
+        let log = seen.clone();
+        let group: Rc<RefCell<Option<CollectiveId>>> = Rc::new(RefCell::new(None));
+        let g = group.clone();
+        let ar = |c: CollectiveId, tag: u64| {
+            KernelSpec::comm("ar", SimDuration::from_micros(10)).with_collective(c).with_tag(tag)
+        };
+        let mut drv = Script {
+            on_start: move |sim: &mut Simulation| {
+                let c = sim.new_collective(3);
+                sim.launch(HostId(0), s(0, 1), ar(c, 10));
+                sim.launch(
+                    HostId(1),
+                    s(1, 1),
+                    KernelSpec::comm("m", SimDuration::from_micros(100)),
+                );
+                sim.launch(HostId(1), s(1, 1), ar(c, 11));
+                *g.borrow_mut() = Some(c);
+                sim.set_timer(SimTime::from_micros(20), 1);
+                sim.set_timer(SimTime::from_micros(50), 2);
+            },
+            on_wake: move |w: Wake, sim: &mut Simulation| match w {
+                Wake::Timer { token: 1 } => {
+                    let c = group.borrow().unwrap();
+                    sim.launch(HostId(2), s(2, 1), ar(c, 12));
+                }
+                Wake::Timer { token: 2 } => log.borrow_mut().push(sim.live_collectives()),
+                _ => {}
+            },
+        };
+        sim.run_to_completion(&mut drv);
+        assert_eq!(*seen.borrow(), vec![1], "held while gpu1's member is still coming");
+        assert_eq!(sim.live_collectives(), 0);
+        let trace = sim.take_trace().unwrap();
+        let at = |tag: u64| trace.events().iter().find(|e| e.tag == tag).unwrap().clone();
+        assert!(at(10).failed && at(10).ended_at == SimTime::from_micros(20));
+        assert!(at(12).failed && at(12).ended_at == SimTime::from_micros(20));
+        assert!(at(11).failed, "a late member fails on arrival");
+        assert_eq!(at(11).ended_at, SimTime::from_micros(100));
     }
 }

@@ -206,7 +206,7 @@ mod tests {
 #[derive(Debug, Default)]
 pub struct EngineMemory {
     weights: Option<Vec<liger_gpu_sim::AllocationId>>,
-    per_batch: std::collections::HashMap<u64, Vec<liger_gpu_sim::AllocationId>>,
+    per_batch: liger_gpu_sim::DetHashMap<u64, Vec<liger_gpu_sim::AllocationId>>,
 }
 
 impl EngineMemory {

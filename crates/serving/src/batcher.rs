@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use liger_gpu_sim::{SimDuration, SimTime};
+use liger_gpu_sim::{DetHashMap, SimDuration, SimTime};
 use liger_model::BatchShape;
 
 use crate::request::Request;
@@ -212,8 +212,6 @@ mod tests {
 // Query-level serving loop
 // ---------------------------------------------------------------------------
 
-use std::collections::HashMap;
-
 use liger_gpu_sim::{CoreSelect, Driver, Simulation, Wake};
 
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
@@ -249,7 +247,7 @@ pub struct QueryRunner<'a, E: InferenceEngine + ?Sized> {
     batcher: Batcher,
     queries: Vec<Query>,
     /// request id -> members + requeue state.
-    in_flight: HashMap<u64, InFlightBatch>,
+    in_flight: DetHashMap<u64, InFlightBatch>,
     metrics: ServingMetrics,
     outstanding: usize,
     flush_gen: u64,
@@ -268,7 +266,7 @@ impl<'a, E: InferenceEngine + ?Sized> QueryRunner<'a, E> {
             engine,
             batcher: Batcher::new(config)?,
             queries,
-            in_flight: HashMap::new(),
+            in_flight: DetHashMap::default(),
             metrics: ServingMetrics::new(),
             outstanding,
             flush_gen: 0,

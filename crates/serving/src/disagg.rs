@@ -28,11 +28,12 @@
 //! [`Driver`] over its own engine, so the whole tier is byte-identical
 //! across event cores.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use liger_collectives::{kv_stream_time, ClusterTopology, NicLink};
 use liger_gpu_sim::{
-    CoreSelect, DeviceId, Driver, HostId, KernelSpec, SimTime, Simulation, StreamId, Trace, Wake,
+    CoreSelect, DetHashMap, DeviceId, Driver, HostId, KernelSpec, SimTime, Simulation, StreamId,
+    Trace, Wake,
 };
 use liger_kvcache::BlockPool;
 use liger_model::{BatchShape, CostModel, ModelConfig};
@@ -290,7 +291,7 @@ struct PrefillOutcome {
     /// Stream-arrival instant per job that shipped.
     kv_ready: BTreeMap<u64, SimTime>,
     /// First-token instant per job (prefill completion).
-    first_token: HashMap<u64, SimTime>,
+    first_token: DetHashMap<u64, SimTime>,
     serving: ServingMetrics,
     /// Single-token jobs finish entirely on the prefill node.
     generation: GenerationMetrics,
@@ -314,14 +315,14 @@ struct PrefillWorker<'a, E: InferenceEngine + ?Sized> {
     token_budget: u64,
 
     waiting: VecDeque<u64>,
-    inflight: HashMap<u64, u64>,
+    inflight: DetHashMap<u64, u64>,
     tokens_inflight: u64,
     streaming: usize,
     next_request: u64,
     outstanding: usize,
 
     kv_ready: BTreeMap<u64, SimTime>,
-    first_token: HashMap<u64, SimTime>,
+    first_token: DetHashMap<u64, SimTime>,
     serving: ServingMetrics,
     generation: GenerationMetrics,
     outputs: BTreeMap<u64, Vec<u64>>,
@@ -346,13 +347,13 @@ impl<'a, E: InferenceEngine + ?Sized> PrefillWorker<'a, E> {
             max_running: config.scheduler.max_running,
             token_budget: config.scheduler.prefill_token_budget,
             waiting: VecDeque::new(),
-            inflight: HashMap::new(),
+            inflight: DetHashMap::default(),
             tokens_inflight: 0,
             streaming: 0,
             next_request: 0,
             outstanding: jobs.len(),
             kv_ready: BTreeMap::new(),
-            first_token: HashMap::new(),
+            first_token: DetHashMap::default(),
             serving: ServingMetrics::new(),
             generation: GenerationMetrics::default(),
             outputs: BTreeMap::new(),
@@ -537,7 +538,7 @@ struct DecodeWorker<'a, E: InferenceEngine + ?Sized> {
 
     /// Stream arrivals, `(kv-ready instant, job)` — timers set at start.
     arrivals: Vec<(SimTime, GenerationJob)>,
-    states: HashMap<u64, DecodeSeq>,
+    states: DetHashMap<u64, DecodeSeq>,
     waiting: VecDeque<u64>,
     running: Vec<u64>,
     decode_inflight: Option<(u64, Vec<u64>)>,
@@ -568,7 +569,7 @@ impl<'a, E: InferenceEngine + ?Sized> DecodeWorker<'a, E> {
             pool: BlockPool::new(config.scheduler.pool, devices.to_vec()),
             max_running: config.scheduler.max_running,
             arrivals,
-            states: HashMap::new(),
+            states: DetHashMap::default(),
             waiting: VecDeque::new(),
             running: Vec::new(),
             decode_inflight: None,
@@ -583,7 +584,7 @@ impl<'a, E: InferenceEngine + ?Sized> DecodeWorker<'a, E> {
 
     /// Finalizes the report, stitching each result's first-token instant
     /// from the prefill wave.
-    fn into_outcome(mut self, first_token: &HashMap<u64, SimTime>) -> DecodeOutcome {
+    fn into_outcome(mut self, first_token: &DetHashMap<u64, SimTime>) -> DecodeOutcome {
         let finished = std::mem::take(&mut self.finished_at);
         for (id, done) in finished {
             let job = self.states.remove(&id).expect("finished sequence kept state").job;

@@ -15,9 +15,7 @@
 //! continuous-batching scheduler in [`crate::scheduler`], which re-forms
 //! the running set at every decode step over a paged KV pool.
 
-use std::collections::HashMap;
-
-use liger_gpu_sim::{CoreSelect, Driver, SimDuration, SimTime, Simulation, Wake};
+use liger_gpu_sim::{CoreSelect, DetHashMap, Driver, SimDuration, SimTime, Simulation, Wake};
 use liger_model::BatchShape;
 
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
@@ -159,9 +157,9 @@ struct JobState {
 pub struct GenerationRunner<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     jobs: Vec<GenerationJob>,
-    states: HashMap<u64, JobState>,
+    states: DetHashMap<u64, JobState>,
     /// Maps engine request ids to (job, step). Step 0 is the prefill.
-    requests: HashMap<u64, (u64, u32)>,
+    requests: DetHashMap<u64, (u64, u32)>,
     next_request: u64,
     metrics: GenerationMetrics,
     outstanding: usize,
@@ -174,8 +172,8 @@ impl<'a, E: InferenceEngine + ?Sized> GenerationRunner<'a, E> {
         GenerationRunner {
             engine,
             jobs,
-            states: HashMap::new(),
-            requests: HashMap::new(),
+            states: DetHashMap::default(),
+            requests: DetHashMap::default(),
             next_request: 0,
             metrics: GenerationMetrics::default(),
             outstanding,

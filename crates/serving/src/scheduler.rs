@@ -35,9 +35,9 @@
 //!
 //! [`serve_with_recovery`]: crate::recovery::serve_with_recovery
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use liger_gpu_sim::{CoreSelect, DeviceId, SimDuration, SimTime, Simulation, Wake};
+use liger_gpu_sim::{CoreSelect, DetHashMap, DeviceId, SimDuration, SimTime, Simulation, Wake};
 use liger_kvcache::{BlockPool, BlockPoolConfig, PrefixAdmit};
 use liger_model::{kv_recovery_plan, spec_draft_time, CostModel, ModelConfig, RecoveryPolicy};
 
@@ -206,7 +206,7 @@ pub(crate) struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     config: SchedulerConfig,
     pool: BlockPool,
 
-    states: HashMap<u64, SeqState>,
+    states: DetHashMap<u64, SeqState>,
     /// Arrival/preemption queue (front = next to admit; preempted sequences
     /// re-enter at the front — they are oldest).
     waiting: VecDeque<u64>,
@@ -216,7 +216,7 @@ pub(crate) struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     /// In-flight prefill requests: request id → (job index, charged prefill
     /// tokens) — the charge is the *novel* span when the prefix cache
     /// served part of the prompt.
-    prefill_inflight: HashMap<u64, (u64, u64)>,
+    prefill_inflight: DetHashMap<u64, (u64, u64)>,
     /// The one in-flight fused decode step, if any.
     decode_inflight: Option<(u64, Vec<u64>)>,
     /// The one in-flight speculative round, if any (mutually exclusive with
@@ -254,10 +254,10 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
             cost,
             pool: BlockPool::new(config.pool, devices),
             config,
-            states: HashMap::new(),
+            states: DetHashMap::default(),
             waiting: VecDeque::new(),
             running: Vec::new(),
-            prefill_inflight: HashMap::new(),
+            prefill_inflight: DetHashMap::default(),
             decode_inflight: None,
             spec_pending: None,
             spec_epoch: 0,
