@@ -38,7 +38,7 @@ cargo test -q --workspace
 # fresh seed per process, widening coverage over time). A failure prints
 # the LIGER_PROP_SEED to rerun the exact case.
 echo "==> fault & property suites (pinned seed)"
-LIGER_PROP_SEED=0xfa0175 cargo test -q --test fault_injection --test golden_trace --test recovery_golden --test recovery
+LIGER_PROP_SEED=0xfa0175 cargo test -q --test fault_injection --test golden_trace --test recovery_golden --test engine_golden --test recovery
 LIGER_PROP_SEED=0xfa0175 cargo test -q -p liger-gpu-sim --test fault_props --test proptests --test core_props
 LIGER_PROP_SEED=0xfa0175 cargo test -q -p liger-kvcache --test pool_props --test prefix_props
 
@@ -161,7 +161,7 @@ echo "==> liger-verify plans"
 cargo run --release -q -p liger-verify --bin liger-verify -- plans
 
 echo "==> liger-verify golden traces"
-cargo run --release -q -p liger-verify --bin liger-verify -- tests/golden/*.json
+cargo run --release -q -p liger-verify --bin liger-verify -- tests/golden/*.json tests/golden/engine/*.json
 
 # Model-checker gate (DESIGN.md §16): DPOR exploration of event
 # interleavings. The adversarial battery must reproduce every expected
