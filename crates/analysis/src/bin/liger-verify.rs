@@ -40,8 +40,11 @@ explore targets (default: all):
                     expected MC-* rules are checked (an expected rule that
                     fails to fire is itself a diagnostic)
   ablation-batching ablation-prefix ablation-recovery ablation-chaos
-  ablation-nccl     the introspected launch program of the matching
-                    ablation bench, explored under the conservative rule
+  ablation-nccl     a fixed plan shape (tiny model, 2 GPUs) recorded
+                    through the engine's own launch code: batching, prefix
+                    and nccl in hybrid sync, recovery in CPU-GPU sync,
+                    chaos in inter-stream sync; explored under the
+                    conservative rule
   ablation          all five ablation programs
   all               battery + all five ablation programs
   <trace.json>      re-explore the schedule neighborhood of an exported
@@ -250,8 +253,8 @@ fn run_traces(paths: &[String], opts: &Opts) -> ExitCode {
 // explore
 // ---------------------------------------------------------------------------
 
-/// Builds the introspected launch program of one deployment the way the
-/// engine would launch it.
+/// Plans `batches` identical batches to completion and records the
+/// program the engine's launch code issues for them in sync mode `sync`.
 fn launch_program(
     cfg: &ModelConfig,
     sync: SyncMode,
@@ -276,24 +279,28 @@ fn launch_program(
     while let Some(p) = plan_round(&mut processing, &params, &cm) {
         plans.push(p);
     }
-    LaunchProgram::from_plans(&plans, world, sync == SyncMode::Hybrid)
+    LaunchProgram::from_plans(&plans, world, sync)
 }
 
-/// The five ablation benches' launch programs, tiny model on a 2-GPU
-/// world: the same engine paths the `ablation_*` bench binaries drive,
-/// reduced to a size the checker can explore exhaustively.
+/// The five `ablation-*` launch programs: fixed plan shapes on the tiny
+/// model over a 2-GPU world, one or more in each of the three sync modes,
+/// recorded through the engine's launch code and small enough to explore
+/// exhaustively. The names are stable CLI targets; they label plan shapes,
+/// not the `ablation_*` bench binaries, which drive their own workloads.
 fn ablation_programs() -> Vec<(&'static str, McProgram)> {
     let tiny = ModelConfig::tiny_test();
     let cases: [(&str, SyncMode, BatchShape, u64); 5] = [
-        // Continuous batching: the hybrid two-batch interleave itself.
+        // Two interleaved prefill batches, hybrid sync.
         ("ablation-batching", SyncMode::Hybrid, BatchShape::prefill(1, 64), 2),
-        // Prefix caching admits a third in-flight batch on the same plans.
+        // Three in-flight prefill batches, hybrid sync.
         ("ablation-prefix", SyncMode::Hybrid, BatchShape::prefill(1, 96), 3),
-        // Recovery re-launches through the pure CPU-GPU sync path.
+        // Two prefill batches, CPU-GPU sync: every round ends in a
+        // recorded event per device and stream that the host blocks on.
         ("ablation-recovery", SyncMode::CpuGpu, BatchShape::prefill(1, 64), 2),
-        // Chaos soaks the inter-stream (flood) synchronization mode.
+        // Two prefill batches, inter-stream sync: no E1 and no round-end
+        // records, rounds chained on E2 alone.
         ("ablation-chaos", SyncMode::InterStream, BatchShape::prefill(1, 64), 2),
-        // NCCL channel sweep is decode-bound communication.
+        // Two decode batches (communication-heavy), hybrid sync.
         ("ablation-nccl", SyncMode::Hybrid, BatchShape::decode(4, 128), 2),
     ];
     cases

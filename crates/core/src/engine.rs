@@ -4,7 +4,9 @@
 //! engine keeps a waiting queue and a fixed-size processing list of
 //! assembled `FuncVec`s (§3.3), repeatedly plans scheduling rounds with
 //! [`plan_round`] (Algorithm 1 + contention anticipation + runtime
-//! decomposition) and launches each round's two subsets onto two streams of
+//! decomposition) and launches each round's two subsets through the shared
+//! launch sequence (the crate-private `launch` module, which the verifier's
+//! [`LaunchProgram`](crate::LaunchProgram) records too) onto two streams of
 //! every device:
 //!
 //! * **stream 0** carries primary subsets (the earliest batch's runs),
@@ -17,7 +19,6 @@
 //! the configured [`SyncMode`].
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use liger_collectives::{NcclConfig, Topology};
 use liger_gpu_sim::{DeviceId, EventId, HostId, KernelClass, SimTime, Simulation, StreamId, Wake};
@@ -30,6 +31,7 @@ use liger_serving::{InferenceEngine, Request};
 
 use crate::config::{LigerConfig, SyncMode};
 use crate::funcvec::FuncVec;
+use crate::launch::{LaunchTarget, Launcher, Notify};
 use crate::scheduler::{plan_round, LaunchItem, PlanParams, RoundPlan};
 
 /// Wake tokens with this bit set are engine control-flow (round events);
@@ -48,10 +50,6 @@ fn control_token(kind: u64, round: u64) -> u64 {
     debug_assert!(round < 1 << 56);
     CONTROL | kind | round
 }
-
-/// Stream indices used by the engine.
-const PRIMARY_STREAM: usize = 0;
-const SECONDARY_STREAM: usize = 1;
 
 /// Batch-completion tokens carry the engine's replan epoch in bits 48..62
 /// (the batch id sits below). A device loss bumps the epoch, so completion
@@ -82,13 +80,9 @@ pub struct LigerEngine {
     nccl: NcclConfig,
     waiting: VecDeque<FuncVec>,
     processing: VecDeque<FuncVec>,
-    round: u64,
-    /// The previous round's per-device E2 events, gating this round's
-    /// secondary stream.
-    prev_e2: Option<Vec<EventId>>,
-    /// The E2 list of the round before that, kept to be refilled: rounds
-    /// alternate between the two buffers instead of allocating a list each.
-    spare_e2: Vec<EventId>,
+    /// Round counter, E2 gate and per-batch stream state of the launch
+    /// sequence.
+    launcher: Launcher,
     phase: Phase,
     completed: Vec<(u64, SimTime)>,
     /// Rounds planned so far (exposed for tests/diagnostics).
@@ -165,9 +159,7 @@ impl LigerEngine {
             nccl,
             waiting: VecDeque::new(),
             processing: VecDeque::new(),
-            round: 0,
-            prev_e2: None,
-            spare_e2: Vec::new(),
+            launcher: Launcher::default(),
             phase: Phase::Idle,
             completed: Vec::new(),
             rounds_planned: 0,
@@ -291,26 +283,13 @@ impl LigerEngine {
         if params.straggler_factor > 1.0 {
             self.degraded_rounds += 1;
         }
-        match self.config.sync_mode {
-            SyncMode::Hybrid => {
-                self.launch_round(sim, &plan, true);
-                self.phase = Phase::Hybrid;
-            }
-            SyncMode::CpuGpu => {
-                self.launch_round(sim, &plan, false);
-                // Block every host on both streams having drained.
-                let mut remaining = 0;
-                for &d in &self.devices {
-                    for stream in [PRIMARY_STREAM, SECONDARY_STREAM] {
-                        let ev = sim.record_event(HostId(d.0), StreamId::new(d, stream));
-                        sim.host_sync(HostId(d.0), ev, control_token(KIND_E1, self.round));
-                        remaining += 1;
-                    }
-                }
-                self.phase = Phase::CpuGpuWait { remaining };
-            }
+        self.launch(sim, &plan);
+        self.phase = match self.config.sync_mode {
+            SyncMode::Hybrid => Phase::Hybrid,
+            // The round ends with one host sync per device and stream.
+            SyncMode::CpuGpu => Phase::CpuGpuWait { remaining: 2 * self.devices.len() as u32 },
             SyncMode::InterStream => unreachable!("flood mode plans in flood()"),
-        }
+        };
         true
     }
 
@@ -325,196 +304,113 @@ impl LigerEngine {
             if params.straggler_factor > 1.0 {
                 self.degraded_rounds += 1;
             }
-            outstanding += self.launch_round(sim, &plan, false);
+            outstanding += self.launch(sim, &plan);
         }
         self.phase = if outstanding > 0 { Phase::Flood { outstanding } } else { Phase::Idle };
     }
 
-    /// Launches one round's subsets. When `hybrid_events` is set, inserts
-    /// the E1 (CPU notification) and E2 (inter-stream gate) events of §3.4.
-    /// Returns the number of batch-completion notifications registered.
-    fn launch_round(&mut self, sim: &mut Simulation, plan: &RoundPlan, hybrid_events: bool) -> u32 {
-        let round = self.round;
-        self.round += 1;
-        let mut completions = 0;
-
-        // The secondary stream is gated on the *previous* round's E2; grab
-        // it before launch_primary records this round's.
-        let gate = self.prev_e2.take();
-
-        // The communication subset is launched first (§3.4): its rendezvous
-        // benefits most from reaching the devices early.
-        let comm_is_primary = plan.primary_class == KernelClass::Comm;
-        if comm_is_primary {
-            completions += self.launch_primary(sim, plan, round, hybrid_events);
-            completions += self.launch_secondary(sim, plan, gate.as_deref());
-        } else {
-            completions += self.launch_secondary(sim, plan, gate.as_deref());
-            completions += self.launch_primary(sim, plan, round, hybrid_events);
-        }
-        if let Some(gate) = gate {
-            self.spare_e2 = gate;
-        }
-        completions
+    /// Launches one round through the shared launch sequence; returns the
+    /// number of batch-completion notifications registered.
+    fn launch(&mut self, sim: &mut Simulation, plan: &RoundPlan) -> u32 {
+        let mut target = SimTarget {
+            sim,
+            nccl: &self.nccl,
+            epoch: self.epoch,
+            adaptive: self.config.adaptive_factor,
+            completion_pending: &mut self.completion_pending,
+            observations: &mut self.observations,
+        };
+        self.launcher.launch_round(&mut target, &self.devices, plan, self.config.sync_mode)
     }
 
-    /// Launches the primary subset on stream 0 of every device, with the
-    /// hybrid E1/E2 events when requested.
-    fn launch_primary(
-        &mut self,
-        sim: &mut Simulation,
-        plan: &RoundPlan,
-        round: u64,
-        hybrid_events: bool,
-    ) -> u32 {
-        let mut completions = 0;
-
-        // Cross-stream dependency: if the primary batch previously ran in a
-        // secondary subset (stream 1), its stream-0 run must wait for that.
-        if let Some(primary_item) = plan.primary.first() {
-            if let Some(v) = self.find_batch(primary_item.batch) {
-                if v.1 == Some(SECONDARY_STREAM) {
-                    if let Some(deps) = v.2 {
-                        for (i, &d) in self.devices.iter().enumerate() {
-                            sim.stream_wait(HostId(d.0), StreamId::new(d, PRIMARY_STREAM), deps[i]);
-                        }
-                    }
-                }
-            }
-        }
-
-        let n = plan.primary.len();
-        for (idx, item) in plan.primary.iter().enumerate() {
-            // E1 sits immediately before the kernel whose successor switches
-            // type (the run's last kernel).
-            if hybrid_events && idx == n - 1 {
-                let d0 = self.devices[0];
-                let e1 = sim.record_event(HostId(d0.0), StreamId::new(d0, PRIMARY_STREAM));
-                sim.notify_on_event(e1, HostId(d0.0), control_token(KIND_E1, round));
-            }
-            self.launch_item(sim, item, PRIMARY_STREAM);
-            if item.completes_batch {
-                self.notify_batch_done(sim, item.batch, PRIMARY_STREAM);
-                completions += 1;
-            }
-        }
-
-        // E2 after the run's last kernel, one per device: the next round's
-        // secondary stream waits on it. Hybrid mode uses it as the
-        // CPU-free inter-stream gate; the other modes still chain rounds on
-        // it so they cannot slide over each other.
-        let mut e2 = std::mem::take(&mut self.spare_e2);
-        e2.clear();
-        e2.extend(
-            self.devices
-                .iter()
-                .map(|&d| sim.record_event(HostId(d.0), StreamId::new(d, PRIMARY_STREAM))),
-        );
-        if self.config.adaptive_factor && !plan.secondary.is_empty() {
-            // Observe the primary window's end for factor adaptation
-            // (rounds without a secondary subset have nothing to compare).
-            let d0 = self.devices[0];
-            sim.notify_on_event(e2[0], HostId(d0.0), control_token(KIND_PRI_END, round));
-            self.observations.entry(round).or_default().window_ns = plan.window.as_nanos();
-        }
-        self.prev_e2 = Some(e2);
-
-        // Track the primary batch's stream for later rounds.
-        if let Some(item) = plan.primary.first() {
-            let id = item.batch;
-            if let Some(v) = self.processing.iter_mut().find(|v| v.batch_id == id) {
-                v.last_stream = Some(PRIMARY_STREAM);
-            }
-        }
-        completions
-    }
-
-    /// Launches the secondary subset on stream 1 of every device, gated on
-    /// the previous round's E2.
-    fn launch_secondary(
-        &mut self,
-        sim: &mut Simulation,
-        plan: &RoundPlan,
-        gate: Option<&[EventId]>,
-    ) -> u32 {
-        if plan.secondary.is_empty() {
-            return 0;
-        }
-        if let Some(prev) = gate {
-            for (i, &d) in self.devices.iter().enumerate() {
-                sim.stream_wait(HostId(d.0), StreamId::new(d, SECONDARY_STREAM), prev[i]);
-            }
-        }
-        let mut completions = 0;
-        for item in &plan.secondary {
-            self.launch_item(sim, item, SECONDARY_STREAM);
-            if item.completes_batch {
-                self.notify_batch_done(sim, item.batch, SECONDARY_STREAM);
-                completions += 1;
-            }
-        }
-        // One dependency event per device covers every secondary batch of
-        // this round: if any of them is promoted to primary later, its
-        // stream-0 run waits on these. The batches share the one list.
-        let deps: Arc<[EventId]> = self
-            .devices
+    /// Abandons every queued and in-flight batch for a replan and returns
+    /// their ids; the caller resubmits them. Outstanding completion records
+    /// (on survivors) go stale behind the epoch bump, and weights and
+    /// working sets are re-allocated over the new placement at the next
+    /// submit.
+    fn abandon_all(&mut self, sim: &mut Simulation) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .processing
             .iter()
-            .map(|&d| sim.record_event(HostId(d.0), StreamId::new(d, SECONDARY_STREAM)))
+            .chain(self.waiting.iter())
+            .map(|v| v.batch_id)
+            .chain(self.completion_pending.drain(..))
             .collect();
-        if self.config.adaptive_factor {
-            let round = self.round.saturating_sub(1);
-            let d0 = self.devices[0];
-            sim.notify_on_event(deps[0], HostId(d0.0), control_token(KIND_SEC_END, round));
-        }
-        for item in &plan.secondary {
-            if let Some(v) = self.processing.iter_mut().find(|v| v.batch_id == item.batch) {
-                v.last_stream = Some(SECONDARY_STREAM);
-                v.dep_events = Some(Arc::clone(&deps));
-            }
-        }
-        completions
+        ids.sort_unstable();
+        // A notified batch can still sit in `processing` until the next
+        // purge, so the two sources may overlap.
+        ids.dedup();
+        self.processing.clear();
+        self.waiting.clear();
+        self.launcher.reset();
+        self.observations.clear();
+        self.phase = Phase::Idle;
+        self.epoch += 1;
+        self.memory.release_all(sim);
+        ids
+    }
+}
+
+/// The engine's launch target: issues the launch sequence into the
+/// simulator and keeps the host-side bookkeeping its notifications imply.
+struct SimTarget<'a> {
+    sim: &'a mut Simulation,
+    nccl: &'a NcclConfig,
+    epoch: u64,
+    adaptive: bool,
+    completion_pending: &'a mut Vec<u64>,
+    observations: &'a mut liger_gpu_sim::DetHashMap<u64, RoundObs>,
+}
+
+impl LaunchTarget for SimTarget<'_> {
+    fn record(&mut self, device: DeviceId, stream: usize) -> EventId {
+        self.sim.record_event(HostId(device.0), StreamId::new(device, stream))
     }
 
-    /// Launches one item on `stream` of every device (compute: one kernel
-    /// per device; comm: a rendezvous collective across all devices).
-    fn launch_item(&self, sim: &mut Simulation, item: &LaunchItem, stream: usize) {
-        let devices = &self.devices;
+    fn wait(&mut self, device: DeviceId, stream: usize, event: EventId) {
+        self.sim.stream_wait(HostId(device.0), StreamId::new(device, stream), event);
+    }
+
+    fn launch(&mut self, devices: &[DeviceId], item: &LaunchItem, stream: usize) {
         match item.op.class() {
             KernelClass::Compute => {
                 for &d in devices {
-                    sim.launch(
-                        HostId(d.0),
-                        StreamId::new(d, stream),
-                        compute_spec(&item.op, item.batch),
-                    );
+                    let spec = compute_spec(&item.op, item.batch);
+                    self.sim.launch(HostId(d.0), StreamId::new(d, stream), spec);
                 }
             }
             KernelClass::Comm => {
-                if devices.len() < 2 {
-                    return; // degenerate single-device deployment
-                }
-                launch_collective(sim, &item.op, devices, stream, &self.nccl, item.batch);
+                launch_collective(self.sim, &item.op, devices, stream, self.nccl, item.batch);
             }
         }
     }
 
-    fn notify_batch_done(&mut self, sim: &mut Simulation, batch: u64, stream: usize) {
-        debug_assert!(batch <= BATCH_MASK, "batch id overflows the epoch-tagged token");
-        debug_assert!(self.epoch < 1 << (62 - EPOCH_SHIFT), "epoch overflows its token bits");
-        let d0 = self.devices[0];
-        let ev = sim.record_event(HostId(d0.0), StreamId::new(d0, stream));
-        sim.notify_on_event(ev, HostId(d0.0), (self.epoch << EPOCH_SHIFT) | batch);
-        self.completion_pending.push(batch);
-    }
-
-    /// Looks a batch up in the processing list, returning
-    /// `(batch_id, last_stream, dep_events)`.
-    #[allow(clippy::type_complexity)]
-    fn find_batch(&self, id: u64) -> Option<(u64, Option<usize>, Option<&[EventId]>)> {
-        self.processing
-            .iter()
-            .find(|v| v.batch_id == id)
-            .map(|v| (v.batch_id, v.last_stream, v.dep_events.as_deref()))
+    fn notify(&mut self, device: DeviceId, event: EventId, note: Notify) {
+        let host = HostId(device.0);
+        match note {
+            Notify::E1 { round } => {
+                self.sim.notify_on_event(event, host, control_token(KIND_E1, round));
+            }
+            Notify::BatchDone { batch } => {
+                debug_assert!(batch <= BATCH_MASK, "batch id overflows the epoch-tagged token");
+                debug_assert!(self.epoch < 1 << (62 - EPOCH_SHIFT), "epoch overflows its bits");
+                self.sim.notify_on_event(event, host, (self.epoch << EPOCH_SHIFT) | batch);
+                self.completion_pending.push(batch);
+            }
+            // The two window ends feed factor adaptation.
+            Notify::PrimaryEnd { round, window } if self.adaptive => {
+                self.sim.notify_on_event(event, host, control_token(KIND_PRI_END, round));
+                self.observations.entry(round).or_default().window_ns = window.as_nanos();
+            }
+            Notify::SecondaryEnd { round } if self.adaptive => {
+                self.sim.notify_on_event(event, host, control_token(KIND_SEC_END, round));
+            }
+            Notify::PrimaryEnd { .. } | Notify::SecondaryEnd { .. } => {}
+            // Tagged with the round the sync releases.
+            Notify::RoundSync { round } => {
+                self.sim.host_sync(host, event, control_token(KIND_E1, round + 1));
+            }
+        }
     }
 }
 
@@ -626,28 +522,7 @@ impl InferenceEngine for LigerEngine {
         assert!(!survivors.is_empty(), "cannot replan over zero survivors");
         check_divisibility_relaxed(&self.cfg, survivors.len() as u32)
             .expect("model cannot be replanned over the survivors");
-        // Abandon every queued and in-flight batch; the caller resubmits.
-        let mut ids: Vec<u64> = self
-            .processing
-            .iter()
-            .chain(self.waiting.iter())
-            .map(|v| v.batch_id)
-            .chain(self.completion_pending.drain(..))
-            .collect();
-        ids.sort_unstable();
-        // A notified batch can still sit in `processing` until the next
-        // purge, so the two sources may overlap.
-        ids.dedup();
-        self.processing.clear();
-        self.waiting.clear();
-        self.prev_e2 = None;
-        self.observations.clear();
-        self.phase = Phase::Idle;
-        // Outstanding completion records (on survivors) become stale.
-        self.epoch += 1;
-        // Weights and working sets are re-allocated over the new placement
-        // at the next submit.
-        self.memory.release_all(sim);
+        let ids = self.abandon_all(sim);
         // Collective rings are rebuilt around the hole: point-to-point
         // bricks route past the dead GPU, so NVLink-style fabrics lose bus
         // bandwidth proportionally (PCIe switches are indifferent).
@@ -665,28 +540,8 @@ impl InferenceEngine for LigerEngine {
         assert!(!devices.is_empty(), "cannot replan over zero devices");
         check_divisibility_relaxed(&self.cfg, devices.len() as u32)
             .expect("model cannot be replanned over the rejoined set");
-        // Re-expansion is a replan, exactly like a loss: every queued and
-        // in-flight batch is abandoned (the caller resubmits), outstanding
-        // completion records go stale behind the epoch bump, and weights
-        // are re-sharded over the wider placement at the next submit.
-        let mut ids: Vec<u64> = self
-            .processing
-            .iter()
-            .chain(self.waiting.iter())
-            .map(|v| v.batch_id)
-            .chain(self.completion_pending.drain(..))
-            .collect();
-        ids.sort_unstable();
-        // A notified batch can still sit in `processing` until the next
-        // purge, so the two sources may overlap.
-        ids.dedup();
-        self.processing.clear();
-        self.waiting.clear();
-        self.prev_e2 = None;
-        self.observations.clear();
-        self.phase = Phase::Idle;
-        self.epoch += 1;
-        self.memory.release_all(sim);
+        // Re-expansion is a replan, exactly like a loss.
+        let ids = self.abandon_all(sim);
         // Rings are rebuilt around the returned brick: bandwidth recovers
         // to the pristine topology scaled by how much of the original
         // world is back (fully healthy when everyone rejoined).

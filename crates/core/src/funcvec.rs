@@ -4,14 +4,14 @@
 //! launch functions — each wrapper carrying the kernel's duration, type,
 //! batch size and sequence length — which the scheduler consumes when
 //! building subsets. Here a [`FuncVec`] wraps the priced op list produced by
-//! [`liger_model::assemble`] plus the execution-status bookkeeping the
-//! paper's function assembler owns (arrival order, last-launched stream and
-//! the cross-stream dependency event).
+//! [`liger_model::assemble`] plus the batch's arrival order. The paper's
+//! function assembler also tracks each batch's last-launched stream and its
+//! cross-stream dependency event; here the launch sequence keeps those,
+//! since it is the only reader.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use liger_gpu_sim::{EventId, KernelClass, SimDuration, SimTime};
+use liger_gpu_sim::{KernelClass, SimDuration, SimTime};
 use liger_model::{assemble, BatchShape, CostModel, ModelConfig, PricedOp};
 
 /// The assembled kernel-launch list of one batch.
@@ -24,12 +24,6 @@ pub struct FuncVec {
     /// Arrival instant (drives the priority order of Principle 1).
     pub arrived: SimTime,
     ops: VecDeque<PricedOp>,
-    /// Stream index the batch's most recently launched kernel went to.
-    pub last_stream: Option<usize>,
-    /// Per-device events recorded after the batch's most recent
-    /// secondary-subset kernels (used to order its first primary kernel
-    /// across streams). Every secondary batch of a round shares one list.
-    pub dep_events: Option<Arc<[EventId]>>,
 }
 
 impl FuncVec {
@@ -51,14 +45,7 @@ impl FuncVec {
                 panic!("assembled an invalid kernel sequence: {e}");
             }
         }
-        FuncVec {
-            batch_id,
-            shape,
-            arrived,
-            ops: assemble(cm, cfg, shape, tp).into(),
-            last_stream: None,
-            dep_events: None,
-        }
+        FuncVec { batch_id, shape, arrived, ops: assemble(cm, cfg, shape, tp).into() }
     }
 
     /// Builds a FuncVec from an explicit op list (tests, custom workloads).
@@ -68,7 +55,7 @@ impl FuncVec {
         arrived: SimTime,
         ops: Vec<PricedOp>,
     ) -> FuncVec {
-        FuncVec { batch_id, shape, arrived, ops: ops.into(), last_stream: None, dep_events: None }
+        FuncVec { batch_id, shape, arrived, ops: ops.into() }
     }
 
     /// Remaining kernels.
@@ -158,7 +145,6 @@ mod tests {
         assert_eq!(v.batch_id, 3);
         assert!(!v.is_empty());
         assert_eq!(v.len(), liger_model::model_ops(&cfg, BatchShape::prefill(2, 16), 2).len());
-        assert!(v.last_stream.is_none());
     }
 
     #[test]

@@ -1,31 +1,27 @@
 //! Static introspection of the engine's launch behavior.
 //!
-//! [`LaunchProgram::from_plans`] replays the exact launch sequence
-//! [`LigerEngine`](crate::LigerEngine) would issue for a list of
-//! [`RoundPlan`]s — comm-subset-first ordering, the hybrid E1/E2 events of
-//! §3.4, the previous round's E2 gating the secondary stream, per-round
-//! dependency events and the promoted-batch cross-stream wait — but records
-//! it as data instead of driving a simulator. The static plan verifier in
-//! `liger-verify` proves properties (deadlock freedom, wait-graph
-//! acyclicity, collective matching) over this program *before* anything
-//! runs.
+//! [`LaunchProgram::from_plans`] runs the engine's own round-launch sequence
+//! over a list of [`RoundPlan`]s — comm-subset-first ordering, the hybrid
+//! E1/E2 events of §3.4, the previous round's E2 gating the secondary
+//! stream, per-round dependency events, the promoted-batch cross-stream
+//! wait and the CPU–GPU mode's round-end records — against a recorder
+//! instead of the simulator, so it yields the program as data. There is no
+//! second copy of the launch logic to keep in step. The static plan
+//! verifier in `liger-verify` proves properties (deadlock freedom,
+//! wait-graph acyclicity, collective matching) over this program, and the
+//! model checker explores its interleavings, *before* anything runs.
 //!
-//! The replay mirrors `LigerEngine::launch_round` op for op; the
-//! `mirrors_engine_launch_order` test in this module locks the two
-//! together. Host-side notifications (`notify_on_event`, `host_sync`) are
-//! deliberately absent: they never enqueue device work, so they cannot
-//! participate in a device-side deadlock.
+//! Host-side notifications (`notify_on_event`, `host_sync`) are not
+//! recorded: they never enqueue device work, so they cannot participate in
+//! a device-side deadlock.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use liger_gpu_sim::KernelClass;
+use liger_gpu_sim::{DeviceId, EventId, KernelClass};
 
-use crate::scheduler::RoundPlan;
-
-/// Stream index the primary subset runs on (mirrors the engine).
-pub const PRIMARY_STREAM: usize = 0;
-/// Stream index the secondary subset runs on (mirrors the engine).
-pub const SECONDARY_STREAM: usize = 1;
+use crate::config::SyncMode;
+use crate::launch::{LaunchTarget, Launcher, Notify};
+use crate::scheduler::{LaunchItem, RoundPlan};
 
 /// One device-side operation of the launch program, in lane order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,261 +56,60 @@ pub struct LaunchProgram {
     pub lanes: BTreeMap<(usize, usize), Vec<PlanOp>>,
 }
 
-/// Static footprint of one launch-program lane: everything its execution
-/// can observe or influence outside pure kernel timing. Two lanes with
-/// disjoint footprints commute — no interleaving of their operations is
-/// distinguishable from any other.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneFootprint {
-    /// Owning device.
-    pub device: usize,
-    /// Stream index on the device.
-    pub stream: usize,
-    /// Number of kernel launches in the lane.
-    pub kernels: usize,
-    /// Events the lane records.
-    pub records: BTreeSet<u64>,
-    /// Events the lane waits on.
-    pub waits: BTreeSet<u64>,
-    /// Collectives the lane participates in.
-    pub collectives: BTreeSet<u64>,
-}
-
-impl LaneFootprint {
-    /// Every event the lane touches, recorded or waited on.
-    pub fn events(&self) -> BTreeSet<u64> {
-        self.records.union(&self.waits).copied().collect()
-    }
-
-    /// True when no interleaving of the two lanes' operations can change
-    /// any outcome: different devices (same-device lanes share hardware
-    /// queues and contention state), no shared events, and no shared
-    /// collectives. Mirrors `DispatchFootprint::intersects` in the
-    /// simulator, which the model checker evaluates dynamically.
-    pub fn commutes_with(&self, other: &LaneFootprint) -> bool {
-        self.device != other.device
-            && self.events().intersection(&other.events()).next().is_none()
-            && self.collectives.intersection(&other.collectives).next().is_none()
-    }
-}
-
-/// Per-batch launch state the engine tracks across rounds.
-#[derive(Debug, Clone, Default)]
-struct BatchState {
-    last_stream: Option<usize>,
-    dep_events: Option<Vec<u64>>,
-}
-
-/// Replay state: lanes under construction plus the engine-side trackers.
-struct Builder<'a> {
-    devices: &'a [usize],
+/// The launch target that records instead of launching, numbering events
+/// and collectives in issue order.
+#[derive(Default)]
+struct Recorder {
     lanes: BTreeMap<(usize, usize), Vec<PlanOp>>,
-    batches: BTreeMap<u64, BatchState>,
     next_event: u64,
     next_collective: u64,
-    prev_e2: Option<Vec<u64>>,
 }
 
-impl Builder<'_> {
-    fn push(&mut self, device: usize, stream: usize, op: PlanOp) {
-        self.lanes.entry((device, stream)).or_default().push(op);
-    }
-
-    fn record_event(&mut self, device: usize, stream: usize) -> u64 {
-        let ev = self.next_event;
+impl LaunchTarget for Recorder {
+    fn record(&mut self, device: DeviceId, stream: usize) -> EventId {
+        let event = self.next_event;
         self.next_event += 1;
-        self.push(device, stream, PlanOp::Record { event: ev });
-        ev
+        self.lanes.entry((device.0, stream)).or_default().push(PlanOp::Record { event });
+        EventId(event)
     }
 
-    /// One item on `stream` of every device: compute fans out as
-    /// independent kernels, comm becomes a rendezvous collective (skipped
-    /// on a degenerate single-device deployment, like the engine).
-    fn launch_item(&mut self, batch: u64, class: KernelClass, stream: usize) {
-        let collective = match class {
-            KernelClass::Compute => None,
-            KernelClass::Comm => {
-                if self.devices.len() < 2 {
-                    return;
-                }
-                let c = self.next_collective;
-                self.next_collective += 1;
-                Some(c)
-            }
-        };
-        for &d in self.devices {
-            self.push(d, stream, PlanOp::Kernel { batch, class, collective });
+    fn wait(&mut self, device: DeviceId, stream: usize, event: EventId) {
+        self.lanes.entry((device.0, stream)).or_default().push(PlanOp::Wait { event: event.0 });
+    }
+
+    fn launch(&mut self, devices: &[DeviceId], item: &LaunchItem, stream: usize) {
+        let class = item.op.class();
+        let collective = (class == KernelClass::Comm).then(|| {
+            let c = self.next_collective;
+            self.next_collective += 1;
+            c
+        });
+        for &d in devices {
+            let op = PlanOp::Kernel { batch: item.batch, class, collective };
+            self.lanes.entry((d.0, stream)).or_default().push(op);
         }
     }
 
-    /// Batch-completion notification: the engine records one event on
-    /// device 0 and notifies the host on it.
-    fn notify_batch_done(&mut self, stream: usize) {
-        let d0 = self.devices[0];
-        self.record_event(d0, stream);
-    }
-
-    fn launch_primary(&mut self, plan: &RoundPlan, hybrid: bool) {
-        // Promoted batch: if the primary batch last ran on the secondary
-        // stream, its stream-0 run waits on that round's dependency events.
-        if let Some(item) = plan.primary.first() {
-            let state = self.batches.entry(item.batch).or_default();
-            if state.last_stream == Some(SECONDARY_STREAM) {
-                if let Some(deps) = state.dep_events.clone() {
-                    for (i, &d) in self.devices.iter().enumerate() {
-                        self.push(d, PRIMARY_STREAM, PlanOp::Wait { event: deps[i] });
-                    }
-                }
-            }
-        }
-
-        let n = plan.primary.len();
-        for (idx, item) in plan.primary.iter().enumerate() {
-            if hybrid && idx == n - 1 {
-                // E1: recorded on device 0 immediately before the run's
-                // last kernel; its notification is host-side.
-                self.record_event(self.devices[0], PRIMARY_STREAM);
-            }
-            self.launch_item(item.batch, plan.primary_class, PRIMARY_STREAM);
-            if item.completes_batch {
-                self.notify_batch_done(PRIMARY_STREAM);
-            }
-        }
-
-        // E2 per device; the next round's secondary stream waits on it.
-        let e2: Vec<u64> =
-            self.devices.iter().map(|&d| self.record_event(d, PRIMARY_STREAM)).collect();
-        self.prev_e2 = Some(e2);
-
-        if let Some(item) = plan.primary.first() {
-            self.batches.entry(item.batch).or_default().last_stream = Some(PRIMARY_STREAM);
-        }
-    }
-
-    fn launch_secondary(&mut self, plan: &RoundPlan, gate: Option<&[u64]>) {
-        if plan.secondary.is_empty() {
-            return;
-        }
-        if let Some(prev) = gate {
-            for (i, &d) in self.devices.iter().enumerate() {
-                self.push(d, SECONDARY_STREAM, PlanOp::Wait { event: prev[i] });
-            }
-        }
-        let class = plan.secondary_class();
-        for item in &plan.secondary {
-            self.launch_item(item.batch, class, SECONDARY_STREAM);
-            if item.completes_batch {
-                self.notify_batch_done(SECONDARY_STREAM);
-            }
-        }
-        let deps: Vec<u64> =
-            self.devices.iter().map(|&d| self.record_event(d, SECONDARY_STREAM)).collect();
-        for item in &plan.secondary {
-            let state = self.batches.entry(item.batch).or_default();
-            state.last_stream = Some(SECONDARY_STREAM);
-            state.dep_events = Some(deps.clone());
-        }
-    }
+    fn notify(&mut self, _: DeviceId, _: EventId, _: Notify) {}
 }
 
 impl LaunchProgram {
-    /// Replays `plans` over devices `0..world`. `hybrid` selects the E1
-    /// event of the hybrid synchronization mode.
-    pub fn from_plans(plans: &[RoundPlan], world: usize, hybrid: bool) -> LaunchProgram {
-        let devices: Vec<usize> = (0..world).collect();
-        LaunchProgram::from_plans_on(plans, &devices, hybrid)
-    }
-
-    /// Replays `plans` over an explicit device set (a degraded topology's
-    /// survivors, for instance).
-    pub fn from_plans_on(plans: &[RoundPlan], devices: &[usize], hybrid: bool) -> LaunchProgram {
-        assert!(!devices.is_empty(), "launch program needs at least one device");
-        let mut b = Builder {
-            devices,
-            lanes: BTreeMap::new(),
-            batches: BTreeMap::new(),
-            next_event: 0,
-            next_collective: 0,
-            prev_e2: None,
-        };
+    /// Records the program the engine launches for `plans` over devices
+    /// `0..world` in synchronization mode `mode`.
+    pub fn from_plans(plans: &[RoundPlan], world: usize, mode: SyncMode) -> LaunchProgram {
+        assert!(world > 0, "launch program needs at least one device");
+        let devices: Vec<DeviceId> = (0..world).map(DeviceId).collect();
+        let mut recorder = Recorder::default();
+        let mut launcher = Launcher::default();
         for plan in plans {
-            // The secondary stream is gated on the previous round's E2.
-            let gate = b.prev_e2.take();
-            // Communication launches first: its rendezvous benefits most
-            // from reaching the devices early.
-            if plan.primary_class == KernelClass::Comm {
-                b.launch_primary(plan, hybrid);
-                b.launch_secondary(plan, gate.as_deref());
-            } else {
-                b.launch_secondary(plan, gate.as_deref());
-                b.launch_primary(plan, hybrid);
-            }
+            launcher.launch_round(&mut recorder, &devices, plan, mode);
         }
-        LaunchProgram { lanes: b.lanes }
+        LaunchProgram { lanes: recorder.lanes }
     }
 
     /// Ops in one lane, empty when the lane was never touched.
     pub fn lane(&self, device: usize, stream: usize) -> &[PlanOp] {
         self.lanes.get(&(device, stream)).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Static footprint of every lane, in lane order. This is the
-    /// program-level analogue of the simulator's dispatch footprints: the
-    /// schedule-space model checker keys its partial-order reduction on the
-    /// same (device, event, collective) state, so the fraction of lane
-    /// pairs that commute here predicts how much of the interleaving space
-    /// DPOR can prune before any schedule runs.
-    pub fn lane_footprints(&self) -> Vec<LaneFootprint> {
-        self.lanes
-            .iter()
-            .map(|(&(device, stream), ops)| {
-                let mut fp = LaneFootprint {
-                    device,
-                    stream,
-                    kernels: 0,
-                    records: BTreeSet::new(),
-                    waits: BTreeSet::new(),
-                    collectives: BTreeSet::new(),
-                };
-                for op in ops {
-                    match op {
-                        PlanOp::Kernel { collective, .. } => {
-                            fp.kernels += 1;
-                            if let Some(c) = collective {
-                                fp.collectives.insert(*c);
-                            }
-                        }
-                        PlanOp::Record { event } => {
-                            fp.records.insert(*event);
-                        }
-                        PlanOp::Wait { event } => {
-                            fp.waits.insert(*event);
-                        }
-                    }
-                }
-                fp
-            })
-            .collect()
-    }
-
-    /// Counts statically commutable lane pairs: `(commutable, total)` over
-    /// all unordered pairs of non-empty lanes. A ratio near 1 means the
-    /// program's schedule space collapses to almost nothing under DPOR; a
-    /// ratio near 0 means every interleaving is order-sensitive and
-    /// exploration degenerates toward naive enumeration.
-    pub fn commutable_lane_pairs(&self) -> (usize, usize) {
-        let fps = self.lane_footprints();
-        let mut commutable = 0;
-        let mut total = 0;
-        for i in 0..fps.len() {
-            for j in i + 1..fps.len() {
-                total += 1;
-                if fps[i].commutes_with(&fps[j]) {
-                    commutable += 1;
-                }
-            }
-        }
-        (commutable, total)
     }
 
     /// Total ops across every lane.
@@ -330,15 +125,10 @@ impl LaunchProgram {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
-
-    use liger_gpu_sim::prelude::*;
-    use liger_model::{assemble, BatchShape, CostModel, ModelConfig};
+    use liger_gpu_sim::SimDuration;
 
     use super::*;
-    use crate::funcvec::FuncVec;
-    use crate::scheduler::{plan_round, LaunchItem, PlanParams};
-    use crate::{LigerConfig, LigerEngine, SyncMode};
+    use crate::launch::{PRIMARY_STREAM, SECONDARY_STREAM};
 
     fn item(batch: u64, comm: bool, completes: bool) -> LaunchItem {
         let op = if comm {
@@ -365,7 +155,7 @@ mod tests {
             plan(vec![item(0, false, false)], vec![], false),
             plan(vec![item(0, false, false)], vec![item(1, true, false)], false),
         ];
-        let prog = LaunchProgram::from_plans(&plans, 2, true);
+        let prog = LaunchProgram::from_plans(&plans, 2, SyncMode::Hybrid);
         // Round 0 recorded E2 per device; round 1's secondary lane on each
         // device must begin with a wait on its own device's E2.
         for d in 0..2 {
@@ -391,7 +181,7 @@ mod tests {
             plan(vec![item(0, false, true)], vec![item(1, true, false)], false),
             plan(vec![item(1, false, false)], vec![], false),
         ];
-        let prog = LaunchProgram::from_plans(&plans, 2, false);
+        let prog = LaunchProgram::from_plans(&plans, 2, SyncMode::InterStream);
         for d in 0..2 {
             let lane = prog.lane(d, PRIMARY_STREAM);
             assert!(
@@ -404,7 +194,7 @@ mod tests {
     #[test]
     fn collectives_fan_out_with_shared_ids() {
         let plans = vec![plan(vec![item(0, true, false)], vec![item(1, false, false)], true)];
-        let prog = LaunchProgram::from_plans(&plans, 4, false);
+        let prog = LaunchProgram::from_plans(&plans, 4, SyncMode::InterStream);
         let collective_of = |d: usize| {
             prog.lane(d, PRIMARY_STREAM)
                 .iter()
@@ -431,7 +221,7 @@ mod tests {
     #[test]
     fn hybrid_places_e1_before_last_primary_kernel() {
         let plans = vec![plan(vec![item(0, false, false), item(0, false, false)], vec![], false)];
-        let prog = LaunchProgram::from_plans(&plans, 2, true);
+        let prog = LaunchProgram::from_plans(&plans, 2, SyncMode::Hybrid);
         let lane = prog.lane(0, PRIMARY_STREAM);
         // kernel, E1 record, kernel, E2 record.
         assert!(matches!(lane[0], PlanOp::Kernel { .. }));
@@ -441,113 +231,28 @@ mod tests {
     }
 
     #[test]
-    fn lane_footprints_summarize_ops() {
-        let plans = vec![plan(vec![item(0, true, false)], vec![item(1, false, false)], true)];
-        let prog = LaunchProgram::from_plans(&plans, 2, false);
-        let fps = prog.lane_footprints();
-        for fp in &fps {
-            assert!(fp.kernels > 0 || !fp.records.is_empty() || !fp.waits.is_empty());
-            if fp.stream == PRIMARY_STREAM {
-                assert_eq!(fp.collectives.len(), 1, "comm primary joins one collective: {fp:?}");
-            }
-        }
-        // Primary lanes share the collective: they must not commute.
-        let primary: Vec<&LaneFootprint> =
-            fps.iter().filter(|f| f.stream == PRIMARY_STREAM).collect();
-        assert_eq!(primary.len(), 2);
-        assert!(!primary[0].commutes_with(primary[1]));
-        // A lane never commutes with a lane on its own device.
-        let d0: Vec<&LaneFootprint> = fps.iter().filter(|f| f.device == 0).collect();
-        assert!(d0.len() >= 2 && !d0[0].commutes_with(d0[1]));
-    }
-
-    #[test]
-    fn commutable_pairs_track_cross_device_independence() {
-        // Two compute-only rounds with no events shared across devices:
-        // cross-device secondary lanes commute, same-device pairs do not.
-        let plans = vec![plan(vec![item(0, false, false)], vec![], false)];
-        let prog = LaunchProgram::from_plans(&plans, 2, false);
-        let (commutable, total) = prog.commutable_lane_pairs();
-        assert_eq!(total, 1, "one primary lane per device: {:?}", prog.lanes.keys());
-        // Each lane records its own E2, so the pair shares no events.
-        assert_eq!(commutable, 1);
-
-        // A comm round couples the devices through the collective.
-        let plans = vec![plan(vec![item(0, true, false)], vec![], true)];
-        let prog = LaunchProgram::from_plans(&plans, 2, false);
-        assert_eq!(prog.commutable_lane_pairs(), (0, 1));
-    }
-
-    /// The replay and the real engine agree: for a real planned workload,
-    /// the per-lane kernel fan-out predicted by [`LaunchProgram`] matches
-    /// the kernels the engine actually enqueues in the simulator trace.
-    #[test]
-    fn mirrors_engine_launch_order() {
-        let cfg = ModelConfig::tiny_test();
-        let cm = CostModel::v100_node();
-        let world = 2;
-
-        // Predict: in inter-stream (flood) mode the engine plans batch 0's
-        // rounds at first submission and batch 1's after batch 0 completes,
-        // so the offline replay floods each batch in turn. Params mirror
-        // `LigerEngine::params` on a healthy node at default config.
-        let lc = LigerConfig::default().with_sync_mode(SyncMode::InterStream);
-        let params = PlanParams {
-            contention_factor: lc.contention_factor,
-            division_factor: lc.division_factor,
-            enable_decomposition: lc.enable_decomposition,
-            straggler_factor: 1.0,
+    fn cpu_gpu_rounds_end_with_a_record_on_every_lane() {
+        let plans = vec![
+            plan(vec![item(0, false, false)], vec![item(1, true, false)], false),
+            plan(vec![item(0, true, true)], vec![], true),
+        ];
+        let cpu_gpu = LaunchProgram::from_plans(&plans, 2, SyncMode::CpuGpu);
+        let inter_stream = LaunchProgram::from_plans(&plans, 2, SyncMode::InterStream);
+        let records = |prog: &LaunchProgram, d: usize, s: usize| {
+            prog.lane(d, s).iter().filter(|op| matches!(op, PlanOp::Record { .. })).count()
         };
-        let shape = BatchShape::prefill(1, 16);
-        let mut plans = Vec::new();
-        for b in 0..2u64 {
-            let fv = FuncVec::from_ops(
-                b,
-                shape,
-                SimTime::ZERO,
-                assemble(&cm, &cfg, shape, world as u32),
-            );
-            let mut processing: VecDeque<FuncVec> = [fv].into();
-            while let Some(p) = plan_round(&mut processing, &params, &cm) {
-                plans.push(p);
+        for d in 0..2 {
+            for s in [PRIMARY_STREAM, SECONDARY_STREAM] {
+                // One round-end record per (device, stream) per round.
+                assert_eq!(
+                    records(&cpu_gpu, d, s),
+                    records(&inter_stream, d, s) + plans.len(),
+                    "lane ({d},{s})"
+                );
+                // The round-end record is the last op of each lane.
+                assert!(matches!(cpu_gpu.lane(d, s).last(), Some(PlanOp::Record { .. })));
             }
         }
-        let prog = LaunchProgram::from_plans(&plans, world, false);
-
-        // Run: same workload through the real engine.
-        let mut sim = Simulation::builder()
-            .devices(DeviceSpec::v100_16gb(), world)
-            .capture_trace(true)
-            .build()
-            .unwrap();
-        let mut engine = LigerEngine::new(cfg, cm, world, lc).unwrap();
-        let reqs: Vec<liger_serving::Request> = (0..2)
-            .map(|i| liger_serving::Request::new(i, BatchShape::prefill(1, 16), SimTime::ZERO))
-            .collect();
-        let _ = liger_serving::serve(&mut sim, &mut engine, reqs);
-        let trace = sim.take_trace().unwrap();
-
-        // Compare per-lane kernel class sequences (trace has no Record
-        // entries for events the engine recorded, so filter to kernels).
-        for (&(d, s), ops) in &prog.lanes {
-            let predicted: Vec<KernelClass> = ops
-                .iter()
-                .filter_map(|op| match op {
-                    PlanOp::Kernel { class, .. } => Some(*class),
-                    _ => None,
-                })
-                .collect();
-            let mut actual: Vec<(SimTime, KernelClass)> = trace
-                .on_device(DeviceId(d))
-                .filter(|e| e.stream == s)
-                .map(|e| (e.enqueued_at, e.class))
-                .collect();
-            actual.sort_by_key(|&(t, _)| t);
-            let actual: Vec<KernelClass> = actual.into_iter().map(|(_, c)| c).collect();
-            assert_eq!(
-                predicted, actual,
-                "lane ({d},{s}): predicted kernel classes diverge from the engine"
-            );
-        }
+        assert_ne!(cpu_gpu.lanes, inter_stream.lanes);
     }
 }

@@ -26,8 +26,10 @@
 //! * [`config`] — tunables (contention factor, division factor, processing
 //!   list size, sync mode).
 //!
-//! [`introspect`] additionally replays the engine's launch sequence as
-//! data, feeding the static plan verifier in `liger-verify`.
+//! The round-launch sequence itself lives in one crate-private module that
+//! both the engine and [`introspect`] drive: the engine issues it into the
+//! simulator, and [`LaunchProgram::from_plans`] records the same calls as
+//! data for the static plan verifier and model checker in `liger-verify`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,10 +38,11 @@ pub mod config;
 pub mod engine;
 pub mod funcvec;
 pub mod introspect;
+mod launch;
 pub mod scheduler;
 
 pub use config::{LigerConfig, SyncMode};
 pub use engine::LigerEngine;
 pub use funcvec::FuncVec;
-pub use introspect::{LaneFootprint, LaunchProgram, PlanOp};
+pub use introspect::{LaunchProgram, PlanOp};
 pub use scheduler::{plan_round, LaunchItem, PlanParams, RoundPlan};
