@@ -167,7 +167,7 @@ cargo run --release -q -p liger-verify --bin liger-verify -- tests/golden/*.json
 # interleavings. The adversarial battery must reproduce every expected
 # MC-* verdict (and nothing else); the five ablation launch programs must
 # explore exhaustively with zero diagnostics and a DPOR reduction ratio
-# of at least 2x (typically 40-54x — the canonical run plus every
+# of at least 2x (typically 40-58x — the canonical run plus every
 # commutable alternative pruned). Also pinned + fresh-seed soundness
 # props: pruned exploration must visit exactly the naive terminal set.
 # --min-ratio applies to the ablation programs only: battery cases such as

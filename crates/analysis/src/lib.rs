@@ -11,8 +11,9 @@
 //!   (`SV-COLLECTIVE-MATCH`), the event-wait graph is acyclic
 //!   (`SV-WAIT-CYCLE`), shard shapes are consistent (`SV-SHARD-SHAPE`) and
 //!   peak memory fits every device, healthy or degraded (`SV-MEM-CAP`).
-//!   Launch programs come from [`liger_core::introspect`], which replays
-//!   the engine's launch sequence as data.
+//!   Launch programs come from [`liger_core::introspect`], which runs the
+//!   engine's own launch sequence against a recorder, so the verifier
+//!   checks the code the engine runs rather than a copy of it.
 //! * [`sanitizer`] — reconstructs happens-before from an exported Chrome
 //!   trace via per-lane vector clocks and flags FIFO violations
 //!   (`TS-FIFO`), collective skew (`TS-COLL-SKEW`), synchronization/time

@@ -5,9 +5,9 @@
 //! batch size and sequence length — which the scheduler consumes when
 //! building subsets. Here a [`FuncVec`] wraps the priced op list produced by
 //! [`liger_model::assemble`] plus the batch's arrival order. The paper's
-//! function assembler also tracks each batch's last-launched stream and its
-//! cross-stream dependency event; here the launch sequence keeps those,
-//! since it is the only reader.
+//! function assembler also owns each batch's last-launched stream and
+//! cross-stream dependency event; here the launch sequence keeps those, as
+//! it is their only reader.
 
 use std::collections::VecDeque;
 

@@ -25,7 +25,7 @@ pub(crate) const SECONDARY_STREAM: usize = 1;
 
 /// The host-side notification points of the sequence. None of them
 /// enqueues device work.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub(crate) enum Notify {
     /// Hybrid E1 of `round`: the primary run's last kernel is about to start.
     E1 { round: u64 },
@@ -53,7 +53,7 @@ pub(crate) trait LaunchTarget {
 }
 
 /// The launch state carried from round to round.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct Launcher {
     round: u64,
     /// The previous round's per-device E2 events, gating this round's
@@ -123,8 +123,8 @@ impl Launcher {
         round: u64,
         mode: SyncMode,
     ) -> u32 {
-        // A batch promoted from the secondary stream waits there for its
-        // earlier kernels before its stream-0 run.
+        // Cross-stream dependency: a batch whose previous kernels ran on the
+        // secondary stream must not start its stream-0 run before them.
         let batch = plan.primary[0].batch;
         if let Some(i) = self.on_secondary.iter().position(|&(b, _)| b == batch) {
             let (_, deps) = self.on_secondary.swap_remove(i);
@@ -208,4 +208,69 @@ fn launch_item<T: LaunchTarget>(
     let ev = t.record(devices[0], stream);
     t.notify(devices[0], ev, Notify::BatchDone { batch: item.batch });
     1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use liger_model::{LayerOp, PlacedOp, PricedOp};
+
+    /// Counts events and drops everything else.
+    struct Null(u64);
+
+    impl LaunchTarget for Null {
+        fn record(&mut self, _: DeviceId, _: usize) -> EventId {
+            self.0 += 1;
+            EventId(self.0)
+        }
+        fn wait(&mut self, _: DeviceId, _: usize, _: EventId) {}
+        fn launch(&mut self, _: &[DeviceId], _: &LaunchItem, _: usize) {}
+        fn notify(&mut self, _: DeviceId, _: EventId, _: Notify) {}
+    }
+
+    fn item(batch: u64, class: KernelClass, completes: bool) -> LaunchItem {
+        let op = match class {
+            KernelClass::Compute => LayerOp::Gelu { rows: 64, width: 64 },
+            KernelClass::Comm => LayerOp::AllReduce { bytes: 1 << 20, ranks: 2 },
+        };
+        let placed = PlacedOp { layer: 0, op };
+        let op = PricedOp { placed, duration: SimDuration::from_micros(10) };
+        LaunchItem { batch, op, completes_batch: completes }
+    }
+
+    #[test]
+    fn batch_state_ends_with_the_batch() {
+        use KernelClass::*;
+        let devices = [DeviceId(0), DeviceId(1)];
+        let round = |primary, secondary, class| RoundPlan {
+            primary,
+            secondary,
+            primary_class: class,
+            window: SimDuration::from_micros(10),
+        };
+        let mut launcher = Launcher::default();
+        let mut t = Null(0);
+        // Batches 1 and 2 run on the secondary stream; batch 1 finishes
+        // there, batch 2 is later promoted to primary.
+        let plans = [
+            round(
+                vec![item(0, Compute, false)],
+                vec![item(1, Comm, false), item(2, Comm, false)],
+                Compute,
+            ),
+            round(
+                vec![item(0, Comm, true)],
+                vec![item(1, Compute, true), item(2, Compute, false)],
+                Comm,
+            ),
+            round(vec![item(2, Compute, true)], vec![], Compute),
+        ];
+        launcher.launch_round(&mut t, &devices, &plans[0], SyncMode::Hybrid);
+        let tracked = |l: &Launcher| l.on_secondary.iter().map(|&(b, _)| b).collect::<Vec<_>>();
+        assert_eq!(tracked(&launcher), [1, 2]);
+        launcher.launch_round(&mut t, &devices, &plans[1], SyncMode::Hybrid);
+        assert_eq!(tracked(&launcher), [2], "a batch completing on the secondary is dropped");
+        launcher.launch_round(&mut t, &devices, &plans[2], SyncMode::Hybrid);
+        assert!(launcher.on_secondary.is_empty(), "a promoted batch is dropped");
+    }
 }
