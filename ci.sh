@@ -47,24 +47,10 @@ cargo test -q -p liger-gpu-sim --test fault_props --test proptests --test core_p
 cargo test -q -p liger-kvcache --test pool_props --test prefix_props
 cargo test -q --test recovery
 
-# Parallel event core gate (DESIGN.md §13): the full tier-1 suite must be
-# observationally identical on the device-sharded core — LIGER_CORE=par
-# reroutes every Simulation::run in the workspace through ParallelCore —
-# plus the serving-level invariance suite with a pinned property seed, and
-# the bench_simcore smoke run, which cross-checks both cores dispatch
-# identical event counts to identical simulated end times.
-echo "==> full test suite under LIGER_CORE=par"
-LIGER_CORE=par cargo test -q --workspace
-LIGER_CORE=par LIGER_PROP_SEED=0xfa0175 \
-    cargo test -q -p liger-gpu-sim --test core_props --test fault_props --test proptests
-
-echo "==> cross-core invariance suite"
-cargo test -q --test core_invariance
-
 # Prefix/speculation differential gate: the same seeded shared-prefix trace
 # with caching and speculation off/on must emit identical token streams,
 # sanitize clean healthy and under a device loss, and replay byte-identically
-# across event cores.
+# on a second run.
 echo "==> prefix caching differential suite"
 cargo test -q --test prefix_caching
 
@@ -72,7 +58,7 @@ cargo test -q --test prefix_caching
 # outages, rejoins, flaps, stragglers, kernel failures — over continuous
 # serving with recovery and re-expansion. Once on the pinned known-green
 # seed, once fresh. Release build: each storm runs the real engine against
-# a fault-free oracle on both event cores.
+# a fault-free oracle.
 echo "==> chaos storm tier (pinned seed)"
 LIGER_PROP_SEED=0xfa0175 cargo test -q --release --test chaos
 echo "==> chaos storm tier (fresh seed)"
@@ -105,9 +91,6 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
     fi
 done
 
-echo "==> bench_simcore --smoke"
-cargo run --release -q -p liger-bench --bin bench_simcore -- --smoke
-
 # Recovery ablation accounting gate: a short trace through every loss
 # scenario x policy; the binary exits non-zero if any request goes missing
 # without a recorded shed reason or detection exceeds the watchdog bound.
@@ -135,7 +118,7 @@ echo "==> ablation_chaos --smoke"
 cargo run --release -q -p liger-bench --bin ablation_chaos -- --smoke
 
 # Cluster tier (DESIGN.md §17): replica router and disaggregated
-# prefill/decode must be byte-identical across event cores (every router
+# prefill/decode must be byte-identical on a repeat run (every router
 # policy, healthy and degraded NIC), survive a replica-loss storm with
 # every job accounted for, and keep every per-replica / per-node trace
 # sanitizer-clean.

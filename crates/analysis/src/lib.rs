@@ -25,7 +25,7 @@
 //!
 //! * [`model_checker`] — bounded-exhaustive exploration of event
 //!   *interleavings* with dynamic partial-order reduction: replays a
-//!   program under every reorderable schedule the parallel core's window
+//!   program under every reorderable schedule the conservative window
 //!   rule (or an unguarded relaxation) admits, and checks every terminal
 //!   state for schedule-dependence (`MC-DETERMINISM`), sanitizer
 //!   violations (`MC-SANITIZE`) and stuck residue (`MC-QUIESCENCE`,

@@ -4,10 +4,9 @@
 //! split each run real [`LigerEngine`]s over real simulations, so this
 //! tier gets the same guarantees as every other layer:
 //!
-//! * **cross-core byte-identity** — serving the same trace under the
-//!   sequential oracle and under the parallel event core (1, 2 and 4
-//!   workers) must export byte-identical Chrome traces and identical
-//!   reports, for every router policy and for the disaggregated mode;
+//! * **byte-identity** — serving the same trace twice must export
+//!   byte-identical Chrome traces and identical reports, for every router
+//!   policy, under a replica-loss storm and for the disaggregated mode;
 //! * **sanitizer-clean** — every per-replica and per-node trace passes the
 //!   happens-before sanitizer with zero diagnostics, healthy or degraded
 //!   (streamed KV blocks: no leak, no use-after-free, no double free);
@@ -20,11 +19,11 @@ use std::collections::BTreeSet;
 
 use liger_collectives::ClusterTopology;
 use liger_core::{LigerConfig, LigerEngine};
-use liger_gpu_sim::{CoreSelect, DeviceId, DeviceSpec, FaultSpec, HostSpec, SimTime, Simulation};
+use liger_gpu_sim::{DeviceId, DeviceSpec, FaultSpec, HostSpec, SimTime, Simulation};
 use liger_model::{CostModel, ModelConfig, RecoveryPolicy};
 use liger_serving::{
-    serve_cluster_on, serve_disaggregated_on, ClusterConfig, ClusterReport, DisaggConfig,
-    DisaggReport, GenerationJob, PrefixTag, RouterPolicy, SchedulerConfig,
+    serve_cluster, serve_disaggregated, ClusterConfig, ClusterReport, DisaggConfig, DisaggReport,
+    GenerationJob, PrefixTag, RouterPolicy, SchedulerConfig,
 };
 use liger_verify::sanitize;
 
@@ -110,34 +109,24 @@ fn disagg_fingerprint(r: &DisaggReport) -> String {
 }
 
 fn run_cluster(
-    core: CoreSelect,
     policy: RouterPolicy,
     faults: impl Fn(usize, usize) -> Option<FaultSpec>,
 ) -> ClusterReport {
     let world = 2;
     let config = ClusterConfig::new(3, scheduler(world as u32)).with_policy(policy);
-    serve_cluster_on(core, jobs(24, 20), &model(), &cost(), config, |replica, wave| {
+    serve_cluster(jobs(24, 20), &model(), &cost(), config, |replica, wave| {
         (sim(world, faults(replica, wave)), engine(world))
     })
 }
 
-fn cores() -> [CoreSelect; 4] {
-    [
-        CoreSelect::Seq,
-        CoreSelect::Par { workers: 1 },
-        CoreSelect::Par { workers: 2 },
-        CoreSelect::Par { workers: 4 },
-    ]
-}
-
-/// Healthy cluster: every router policy serves byte-identically on the
-/// sequential and parallel cores, and every replica trace sanitizes clean.
+/// Healthy cluster: every router policy serves byte-identically on a
+/// repeat run, and every replica trace sanitizes clean.
 #[test]
-fn cluster_is_byte_identical_across_cores() {
+fn cluster_is_byte_identical_across_runs() {
     for policy in
         [RouterPolicy::RoundRobin, RouterPolicy::LeastOutstanding, RouterPolicy::PrefixAffinity]
     {
-        let oracle = run_cluster(CoreSelect::Seq, policy, |_, _| None);
+        let oracle = run_cluster(policy, |_, _| None);
         assert_eq!(oracle.completed(), 24, "{}: healthy cluster completes all", policy.name());
         assert!(oracle.lost.is_empty());
         assert!(oracle.replicas.iter().all(|r| r.healthy));
@@ -145,19 +134,16 @@ fn cluster_is_byte_identical_across_cores() {
             let diags = sanitize(t);
             assert!(diags.is_empty(), "{}: replica {i} trace: {diags:?}", policy.name());
         }
-        let want = cluster_fingerprint(&oracle);
-        for core in &cores()[1..] {
-            let got = cluster_fingerprint(&run_cluster(*core, policy, |_, _| None));
-            assert_eq!(got, want, "{}: {core:?} diverges from Seq", policy.name());
-        }
+        let again = cluster_fingerprint(&run_cluster(policy, |_, _| None));
+        assert_eq!(again, cluster_fingerprint(&oracle), "{}: repeat run diverges", policy.name());
     }
 }
 
 /// Replica-loss storm: two of three replicas lose a device mid-serve (a
 /// strict subset — the survivor keeps the replica draining). The unhealthy
 /// replicas shed their backlog, the healthy replica absorbs it in the
-/// re-route wave, and the storm is byte-identical across cores with every
-/// trace (degraded included) sanitizer-clean.
+/// re-route wave, and the storm is byte-identical on a repeat run with
+/// every trace (degraded included) sanitizer-clean.
 #[test]
 fn replica_loss_storm_drains_and_reroutes() {
     // A deep backlog at death time: tight arrivals, a small running set and
@@ -168,19 +154,19 @@ fn replica_loss_storm_drains_and_reroutes() {
         (wave == 0 && (replica == 0 || replica == 2))
             .then(|| FaultSpec::new(1).device_down(DeviceId(1), death))
     };
-    let run = |core: CoreSelect| -> ClusterReport {
+    let run = || -> ClusterReport {
         let mut sched = scheduler(2);
         sched.max_running = 2;
         sched.admission.queue_watermark = 2;
         // The watchdog is what converts a DeviceDown into a confirmed loss.
         sched.health = Some(liger_serving::HealthConfig::default());
         let config = ClusterConfig::new(3, sched);
-        serve_cluster_on(core, storm_jobs(), &model(), &cost(), config, |replica, wave| {
+        serve_cluster(storm_jobs(), &model(), &cost(), config, |replica, wave| {
             (sim(2, faults(replica, wave)), engine(2))
         })
     };
 
-    let report = run(CoreSelect::Seq);
+    let report = run();
     assert!(!report.replicas[0].healthy, "replica 0 lost a device");
     assert!(report.replicas[1].healthy, "replica 1 was untouched");
     assert!(!report.replicas[2].healthy, "replica 2 lost a device");
@@ -206,30 +192,27 @@ fn replica_loss_storm_drains_and_reroutes() {
         assert!(diags.is_empty(), "storm trace {i}: {diags:?}");
     }
 
-    // And the whole storm is deterministic across event cores.
-    let want = cluster_fingerprint(&report);
-    for core in &cores()[1..] {
-        assert_eq!(cluster_fingerprint(&run(*core)), want, "{core:?} diverges under storm");
-    }
+    // And the whole storm is deterministic.
+    assert_eq!(cluster_fingerprint(&run()), cluster_fingerprint(&report), "storm diverges");
 }
 
-fn run_disagg(core: CoreSelect, degrade: f64) -> DisaggReport {
+fn run_disagg(degrade: f64) -> DisaggReport {
     let cluster = ClusterTopology::v100_cluster(2, 2);
     let mut config = DisaggConfig::new(cluster, scheduler(2)).with_nic_degrade(degrade);
     config.scheduler.policy = RecoveryPolicy::Replicate;
-    serve_disaggregated_on(core, jobs(20, 30), &model(), &cost(), config, |_role, devices| {
+    serve_disaggregated(jobs(20, 30), &model(), config, |_role, devices| {
         (sim(devices.len(), None), engine(devices.len()))
     })
 }
 
 /// Disaggregated mode: prefill and decode node traces are byte-identical
-/// across event cores, every streamed KV block is tracked end-to-end
+/// on a repeat run, every streamed KV block is tracked end-to-end
 /// (sanitizer-clean on both nodes), and a degraded NIC changes the
 /// timeline without breaking determinism or block accounting.
 #[test]
-fn disagg_is_byte_identical_across_cores() {
+fn disagg_is_byte_identical_across_runs() {
     for degrade in [1.0, 4.0] {
-        let oracle = run_disagg(CoreSelect::Seq, degrade);
+        let oracle = run_disagg(degrade);
         assert_eq!(oracle.generation.completed(), 20, "disagg completes all jobs");
         assert!(oracle.streamed_blocks > 0, "prefill node streamed KV blocks");
         assert_eq!(oracle.traces.len(), 2, "one trace per node");
@@ -237,11 +220,8 @@ fn disagg_is_byte_identical_across_cores() {
             let diags = sanitize(t);
             assert!(diags.is_empty(), "{label} node (degrade {degrade}): {diags:?}");
         }
-        let want = disagg_fingerprint(&oracle);
-        for core in &cores()[1..] {
-            let got = disagg_fingerprint(&run_disagg(*core, degrade));
-            assert_eq!(got, want, "{core:?} diverges from Seq at degrade {degrade}");
-        }
+        let again = disagg_fingerprint(&run_disagg(degrade));
+        assert_eq!(again, disagg_fingerprint(&oracle), "repeat run diverges at degrade {degrade}");
     }
 }
 
@@ -249,8 +229,8 @@ fn disagg_is_byte_identical_across_cores() {
 /// admission happens later than with the healthy link.
 #[test]
 fn degraded_nic_delays_decode_admission() {
-    let healthy = run_disagg(CoreSelect::Seq, 1.0);
-    let degraded = run_disagg(CoreSelect::Seq, 16.0);
+    let healthy = run_disagg(1.0);
+    let degraded = run_disagg(16.0);
     assert_eq!(healthy.streamed_blocks, degraded.streamed_blocks, "same blocks either way");
     assert!(degraded.streamed_bytes == healthy.streamed_bytes);
     let finish = |r: &DisaggReport| {

@@ -44,7 +44,7 @@ fn a_wait_on_a_reclaimed_event_sanitizes_clean() {
         .build()
         .unwrap();
     let mut driver = StaleWait { first: None };
-    sim.run_to_completion_with(CoreSelect::Seq, &mut driver);
+    sim.run_to_completion(&mut driver);
     assert_eq!(sim.live_events(), 0, "every event fired and was reclaimed");
     assert!(sim.event_has_fired(driver.first.unwrap()));
     let trace = sim.take_trace().unwrap();

@@ -130,8 +130,7 @@ fn run_colocated(jobs: &[GenerationJob], world: usize) -> (Outcome, Trace) {
 fn run_disagg(jobs: &[GenerationJob], per_node: usize) -> (Outcome, u64, Vec<Trace>) {
     let cluster = ClusterTopology::new(2, per_node, Node::V100.topology(), NicLink::hdr_200g());
     let config = DisaggConfig::new(cluster, scheduler_config(per_node as u32));
-    let cost = Node::V100.cost_model();
-    let report = serve_disaggregated(jobs.to_vec(), &model(), &cost, config, |_role, devices| {
+    let report = serve_disaggregated(jobs.to_vec(), &model(), config, |_role, devices| {
         (Node::V100.simulation(devices.len(), true), engine(devices.len()))
     });
     let shed = report.serving.recovery().shed_requests();

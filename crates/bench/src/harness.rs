@@ -5,11 +5,11 @@ use std::fmt::Write as _;
 use liger_collectives::{NcclConfig, Topology};
 use liger_core::{LigerConfig, LigerEngine, SyncMode};
 use liger_gpu_sim::json::{JsonArray, JsonObject, ToJson};
-use liger_gpu_sim::{CoreSelect, DeviceSpec, FaultSpec, HostSpec, Simulation};
+use liger_gpu_sim::{DeviceSpec, FaultSpec, HostSpec, Simulation};
 use liger_model::{profile_contention, CostModel, ModelConfig};
 use liger_parallelism::{InterOpEngine, IntraOpEngine, PipelineFlavor};
 use liger_serving::{
-    serve_on, serve_with_policy_on, serve_with_recovery_on, RecoveryConfig, Request, RetryPolicy,
+    serve, serve_with_policy, serve_with_recovery, RecoveryConfig, Request, RetryPolicy,
     ServingMetrics,
 };
 
@@ -154,11 +154,10 @@ pub fn run_serving_with_faults(
     policy: Option<RetryPolicy>,
 ) -> ServingMetrics {
     let cost = node.cost_model();
-    let core = arg_core();
     let mut sim = node.simulation_with_faults(world, false, faults);
     let drive = |e: &mut dyn liger_serving::InferenceEngine, sim: &mut Simulation| match policy {
-        Some(p) => serve_with_policy_on(core, sim, e, requests.clone(), p),
-        None => serve_on(core, sim, e, requests.clone()),
+        Some(p) => serve_with_policy(sim, e, requests.clone(), p),
+        None => serve(sim, e, requests.clone()),
     };
     match kind {
         EngineKind::Liger(config) => {
@@ -200,31 +199,13 @@ pub fn run_liger_recovery(
     config: RecoveryConfig,
 ) -> ServingMetrics {
     let cost = node.cost_model();
-    let core = arg_core();
     let mut sim = node.simulation_with_faults(world, false, faults);
     let liger = LigerConfig::default().with_contention_factor(node.contention_factor());
     let mut e =
         LigerEngine::new(model.clone(), cost.clone(), world, liger).expect("valid Liger setup");
-    let mut m = serve_with_recovery_on(core, &mut sim, &mut e, requests, model, &cost, config);
+    let mut m = serve_with_recovery(&mut sim, &mut e, requests, model, &cost, config);
     m.faults_mut().degraded_rounds = e.degraded_rounds();
     m
-}
-
-/// Reads `--core <seq|par|par:N>` from the process arguments and parses it
-/// with [`CoreSelect::parse`]; falls back to the `LIGER_CORE` environment
-/// variable (and ultimately the sequential core) when the flag is absent.
-/// Exits with the parse error on a malformed value.
-pub fn arg_core() -> CoreSelect {
-    match arg_value("core") {
-        Some(raw) => match CoreSelect::parse(&raw) {
-            Ok(core) => core,
-            Err(e) => {
-                eprintln!("invalid --core value: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => CoreSelect::from_env(),
-    }
 }
 
 /// Reads `--faults <spec>` from the process arguments and parses it with

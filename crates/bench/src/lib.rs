@@ -7,18 +7,16 @@
 //!
 //! The [`harness`] module contains the shared machinery: node descriptions
 //! (the paper's two testbeds), engine construction, trace building, a
-//! std-thread parallel sweep driver and plain-text table formatting. The
-//! [`micro`] module is the tiny `std::time::Instant` timing loop behind the
-//! `benches/` binaries. No external crates are involved anywhere.
+//! std-thread parallel sweep driver and plain-text table formatting. No
+//! external crates are involved anywhere.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod harness;
-pub mod micro;
 
 pub use harness::{
-    arg_core, arg_faults, arg_flag, arg_value, default_requests, intra_capacity, maybe_write_csv,
+    arg_faults, arg_flag, arg_value, default_requests, intra_capacity, maybe_write_csv,
     maybe_write_json, rate_grid, run_liger_recovery, run_serving, run_serving_with_faults, sweep,
     EngineKind, ExperimentPoint, Node, Table,
 };

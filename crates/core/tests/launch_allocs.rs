@@ -16,9 +16,9 @@ use std::cell::Cell;
 
 use liger_collectives::Topology;
 use liger_core::{LigerConfig, LigerEngine};
-use liger_gpu_sim::{CoreSelect, DeviceSpec, Simulation};
+use liger_gpu_sim::{DeviceSpec, Simulation};
 use liger_model::{CostModel, ModelConfig};
-use liger_serving::{serve_on, PrefillTraceConfig};
+use liger_serving::{serve, PrefillTraceConfig};
 
 struct Counting;
 
@@ -75,10 +75,8 @@ fn serving_allocates_under_half_an_allocation_per_launched_kernel() {
     let mut sim = Simulation::builder().devices(device, WORLD).build().unwrap();
     let requests = PrefillTraceConfig::paper(40, 2, 12.0, 7).generate();
 
-    // The sequential core: the parallel core's shard workers allocate on
-    // threads this counter cannot see.
     let before = allocs();
-    let metrics = serve_on(CoreSelect::Seq, &mut sim, &mut engine, requests);
+    let metrics = serve(&mut sim, &mut engine, requests);
     let spent = allocs() - before;
 
     assert_eq!(metrics.completed(), 40);

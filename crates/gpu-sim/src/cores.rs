@@ -1,44 +1,21 @@
-//! Interchangeable event-loop engines behind the [`EventCore`] trait.
+//! Event-loop engines behind the [`EventCore`] trait.
 //!
-//! Both engines dispatch pending events in the *canonical order*
+//! Every engine dispatches pending events in the *canonical order*
 //! `(time, lane rank, lane-local seq)` — global lane first at ties, then
-//! device lanes by index (see the internal `lanes` module) — so for one
-//! seed they
-//! produce byte-identical traces and equal metrics:
+//! device lanes by index (see the internal `lanes` module):
 //!
-//! * [`SequentialCore`] — the determinism oracle. Pops the canonically
-//!   next event and dispatches it, exactly the classic single-heap loop.
-//! * [`ParallelCore`] — conservative parallel discrete-event simulation.
-//!   A coordinator repeatedly computes a *window bound* `W` that no
-//!   cross-device interaction can precede, loans every *safe* device (its
-//!   runtime plus event lane) to shard worker threads that replay their
-//!   lanes up to `W` with the same per-device physics code, then merges
-//!   the buffered effects back in canonical key order. Devices that are
-//!   dead, touched by collectives, holding event records/waits, running a
-//!   failing kernel, or inside a kernel-fault window are *hazards*: their
-//!   events stay on the coordinator, which falls back to single-step
-//!   sequential dispatch for them.
-//!
-//! The window bound is `min` of: the deadline, the global lane's next
-//! event, every hazard device's next event, and the start of any
-//! kernel-fault overlap on a safe device. Everything a shard does is
-//! therefore provably independent of every other lane until `W`, which is
-//! what makes the parallelism invisible in the results.
-//!
-//! The *lookahead* is a profitability gate, not a correctness knob:
-//! windows spanning less simulated time than the lookahead are run inline
-//! on the coordinator because the thread round-trip would cost more than
-//! it buys. It defaults to the hosts' kernel launch overhead (the minimum
-//! spacing new work arrives at) and serving layers pass a larger value
-//! derived from their collective cost model via
-//! [`ParallelCore::with_lookahead`].
+//! * [`SequentialCore`] — the engine every [`Simulation::run`] uses. Pops
+//!   the canonically next event and dispatches it, the classic single-heap
+//!   loop.
+//! * [`ExploreCore`] — the model checker's engine. It runs the same
+//!   physics but, wherever two or more device-lane events commute under a
+//!   [`WindowRule`], records a [`ChoicePoint`] and follows an external
+//!   schedule. With an empty schedule it reproduces the sequential run
+//!   byte for byte.
 
 use crate::ids::EventId;
-use crate::sim::{
-    DeviceRt, DispatchFootprint, Driver, Pending, Simulation, StreamOp, COLL_FOOTPRINT_BIT,
-};
+use crate::sim::{DispatchFootprint, Driver, Pending, Simulation, StreamOp, COLL_FOOTPRINT_BIT};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceEvent;
 
 /// An event-loop engine: runs a [`Simulation`] against a [`Driver`] until
 /// the lanes drain, `deadline` passes, or the driver requests a stop.
@@ -48,78 +25,23 @@ pub trait EventCore {
 
     /// Runs the simulation, returning the final simulated time. Semantics
     /// (including the returned instant and the state left behind) are
-    /// identical across engines for identical inputs.
+    /// identical across engines for identical inputs, the explore core
+    /// following its canonical schedule.
     fn run(&mut self, sim: &mut Simulation, driver: &mut dyn Driver, deadline: SimTime) -> SimTime;
 }
 
-/// Which event core a run should use. The string forms accepted by
-/// [`CoreSelect::parse`] are `seq`, `par` (worker count = available
-/// parallelism) and `par:N`.
+/// Which event core a run uses. [`SequentialCore`] is the only one. The
+/// type remains because the repository benchmark (`perfbench/`) passes
+/// `CoreSelect::Seq` to `liger-serving`'s `serve_on`, `serve_continuous_on`
+/// and `serve_cluster_on`; nothing else should name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreSelect {
-    /// The sequential determinism oracle ([`SequentialCore`]).
+    /// The sequential core ([`SequentialCore`]).
     Seq,
-    /// The conservative parallel engine ([`ParallelCore`]).
-    Par {
-        /// Number of shard worker threads (≥ 1).
-        workers: usize,
-    },
-}
-
-impl CoreSelect {
-    /// Parses a `--core` flag value: `seq`, `par`, or `par:N`.
-    ///
-    /// # Errors
-    /// Returns a description of the malformed value.
-    pub fn parse(s: &str) -> Result<CoreSelect, String> {
-        match s {
-            "seq" => Ok(CoreSelect::Seq),
-            "par" => Ok(CoreSelect::Par { workers: default_workers() }),
-            other => match other.strip_prefix("par:") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map(|w| CoreSelect::Par { workers: w.max(1) })
-                    .map_err(|e| format!("bad worker count in core spec {other:?}: {e}")),
-                None => Err(format!("unknown core {other:?} (expected seq, par, or par:N)")),
-            },
-        }
-    }
-
-    /// The ambient selection: `LIGER_CORE` from the environment when set
-    /// and non-empty, else [`CoreSelect::Seq`]. [`Simulation::run`] honors
-    /// this, so existing binaries and test suites can be re-run on the
-    /// parallel core without code changes.
-    ///
-    /// # Panics
-    /// Panics when `LIGER_CORE` is set to an unparseable value — a
-    /// misconfigured environment must not silently fall back to `seq`.
-    pub fn from_env() -> CoreSelect {
-        match std::env::var("LIGER_CORE") {
-            Ok(v) if !v.is_empty() => match CoreSelect::parse(&v) {
-                Ok(core) => core,
-                Err(e) => panic!("LIGER_CORE: {e}"),
-            },
-            _ => CoreSelect::Seq,
-        }
-    }
-}
-
-impl std::fmt::Display for CoreSelect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CoreSelect::Seq => write!(f, "seq"),
-            CoreSelect::Par { workers } => write!(f, "par:{workers}"),
-        }
-    }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// The single-threaded engine: pops the canonically next event across all
-/// lanes and dispatches it. This is the renamed classic global loop and
-/// the oracle the parallel engine is tested against.
+/// lanes and dispatches it. [`Simulation::run`] uses it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SequentialCore;
 
@@ -151,194 +73,6 @@ impl EventCore for SequentialCore {
     }
 }
 
-/// The conservative parallel engine: shard worker threads advance safe
-/// device lanes inside coordinator-computed windows; everything else runs
-/// sequentially on the coordinator. See the [module docs](self) for the
-/// protocol and its safety argument.
-#[derive(Debug)]
-pub struct ParallelCore {
-    workers: usize,
-    lookahead: Option<SimDuration>,
-}
-
-impl ParallelCore {
-    /// A parallel core with `workers` shard threads (clamped to ≥ 1).
-    pub fn new(workers: usize) -> ParallelCore {
-        ParallelCore { workers: workers.max(1), lookahead: None }
-    }
-
-    /// Overrides the minimum-profitable-window lookahead. Purely a
-    /// performance knob: any value produces identical results. Serving
-    /// layers derive one from their collective link-latency cost model;
-    /// the default is the hosts' maximum kernel launch overhead.
-    pub fn with_lookahead(mut self, lookahead: SimDuration) -> ParallelCore {
-        self.lookahead = Some(lookahead);
-        self
-    }
-
-    /// Shard worker threads this core will use.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-impl EventCore for ParallelCore {
-    fn name(&self) -> &'static str {
-        "par"
-    }
-
-    fn run(&mut self, sim: &mut Simulation, driver: &mut dyn Driver, deadline: SimTime) -> SimTime {
-        use crate::shard::{run_window, ShardDone, ShardPool, ShardTask};
-
-        let lookahead = self.lookahead.unwrap_or_else(|| default_lookahead(sim));
-        // One worker still exercises the full loan/merge protocol (that is
-        // what the 1-worker determinism tier checks) but threads buy
-        // nothing, so the windows run inline on the coordinator.
-        let pool = if self.workers >= 2 {
-            Some(ShardPool::new(self.workers, sim.faults.clone()))
-        } else {
-            None
-        };
-        let window_cap = if deadline == SimTime::MAX {
-            SimTime::MAX
-        } else {
-            // Events at exactly the deadline still dispatch; the bound is
-            // exclusive.
-            deadline + SimDuration::from_nanos(1)
-        };
-
-        driver.start(sim);
-        sim.drain_wakes(driver);
-        while !sim.stop {
-            // -- window bound -------------------------------------------------
-            let mut w = window_cap;
-            if let Some((at, _)) = sim.global_lane.peek_key() {
-                w = w.min(at);
-            }
-            let mut safe: Vec<usize> = Vec::with_capacity(sim.devices.len());
-            for d in 0..sim.devices.len() {
-                if device_is_hazard(sim, d) {
-                    if let Some((at, _)) = sim.device_lanes[d].peek_key() {
-                        w = w.min(at);
-                    }
-                } else {
-                    safe.push(d);
-                }
-            }
-            // Keep kernel-fault windows on the coordinator: shrinking `w`
-            // only ever tightens already-checked intervals, so one pass
-            // suffices.
-            for &d in &safe {
-                if let Some((at, _)) = sim.device_lanes[d].peek_key() {
-                    if at < w && sim.faults.kernel_failure_possible(at, w) {
-                        w = at;
-                    }
-                }
-            }
-            let mut work: Vec<usize> = Vec::new();
-            let mut span_from = SimTime::MAX;
-            for &d in &safe {
-                if let Some((at, _)) = sim.device_lanes[d].peek_key() {
-                    if at < w {
-                        work.push(d);
-                        span_from = span_from.min(at);
-                    }
-                }
-            }
-
-            // -- no shardable work: one canonical sequential step -------------
-            if work.is_empty() {
-                let Some((at, pending)) = sim.pop_next() else { break };
-                if sim.entry_is_stale(&pending) {
-                    continue;
-                }
-                if at > deadline {
-                    sim.now = deadline;
-                    break;
-                }
-                debug_assert!(at >= sim.now, "time went backwards");
-                sim.now = at;
-                sim.dispatch(pending);
-                sim.drain_wakes(driver);
-                continue;
-            }
-
-            // -- shard phase ---------------------------------------------------
-            let capture = sim.trace.is_some();
-            let use_threads = match &pool {
-                Some(_) => work.len() > 1 && w.saturating_since(span_from) >= lookahead,
-                None => false,
-            };
-            let mut results: Vec<ShardDone> = Vec::with_capacity(work.len());
-            if use_threads {
-                let p = pool.as_ref().expect("use_threads implies a pool");
-                for (i, &d) in work.iter().enumerate() {
-                    let device = std::mem::replace(&mut sim.devices[d], DeviceRt::placeholder());
-                    let lane = std::mem::take(&mut sim.device_lanes[d]);
-                    p.send(i % p.workers(), ShardTask { d, device, lane, until: w, capture });
-                }
-                for _ in 0..work.len() {
-                    results.push(p.recv());
-                }
-            } else {
-                for &d in &work {
-                    let device = std::mem::replace(&mut sim.devices[d], DeviceRt::placeholder());
-                    let lane = std::mem::take(&mut sim.device_lanes[d]);
-                    let mut task = ShardTask { d, device, lane, until: w, capture };
-                    let fx = run_window(&mut task, &sim.faults);
-                    let ShardTask { d, device, lane, .. } = task;
-                    results.push(ShardDone { d, device, lane, fx });
-                }
-            }
-
-            // -- deterministic merge ------------------------------------------
-            let mut trace_buf: Vec<(SimTime, usize, u64, TraceEvent)> = Vec::new();
-            for done in results {
-                let ShardDone { d, device, lane, fx } = done;
-                sim.devices[d] = device;
-                sim.device_lanes[d] = lane;
-                sim.events_dispatched += fx.dispatched;
-                sim.kernels_completed += fx.completed;
-                if let Some(t) = fx.last_now {
-                    // Every windowed event precedes the next coordinator
-                    // event, so advancing to the latest one matches the
-                    // sequential clock exactly.
-                    if t > sim.now {
-                        sim.now = t;
-                    }
-                }
-                for (at, seq, ev) in fx.events {
-                    trace_buf.push((at, d + 1, seq, ev));
-                }
-            }
-            if !trace_buf.is_empty() {
-                trace_buf.sort_by_key(|e| (e.0, e.1, e.2));
-                let trace = sim.trace.as_mut().expect("captured shard events without a trace");
-                for (.., ev) in trace_buf {
-                    trace.push(ev);
-                }
-            }
-        }
-        sim.now
-    }
-}
-
-/// True when `d`'s events may interact with other lanes and must stay on
-/// the coordinator this round.
-fn device_is_hazard(sim: &Simulation, d: usize) -> bool {
-    let dev = &sim.devices[d];
-    !dev.alive
-        || !dev.active_colls.is_empty()
-        || dev.run.iter().any(|s| s.live && s.failing)
-        || dev.queues.iter().any(|q| q.has_boundary_ops())
-}
-
-/// Default lookahead: the minimum spacing at which hosts can feed new work
-/// to devices. Windows thinner than this are not worth a thread hop.
-fn default_lookahead(sim: &Simulation) -> SimDuration {
-    sim.hosts.iter().map(|h| h.spec.launch_overhead).max().unwrap_or(SimDuration::ZERO)
-}
-
 // ---------------------------------------------------------------------------
 // ExploreCore: schedule-space instrumentation for the model checker
 // ---------------------------------------------------------------------------
@@ -347,12 +81,12 @@ fn default_lookahead(sim: &Simulation) -> SimDuration {
 /// choice point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowRule {
-    /// The [`ParallelCore`] commutability argument, refined per event: a
-    /// device-lane event is enabled only when its device is shard-safe
-    /// (alive, no running collective, no failing kernel) *and* dispatching
-    /// it would touch no boundary op (event record/wait, collective member).
-    /// Every enabled order is provably equivalent to the canonical one —
-    /// exploration under this rule certifies the parallel core's windows.
+    /// Only provably commuting events are reordered: a device-lane event
+    /// is enabled only when its device is alive, runs no collective and no
+    /// failing kernel, *and* dispatching it would touch no boundary op
+    /// (event record/wait, collective member). Every enabled order is
+    /// provably equivalent to the canonical one, so exploration under this
+    /// rule checks that device-local work is order-independent.
     Conservative,
     /// Every alive device's lane head is enabled, boundary ops included.
     /// This deliberately realizes cross-lane orders no conservative window
@@ -497,8 +231,7 @@ fn scrub_stale_heads(sim: &mut Simulation) {
 /// True when dispatching `pending` (a device-lane head on `d`) would touch
 /// a boundary op: the queue continuation it drains reaches an event record,
 /// an event wait, or a collective member kernel. The conservative rule pins
-/// such events to the canonical order (mirroring the parallel core, which
-/// keeps whole boundary-holding devices on the coordinator).
+/// such events to the canonical order.
 fn touches_boundary(sim: &Simulation, d: usize, pending: &Pending) -> bool {
     match *pending {
         // A finishing plain kernel pops the head and then polls: the op at
@@ -506,7 +239,7 @@ fn touches_boundary(sim: &Simulation, d: usize, pending: &Pending) -> bool {
         Pending::KernelDone { device, slot, .. } => {
             debug_assert_eq!(device, d, "device-lane event on the wrong lane");
             let q = sim.devices[d].run[slot].queue;
-            match sim.devices[d].queues[q].op_at(1) {
+            match sim.devices[d].queues[q].ops.get(1) {
                 Some(next) => next.op.is_boundary(),
                 None => false,
             }
@@ -514,7 +247,7 @@ fn touches_boundary(sim: &Simulation, d: usize, pending: &Pending) -> bool {
         // A comm-lag expiry begins the head kernel itself.
         Pending::CommLagDone { device, queue, .. } => {
             debug_assert_eq!(device, d, "device-lane event on the wrong lane");
-            match sim.devices[device].queues[queue].front() {
+            match sim.devices[device].queues[queue].ops.front() {
                 Some(head) => head.op.is_boundary(),
                 None => true,
             }
@@ -540,7 +273,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
     match *pending {
         Pending::KernelDone { device, slot, .. } => {
             let q = sim.devices[device].run[slot].queue;
-            if let Some(head) = sim.devices[device].queues[q].front() {
+            if let Some(head) = sim.devices[device].queues[q].ops.front() {
                 fp.streams.insert((device, head.stream));
                 if let StreamOp::Kernel(spec, _) = &head.op {
                     fp.tags.insert(spec.tag);
@@ -565,7 +298,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
         fp.devices.insert(dev);
         let queue = &sim.devices[dev].queues[q];
         let mut i = from;
-        while let Some(qop) = queue.op_at(i) {
+        while let Some(qop) = queue.ops.get(i) {
             match &qop.op {
                 StreamOp::Record(ev) => {
                     fp.events.insert(ev.0);
@@ -582,7 +315,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
                     // behind that wait.
                     for (od, odev) in sim.devices.iter().enumerate() {
                         for (oq, oqueue) in odev.queues.iter().enumerate() {
-                            for (oi, oop) in oqueue.iter_ops().enumerate() {
+                            for (oi, oop) in oqueue.ops.iter().enumerate() {
                                 if matches!(&oop.op, StreamOp::Wait(w) if w.0 == ev.0) {
                                     frontier.push((od, oq, oi + 1));
                                 }
@@ -607,7 +340,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
                         }
                         for (od, odev) in sim.devices.iter().enumerate() {
                             for (oq, oqueue) in odev.queues.iter().enumerate() {
-                                for (oi, oop) in oqueue.iter_ops().enumerate() {
+                                for (oi, oop) in oqueue.ops.iter().enumerate() {
                                     let member = matches!(&oop.op,
                                         StreamOp::Kernel(os, _) if os.collective == Some(cid));
                                     if member {
@@ -673,7 +406,7 @@ impl EventCore for ExploreCore {
         while !sim.stop {
             scrub_stale_heads(sim);
 
-            // -- window bound (as ParallelCore, then per-event refinement) --
+            // -- window bound, refined per event ---------------------------
             let mut w = window_cap;
             if let Some((at, _)) = sim.global_lane.peek_key() {
                 w = w.min(at);
@@ -772,25 +505,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn core_select_parses() {
-        assert_eq!(CoreSelect::parse("seq"), Ok(CoreSelect::Seq));
-        assert!(
-            matches!(CoreSelect::parse("par"), Ok(CoreSelect::Par { workers }) if workers >= 1)
-        );
-        assert_eq!(CoreSelect::parse("par:4"), Ok(CoreSelect::Par { workers: 4 }));
-        assert_eq!(CoreSelect::parse("par:0"), Ok(CoreSelect::Par { workers: 1 }));
-        assert!(CoreSelect::parse("warp").is_err());
-        assert!(CoreSelect::parse("par:x").is_err());
-    }
-
-    #[test]
-    fn core_select_displays_round_trip() {
-        for s in ["seq", "par:3"] {
-            assert_eq!(CoreSelect::parse(s).unwrap().to_string(), s);
-        }
-    }
-
-    #[test]
     fn window_rule_parses_and_displays() {
         assert_eq!(WindowRule::parse("conservative"), Ok(WindowRule::Conservative));
         assert_eq!(WindowRule::parse("unguarded"), Ok(WindowRule::Unguarded));
@@ -882,7 +596,7 @@ mod tests {
         assert_eq!(
             a.trace().unwrap().to_chrome_json(),
             b.trace().unwrap().to_chrome_json(),
-            "canonical explore run must be byte-identical to the oracle"
+            "canonical explore run must be byte-identical to the sequential run"
         );
         assert_eq!(core.trail().len(), 1, "two commutable completions = one choice point");
         let cp = &core.trail()[0];

@@ -444,9 +444,9 @@ impl FaultSpec {
     }
 
     /// Whether *any* kernel starting in `[from, until)` could fail. A
-    /// conservative window check used by the parallel core to keep
-    /// fault-prone intervals on the coordinator, where failure wakes can be
-    /// delivered to the driver in canonical order.
+    /// conservative window check: the explore core never reorders events
+    /// in a fault-prone interval, so failure wakes reach the driver in
+    /// canonical order.
     pub(crate) fn kernel_failure_possible(&self, from: SimTime, until: SimTime) -> bool {
         match self.kernel_faults {
             Some(kf) => kf.prob > 0.0 && from < kf.until && kf.from < until,

@@ -1,12 +1,7 @@
-//! Event lanes: the per-lane pending-event queues both event cores dispatch
+//! Event lanes: the per-lane pending-event queues the event cores dispatch
 //! from.
 //!
-//! The simulator used to keep a single global `BinaryHeap` ordered by
-//! `(time, global-push-sequence)`. That order is inherently serial: the
-//! tie-break depends on the interleaving of pushes across devices, so no
-//! parallel engine could reproduce it without replaying the exact global
-//! push history. The lane refactor replaces it with a *canonical dispatch
-//! key*:
+//! Pending events are ordered by a *canonical dispatch key*:
 //!
 //! ```text
 //! (time, lane rank, lane-local sequence)
@@ -17,15 +12,13 @@
 //! `d + 1` is device `d`'s **local lane** (its kernel completions and comm
 //! dispatch-lag expiries). Each lane assigns its own monotonically
 //! increasing sequence numbers, so the total order is a pure function of
-//! per-lane push histories — which a sharded engine reproduces exactly,
-//! because a device's lane is only ever pushed to while that device is
-//! being processed (by the coordinator or by its own shard).
+//! per-lane push histories, not of how pushes to different devices
+//! interleave. That is what lets the explore core reorder commuting
+//! device-lane events and name each interleaving by its choices.
 //!
 //! [`SequentialCore`](crate::cores::SequentialCore) dispatches by scanning
-//! lane heads for the minimum key; [`ParallelCore`](crate::cores::
-//! ParallelCore) hands whole lanes to shard workers and merges their
-//! buffered effects back in the same key order. Identical order, identical
-//! traces.
+//! lane heads for the minimum key; [`ExploreCore`](crate::cores::ExploreCore)
+//! follows the same key everywhere its schedule does not redirect it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -64,7 +64,6 @@ pub mod kernel;
 mod lanes;
 pub mod memory;
 pub mod rng;
-mod shard;
 pub mod sim;
 pub mod stats;
 pub mod testkit;
@@ -73,8 +72,7 @@ pub mod trace;
 
 pub use contention::ContentionParams;
 pub use cores::{
-    ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, ParallelCore, SequentialCore,
-    WindowRule,
+    ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, SequentialCore, WindowRule,
 };
 pub use device::DeviceSpec;
 pub use faults::{DeviceDown, FaultSpec, KernelFaultParams, LaunchSpikeParams, ParseError};
@@ -110,8 +108,7 @@ pub type DetHashMap<K, V> = std::collections::HashMap<
 pub mod prelude {
     pub use crate::contention::ContentionParams;
     pub use crate::cores::{
-        ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, ParallelCore,
-        SequentialCore, WindowRule,
+        ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, SequentialCore, WindowRule,
     };
     pub use crate::device::DeviceSpec;
     pub use crate::faults::{

@@ -53,9 +53,7 @@ struct Allocation {
 /// Tracks allocations across the node's devices.
 ///
 /// All accounting — in-use, peak, and the double-free bug counter — is kept
-/// strictly per device, so a sharded event core whose workers each own one
-/// device never has two shards contending on (or racing to increment) a
-/// shared counter.
+/// strictly per device; node-wide totals are derived sums.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryTracker {
     capacities: Vec<u64>,
@@ -132,8 +130,7 @@ impl MemoryTracker {
     }
 
     /// Double frees charged against `device` specifically. The counter lives
-    /// with the device's other accounting so per-device shards never share a
-    /// write target.
+    /// with the device's other accounting.
     pub fn double_frees_on(&self, device: DeviceId) -> u64 {
         self.double_frees[device.0]
     }
@@ -227,9 +224,8 @@ mod tests {
 
     #[test]
     fn double_frees_are_charged_to_the_owning_device() {
-        // Regression test for the shard-safety refactor: the double-free
-        // counter is per-device state, and the total is a derived sum — a
-        // parallel core's shards must never share one counter cell.
+        // The double-free counter is per-device state, and the total is a
+        // derived sum.
         let mut t = tracker();
         let a = t.alloc(DeviceId(0), 10, "a").unwrap();
         let b = t.alloc(DeviceId(1), 20, "b").unwrap();

@@ -146,11 +146,10 @@ pub(crate) enum StreamOp {
 }
 
 impl StreamOp {
-    /// True for operations a device shard cannot process on its own: event
-    /// records and waits (they synchronize across lanes) and collective
-    /// member kernels (they rendezvous across devices). A device whose
-    /// queues hold any boundary op is pinned to the coordinator until the
-    /// op drains — see [`crate::cores::ParallelCore`].
+    /// True for operations that couple lanes: event records and waits
+    /// (they synchronize across lanes) and collective member kernels (they
+    /// rendezvous across devices). The explore core's conservative rule
+    /// never reorders a dispatch that reaches one.
     pub(crate) fn is_boundary(&self) -> bool {
         match self {
             StreamOp::Record(_) | StreamOp::Wait(_) => true,
@@ -186,66 +185,14 @@ pub(crate) enum HeadState {
 
 #[derive(Debug, Clone)]
 pub(crate) struct QueueRt {
-    ops: VecDeque<QueuedOp>,
+    pub(crate) ops: VecDeque<QueuedOp>,
     pub(crate) head: HeadState,
     pub(crate) lag_gen: u64,
-    /// Count of boundary ops ([`StreamOp::is_boundary`]) currently in `ops`.
-    /// Maintained by [`QueueRt::push_op`]/[`QueueRt::pop_op`] so the
-    /// parallel core's shard-safety check is O(queues), not O(queued ops).
-    boundary_ops: u32,
 }
 
 impl QueueRt {
     fn new() -> QueueRt {
-        QueueRt { ops: VecDeque::new(), head: HeadState::Idle, lag_gen: 0, boundary_ops: 0 }
-    }
-
-    /// Appends an op, maintaining the boundary count. All queue mutations
-    /// must go through `push_op`/`pop_op` — pushing to `ops` directly would
-    /// silently corrupt the parallel core's shard-safety accounting.
-    pub(crate) fn push_op(&mut self, op: QueuedOp) {
-        self.boundary_ops += op.op.is_boundary() as u32;
-        self.ops.push_back(op);
-    }
-
-    /// Pops the front op, maintaining the boundary count.
-    pub(crate) fn pop_op(&mut self) -> Option<QueuedOp> {
-        let op = self.ops.pop_front();
-        if let Some(o) = &op {
-            self.boundary_ops -= o.op.is_boundary() as u32;
-        }
-        op
-    }
-
-    /// The op at the front of the queue, if any.
-    pub(crate) fn front(&self) -> Option<&QueuedOp> {
-        self.ops.front()
-    }
-
-    /// Number of queued ops.
-    pub(crate) fn ops_len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// The queued op at position `i` (0 = front), if any. The explore core
-    /// walks queue continuations through this to compute static footprints.
-    pub(crate) fn op_at(&self, i: usize) -> Option<&QueuedOp> {
-        self.ops.get(i)
-    }
-
-    /// Iterates the queued ops front to back.
-    pub(crate) fn iter_ops(&self) -> impl Iterator<Item = &QueuedOp> {
-        self.ops.iter()
-    }
-
-    /// True when any queued op requires coordinator-side processing.
-    pub(crate) fn has_boundary_ops(&self) -> bool {
-        debug_assert_eq!(
-            self.boundary_ops as usize,
-            self.ops.iter().filter(|o| o.op.is_boundary()).count(),
-            "boundary-op count drifted from queue contents"
-        );
-        self.boundary_ops > 0
+        QueueRt { ops: VecDeque::new(), head: HeadState::Idle, lag_gen: 0 }
     }
 }
 
@@ -290,39 +237,11 @@ impl DeviceRt {
         self.spec.contention.slowdown(class, self.n_compute, self.n_comm, self.comm_channels)
     }
 
-    /// A hollow stand-in swapped into [`Simulation::devices`] while the real
-    /// `DeviceRt` is out on loan to a shard worker. Never executes anything.
-    pub(crate) fn placeholder() -> DeviceRt {
-        DeviceRt {
-            spec: DeviceSpec {
-                name: String::new(),
-                sm_count: 1,
-                peak_flops_fp16: 1.0,
-                mem_bw: 1.0,
-                mem_capacity: 0,
-                connections: 1,
-                contention: crate::contention::ContentionParams::frictionless(),
-            },
-            queues: Vec::new(),
-            run: Vec::new(),
-            free_slots: Vec::new(),
-            n_compute: 0,
-            n_comm: 0,
-            comm_channels: 0,
-            active_colls: Vec::new(),
-            alive: false,
-            stats: DeviceStats::default(),
-        }
-    }
-
     // -- device-local physics -----------------------------------------------
     //
     // Everything below touches only this device's own state (plus its event
-    // lane, passed in by the caller), so the sequential core and a parallel
-    // shard run the *same* code — and therefore the same f64 arithmetic in
-    // the same order — for the plain-kernel fast path. Collective handling
-    // stays on `Simulation`: collectives span devices and are always
-    // processed by the coordinator.
+    // lane, passed in by the caller). Collective handling stays on
+    // `Simulation`: collectives span devices.
 
     /// Charges elapsed progress (at current rates) to every live plain
     /// kernel on this device.
@@ -415,7 +334,7 @@ impl DeviceRt {
     /// applies the (precomputed) fault decision and bumps the population
     /// counters. Callers settle before and reprice after.
     pub(crate) fn begin_plain(&mut self, q: usize, now: SimTime, failure: Option<f64>) {
-        let head = self.queues[q].front().expect("begin_plain on empty queue");
+        let head = self.queues[q].ops.front().expect("begin_plain on empty queue");
         let StreamOp::Kernel(spec, kid) = &head.op else {
             panic!("begin_plain on non-kernel head")
         };
@@ -470,7 +389,7 @@ impl DeviceRt {
         failed: bool,
         now: SimTime,
     ) -> TraceEvent {
-        let popped = self.queues[q].pop_op().expect("finishing empty queue");
+        let popped = self.queues[q].ops.pop_front().expect("finishing empty queue");
         let (name, tag, stream, collective) = match popped.op {
             StreamOp::Kernel(spec, kid) => {
                 debug_assert_eq!(kid, kernel);
@@ -583,7 +502,7 @@ struct EventRt {
 /// dispatch-lag expiries) ride the owning device's lane; everything that can
 /// touch more than one device — host completions, timers, driver wakes,
 /// collective completions, fault boundaries, device deaths — rides the
-/// global lane and is always dispatched by the coordinator.
+/// global lane.
 #[derive(Debug, Clone)]
 pub(crate) enum Pending {
     HostReady {
@@ -619,8 +538,8 @@ pub(crate) enum Pending {
         device: usize,
     },
     /// A device's outage window closes at this instant: it rejoins with
-    /// empty queues. Rides the global lane so the rejoin is dispatched by
-    /// the coordinator in canonical order.
+    /// empty queues. Rides the global lane, so the rejoin is dispatched in
+    /// canonical order.
     DeviceRejoin {
         device: usize,
     },
@@ -993,8 +912,7 @@ impl Simulation {
         &self.devices[d.0].spec
     }
 
-    /// Host specification. Serving layers read the launch overhead here to
-    /// derive the parallel core's lookahead.
+    /// Host specification.
     pub fn host_spec(&self, h: HostId) -> &HostSpec {
         &self.hosts[h.0].spec
     }
@@ -1300,41 +1218,19 @@ impl Simulation {
 
     // -- event loop -----------------------------------------------------------
 
-    /// Runs the simulation until the event lanes drain, `deadline` passes, or
-    /// the driver requests a stop, using the ambient core selection
-    /// ([`CoreSelect::from_env`]: the `LIGER_CORE` environment variable when
-    /// set, else the sequential engine). Returns the final simulated time.
-    ///
-    /// [`CoreSelect::from_env`]: crate::cores::CoreSelect::from_env
+    /// Runs the simulation on the [`SequentialCore`](crate::cores::SequentialCore)
+    /// until the event lanes drain, `deadline` passes, or the driver
+    /// requests a stop. Returns the final simulated time.
     pub fn run(&mut self, driver: &mut dyn Driver, deadline: SimTime) -> SimTime {
-        self.run_with_core(crate::cores::CoreSelect::from_env(), driver, deadline)
-    }
-
-    /// [`Simulation::run`] with an explicit event-core selection. Both cores
-    /// produce byte-identical traces and metrics for the same seed; see
-    /// [`crate::cores`].
-    pub fn run_with_core(
-        &mut self,
-        core: crate::cores::CoreSelect,
-        driver: &mut dyn Driver,
-        deadline: SimTime,
-    ) -> SimTime {
         use crate::cores::EventCore;
-        match core {
-            crate::cores::CoreSelect::Seq => {
-                crate::cores::SequentialCore.run(self, driver, deadline)
-            }
-            crate::cores::CoreSelect::Par { workers } => {
-                crate::cores::ParallelCore::new(workers).run(self, driver, deadline)
-            }
-        }
+        crate::cores::SequentialCore.run(self, driver, deadline)
     }
 
     /// Pops the canonically-next pending event across all lanes: the
     /// smallest `(time, lane rank, lane seq)` key, with the global lane at
-    /// rank 0 and device `d` at rank `d + 1`. Every event core dispatches in
-    /// exactly this order — that invariant is what makes traces
-    /// byte-identical across cores and worker counts.
+    /// rank 0 and device `d` at rank `d + 1`. The sequential core dispatches
+    /// in exactly this order, and the explore core wherever its schedule
+    /// does not redirect it.
     pub(crate) fn pop_next(&mut self) -> Option<(SimTime, Pending)> {
         let mut best: Option<((SimTime, usize, u64), usize)> =
             self.global_lane.peek_key().map(|(at, seq)| ((at, 0, seq), 0));
@@ -1395,15 +1291,6 @@ impl Simulation {
         self.run(driver, SimTime::MAX)
     }
 
-    /// [`Simulation::run_with_core`] with no deadline.
-    pub fn run_to_completion_with(
-        &mut self,
-        core: crate::cores::CoreSelect,
-        driver: &mut dyn Driver,
-    ) -> SimTime {
-        self.run_with_core(core, driver, SimTime::MAX)
-    }
-
     /// Applies `f` to the armed dispatch-footprint probe, if any.
     #[inline]
     fn probe_mark(&mut self, f: impl FnOnce(&mut DispatchFootprint)) {
@@ -1453,8 +1340,8 @@ impl Simulation {
         }
         for (d, dev) in self.devices.iter().enumerate() {
             for (q, queue) in dev.queues.iter().enumerate() {
-                r.queued_ops += queue.ops_len();
-                for (i, qop) in queue.iter_ops().enumerate() {
+                r.queued_ops += queue.ops.len();
+                for (i, qop) in queue.ops.iter().enumerate() {
                     match &qop.op {
                         StreamOp::Record(ev) => r.held_records.push((ev.0, d, q)),
                         StreamOp::Kernel(spec, _) => {
@@ -1605,12 +1492,12 @@ impl Simulation {
         // FIFO-drain the dead device's queues.
         for q in 0..self.devices[d].queues.len() {
             self.devices[d].queues[q].head = HeadState::Idle;
-            while let Some(front) = self.devices[d].queues[q].front() {
+            while let Some(front) = self.devices[d].queues[q].ops.front() {
                 match &front.op {
                     StreamOp::Record(ev) => {
                         let ev = *ev;
                         let stream = front.stream;
-                        self.devices[d].queues[q].pop_op();
+                        self.devices[d].queues[q].ops.pop_front();
                         // The event fires vacuously at death time so that
                         // survivors waiting on it unblock; the trace must
                         // carry the record mark, or those later-resolved
@@ -1626,13 +1513,14 @@ impl Simulation {
                         self.trigger_event(ev);
                     }
                     StreamOp::Wait(_) => {
-                        self.devices[d].queues[q].pop_op();
+                        self.devices[d].queues[q].ops.pop_front();
                     }
                     StreamOp::Kernel(spec, _) => {
                         if let Some(cid) = spec.collective {
                             self.lose_member(cid);
                         }
                         let (kernel, class) = match &self.devices[d].queues[q]
+                            .ops
                             .front()
                             .expect("drained under us")
                             .op
@@ -1687,6 +1575,7 @@ impl Simulation {
         }
         for &(md, q) in &members {
             let (kernel, class, blocks) = match &self.devices[md].queues[q]
+                .ops
                 .front()
                 .expect("aborting collective with empty member queue")
                 .op
@@ -1850,7 +1739,7 @@ impl Simulation {
         if matches!(op, StreamOp::Kernel(..)) {
             self.kernels_launched += 1;
         }
-        self.devices[d].queues[q].push_op(QueuedOp {
+        self.devices[d].queues[q].ops.push_back(QueuedOp {
             op,
             stream: stream.index,
             enqueued_at: self.now,
@@ -1913,12 +1802,12 @@ impl Simulation {
             if self.devices[d].queues[q].head != HeadState::Idle {
                 return; // head already in flight
             }
-            let Some(front) = self.devices[d].queues[q].front() else { return };
+            let Some(front) = self.devices[d].queues[q].ops.front() else { return };
             let stream = front.stream;
             match &front.op {
                 StreamOp::Record(ev) => {
                     let ev = *ev;
-                    self.devices[d].queues[q].pop_op();
+                    self.devices[d].queues[q].ops.pop_front();
                     self.probe_mark(|p| {
                         p.devices.insert(d);
                         p.streams.insert((d, stream));
@@ -1949,7 +1838,7 @@ impl Simulation {
                             return;
                         }
                     }
-                    self.devices[d].queues[q].pop_op();
+                    self.devices[d].queues[q].ops.pop_front();
                     if let Some(trace) = &mut self.trace {
                         trace.push_mark(TraceMark::Wait {
                             event: ev.0,
@@ -1995,7 +1884,7 @@ impl Simulation {
 
     /// Begins the kernel at the head of queue `q` (plain or collective).
     fn begin_kernel(&mut self, d: usize, q: usize) {
-        let front = self.devices[d].queues[q].front().expect("begin_kernel on empty queue");
+        let front = self.devices[d].queues[q].ops.front().expect("begin_kernel on empty queue");
         let StreamOp::Kernel(spec, _kid) = &front.op else {
             panic!("begin_kernel on non-kernel head")
         };
@@ -2035,6 +1924,7 @@ impl Simulation {
                     self.aborted_arrival(ci);
                     let (kernel, class) = {
                         let head = self.devices[d].queues[q]
+                            .ops
                             .front()
                             .expect("queue head vanished while joining an aborted collective");
                         let StreamOp::Kernel(spec, kid) = &head.op else {
@@ -2223,12 +2113,15 @@ impl Simulation {
         for i in 0..n {
             let (d, q) = self.member(ci, i);
             // Capture kernel identity from the queue head before popping.
-            let (kernel, class, blocks) =
-                match &self.devices[d].queues[q].front().expect("collective member queue empty").op
-                {
-                    StreamOp::Kernel(spec, kid) => (*kid, spec.class, spec.blocks),
-                    _ => panic!("collective member head is not a kernel"),
-                };
+            let (kernel, class, blocks) = match &self.devices[d].queues[q]
+                .ops
+                .front()
+                .expect("collective member queue empty")
+                .op
+            {
+                StreamOp::Kernel(spec, kid) => (*kid, spec.class, spec.blocks),
+                _ => panic!("collective member head is not a kernel"),
+            };
             let now = self.now;
             self.devices[d].apply_class_delta(now, class, blocks, -1);
             self.finish_queue_head(d, q, kernel, class, started_at, false);
@@ -2304,10 +2197,10 @@ impl Simulation {
             if self.devices[d].queues[q].head == HeadState::WaitingEvent {
                 // Re-check: the head wait op must still reference this event.
                 if let Some(&QueuedOp { op: StreamOp::Wait(w), stream, .. }) =
-                    self.devices[d].queues[q].front()
+                    self.devices[d].queues[q].ops.front()
                 {
                     if w == ev {
-                        self.devices[d].queues[q].pop_op();
+                        self.devices[d].queues[q].ops.pop_front();
                         self.devices[d].queues[q].head = HeadState::Idle;
                         self.probe_mark(|p| {
                             p.devices.insert(d);

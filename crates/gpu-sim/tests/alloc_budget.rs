@@ -125,9 +125,7 @@ impl Driver for Workload {
     fn on_wake(&mut self, _: Wake, _: &mut Simulation) {}
 }
 
-/// Allocations of building and running one simulation of `work`, on the
-/// sequential core (the parallel core's shard workers allocate on threads
-/// this counter cannot see).
+/// Allocations of building and running one simulation of `work`.
 fn run(mut work: Workload, trace: bool) -> u64 {
     let kernels = (work.plain + work.collectives) * DEVICES;
     let before = allocs();
@@ -139,7 +137,7 @@ fn run(mut work: Workload, trace: bool) -> u64 {
         b = b.host(HostSpec::instant());
     }
     let mut sim = b.build().unwrap();
-    sim.run_to_completion_with(CoreSelect::Seq, &mut work);
+    sim.run_to_completion(&mut work);
     let spent = allocs() - before;
     assert_eq!(sim.kernels_completed(), kernels as u64);
     spent
@@ -234,7 +232,7 @@ fn hybrid_peak(rounds: u64) -> u64 {
     }
     let mut sim = b.build().unwrap();
     let mut driver = HybridRounds { rounds, started: 0 };
-    sim.run_to_completion_with(CoreSelect::Seq, &mut driver);
+    sim.run_to_completion(&mut driver);
     let spent = peak() - base;
     assert_eq!(sim.kernels_completed(), 2 * DEVICES as u64 * rounds);
     assert_eq!((sim.live_events(), sim.live_collectives()), (0, 0), "records left behind");

@@ -1,17 +1,20 @@
-//! Cross-core determinism property tests: the parallel event core must be
-//! observationally indistinguishable from the sequential oracle.
+//! Lane-order property tests: the explore core, following the canonical
+//! schedule, must be observationally indistinguishable from the sequential
+//! core.
 //!
 //! Every property drives one random, fault-injected workload — plain
 //! kernels, collectives, reactive timers and cross-stream event chains —
-//! through [`SequentialCore`] and through [`ParallelCore`] at 1, 2 and 4
-//! workers, then compares the *bytes* of the exported Chrome traces and
-//! every public counter. Any divergence in dispatch order, fault
-//! application or merge bookkeeping shows up as a trace diff.
+//! through [`SequentialCore`] and through [`ExploreCore`] with an empty
+//! schedule under both [`WindowRule`]s, then compares the *bytes* of the
+//! exported Chrome traces and every public counter. The explore core finds
+//! its choice points by reasoning about which lane heads commute; with no
+//! schedule it must still take the canonical `(time, lane rank, lane seq)`
+//! branch at each, so any divergence in dispatch order or fault
+//! application shows up as a trace diff.
 //!
 //! Runs on the internal [`liger_gpu_sim::testkit`] harness; rerun a failing
 //! case with the `LIGER_PROP_SEED` it prints. One seed (`0xfa0175`) is
-//! additionally pinned as a plain regression test so the exact case that
-//! validated the refactor replays forever.
+//! additionally pinned as a plain regression test.
 
 use liger_gpu_sim::prelude::*;
 use liger_gpu_sim::testkit::{check, Gen};
@@ -61,7 +64,7 @@ fn gen_plan(g: &mut Gen, devices: usize) -> Vec<PlanOp> {
 
 /// A randomized fault schedule: stragglers, degraded links, kernel-failure
 /// and launch-spike windows, and (occasionally) a permanent device death —
-/// every hazard class the parallel core's window protocol must fence.
+/// every hazard class the explore core's window rules must fence.
 fn gen_faults(g: &mut Gen, devices: usize) -> FaultSpec {
     let mut spec = FaultSpec::new(g.any_u64());
     for _ in 0..g.usize_in(0, 3) {
@@ -197,7 +200,7 @@ struct Outcome {
 }
 
 fn run_on(
-    core: CoreSelect,
+    core: &mut dyn EventCore,
     plan: &[PlanOp],
     devices: usize,
     faults: FaultSpec,
@@ -210,7 +213,7 @@ fn run_on(
         .build()
         .unwrap();
     let mut drv = PlanDriver { plan: plan.to_vec(), devices };
-    let end = sim.run_with_core(core, &mut drv, deadline);
+    let end = core.run(&mut sim, &mut drv, deadline);
     Outcome {
         trace: sim.take_trace().unwrap().to_chrome_json(),
         end,
@@ -221,50 +224,45 @@ fn run_on(
     }
 }
 
-const CORES: [CoreSelect; 3] = [
-    CoreSelect::Par { workers: 1 },
-    CoreSelect::Par { workers: 2 },
-    CoreSelect::Par { workers: 4 },
-];
-
 fn assert_cores_agree(g: &mut Gen, deadline: SimTime) {
     let devices = g.usize_in(2, 5);
     let plan = gen_plan(g, devices);
     let faults = gen_faults(g, devices);
-    let oracle = run_on(CoreSelect::Seq, &plan, devices, faults.clone(), deadline);
-    for core in CORES {
-        let got = run_on(core, &plan, devices, faults.clone(), deadline);
+    let oracle = run_on(&mut SequentialCore, &plan, devices, faults.clone(), deadline);
+    for rule in [WindowRule::Conservative, WindowRule::Unguarded] {
+        let got = run_on(&mut ExploreCore::new(rule), &plan, devices, faults.clone(), deadline);
         assert_eq!(
             got, oracle,
-            "core {core} diverged from the sequential oracle (devices={devices}, plan={plan:?})"
+            "explore core ({rule}) diverged from the sequential core \
+             (devices={devices}, plan={plan:?})"
         );
     }
 }
 
-/// Seed-for-seed, the parallel core at 1, 2 and 4 workers reproduces the
-/// sequential oracle's trace bytes and counters on arbitrary fault-injected
-/// workloads run to completion.
+/// Seed-for-seed, the explore core on the canonical schedule reproduces
+/// the sequential core's trace bytes and counters on arbitrary
+/// fault-injected workloads run to completion.
 #[test]
-fn parallel_core_matches_oracle_to_completion() {
-    check("parallel_core_matches_oracle", 40, |g| {
+fn canonical_explore_matches_sequential_to_completion() {
+    check("canonical_explore_matches_sequential", 40, |g| {
         assert_cores_agree(g, SimTime::MAX);
     });
 }
 
 /// The same equivalence holds for bounded runs: a deadline that cuts the
-/// workload mid-flight must leave both cores at the identical instant with
-/// identical partial traces (the window protocol clamps at the deadline).
+/// workload mid-flight must leave every core at the identical instant with
+/// identical partial traces.
 #[test]
-fn parallel_core_matches_oracle_under_deadlines() {
-    check("parallel_core_matches_oracle_deadline", 24, |g| {
+fn canonical_explore_matches_sequential_under_deadlines() {
+    check("canonical_explore_matches_sequential_deadline", 24, |g| {
         let deadline = SimTime::from_micros(g.u64_in(1, 5_000));
         assert_cores_agree(g, deadline);
     });
 }
 
-/// The exact case that validated the refactor, pinned forever. `check`
-/// honours `LIGER_PROP_SEED` for ad-hoc replay; this test hard-codes the
-/// seed so the case cannot rot out of the suite.
+/// One case pinned forever. `check` honours `LIGER_PROP_SEED` for ad-hoc
+/// replay; this test hard-codes the seed so the case cannot rot out of the
+/// suite.
 #[test]
 fn pinned_seed_replays_identically() {
     let mut g = Gen::from_seed(0xfa0175);

@@ -212,12 +212,11 @@ mod tests {
 // Query-level serving loop
 // ---------------------------------------------------------------------------
 
-use liger_gpu_sim::{CoreSelect, Driver, Simulation, Wake};
+use liger_gpu_sim::{Driver, Simulation, Wake};
 
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
 use crate::metrics::ServingMetrics;
 use crate::request::Completion;
-use crate::runner::run_core;
 
 /// Flush-timer token marker within the runner namespace.
 const FLUSH_BIT: u64 = 1 << 62;
@@ -404,19 +403,8 @@ pub fn serve_queries<E: InferenceEngine + ?Sized>(
     config: BatcherConfig,
     queries: Vec<Query>,
 ) -> ServingMetrics {
-    serve_queries_on(CoreSelect::from_env(), sim, engine, config, queries)
-}
-
-/// [`serve_queries`] on an explicit event core.
-pub fn serve_queries_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    config: BatcherConfig,
-    queries: Vec<Query>,
-) -> ServingMetrics {
     let mut runner = QueryRunner::new(engine, config, queries).expect("valid batcher config");
-    run_core(core, None, sim, &mut runner);
+    sim.run_to_completion(&mut runner);
     runner.into_metrics()
 }
 
@@ -430,21 +418,9 @@ pub fn serve_queries_with_retry<E: InferenceEngine + ?Sized>(
     queries: Vec<Query>,
     requeue_limit: u32,
 ) -> ServingMetrics {
-    serve_queries_with_retry_on(CoreSelect::from_env(), sim, engine, config, queries, requeue_limit)
-}
-
-/// [`serve_queries_with_retry`] on an explicit event core.
-pub fn serve_queries_with_retry_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    config: BatcherConfig,
-    queries: Vec<Query>,
-    requeue_limit: u32,
-) -> ServingMetrics {
     let mut runner =
         QueryRunner::with_retry(engine, config, queries, requeue_limit).expect("valid config");
-    run_core(core, None, sim, &mut runner);
+    sim.run_to_completion(&mut runner);
     runner.into_metrics()
 }
 

@@ -1,10 +1,9 @@
 //! Cluster front: N model replicas behind a deterministic router.
 //!
 //! Each replica is a full engine serving its share of the trace with
-//! [`serve_continuous`](crate::scheduler::serve_continuous) on its own node (its own [`Simulation`], so replica
-//! traces sanitize independently and the whole tier stays byte-identical
-//! across event cores). The router assigns jobs to replicas **at arrival
-//! order** with a pluggable [`RouterPolicy`]:
+//! [`serve_continuous`] on its own node (its own [`Simulation`], so replica
+//! traces sanitize independently). The router assigns jobs to replicas
+//! **at arrival order** with a pluggable [`RouterPolicy`]:
 //!
 //! * **Round-robin** — job *i* to replica *i mod N*.
 //! * **Least-outstanding** — the replica with the fewest outstanding tokens
@@ -34,7 +33,7 @@ use crate::engine::InferenceEngine;
 use crate::generation::{GenerationJob, GenerationMetrics};
 use crate::metrics::{MetricsSections, ServingMetrics};
 use crate::prefix::PrefixTag;
-use crate::scheduler::{serve_continuous_on, ContinuousReport, SchedulerConfig};
+use crate::scheduler::{serve_continuous, ContinuousReport, SchedulerConfig};
 
 /// Deterministic request-routing policy of the cluster front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,23 +199,11 @@ pub fn route_jobs(jobs: &[GenerationJob], replicas: usize, policy: RouterPolicy)
     assignment
 }
 
-/// Serves `jobs` over a cluster of replicas on the environment-selected
-/// event core. `make_replica(replica, wave)` builds one replica's
-/// simulation and engine — wave 0 is the initial dispatch, wave 1 the
-/// re-route pass (fresh sim: the first one has run to completion).
+/// Serves `jobs` over a cluster of replicas. `make_replica(replica, wave)`
+/// builds one replica's simulation and engine — wave 0 is the initial
+/// dispatch, wave 1 the re-route pass (fresh sim: the first one has run to
+/// completion).
 pub fn serve_cluster<E: InferenceEngine>(
-    jobs: Vec<GenerationJob>,
-    model: &ModelConfig,
-    cost: &CostModel,
-    config: ClusterConfig,
-    make_replica: impl FnMut(usize, usize) -> (Simulation, E),
-) -> ClusterReport {
-    serve_cluster_on(CoreSelect::from_env(), jobs, model, cost, config, make_replica)
-}
-
-/// [`serve_cluster`] on an explicit event core.
-pub fn serve_cluster_on<E: InferenceEngine>(
-    core: CoreSelect,
     jobs: Vec<GenerationJob>,
     model: &ModelConfig,
     cost: &CostModel,
@@ -242,7 +229,6 @@ pub fn serve_cluster_on<E: InferenceEngine>(
         }
         let (mut sim, mut engine) = make_replica(r, 0);
         let outcome = run_replica(
-            core,
             &mut sim,
             &mut engine,
             &routed,
@@ -280,7 +266,6 @@ pub fn serve_cluster_on<E: InferenceEngine>(
             report.rerouted += ids.len() as u64;
             let (mut sim, mut engine) = make_replica(slot, 1);
             let outcome = run_replica(
-                core,
                 &mut sim,
                 &mut engine,
                 &ids,
@@ -303,6 +288,20 @@ pub fn serve_cluster_on<E: InferenceEngine>(
     report
 }
 
+/// [`serve_cluster`]. Kept only because the repository benchmark
+/// (`perfbench/`) calls it with [`CoreSelect::Seq`]; new code should call
+/// [`serve_cluster`].
+pub fn serve_cluster_on<E: InferenceEngine>(
+    _core: CoreSelect,
+    jobs: Vec<GenerationJob>,
+    model: &ModelConfig,
+    cost: &CostModel,
+    config: ClusterConfig,
+    make_replica: impl FnMut(usize, usize) -> (Simulation, E),
+) -> ClusterReport {
+    serve_cluster(jobs, model, cost, config, make_replica)
+}
+
 /// One replica run.
 struct ReplicaOutcome {
     report: ContinuousReport,
@@ -311,11 +310,9 @@ struct ReplicaOutcome {
 }
 
 /// Serves `routed` global job ids on one replica, in arrival order,
-/// through [`serve_continuous_on`]. Job ids pass through unchanged, so a
+/// through [`serve_continuous`]. Job ids pass through unchanged, so a
 /// job's output stream is the same whichever replica serves it.
-#[allow(clippy::too_many_arguments)]
 fn run_replica<E: InferenceEngine>(
-    core: CoreSelect,
     sim: &mut Simulation,
     engine: &mut E,
     routed: &[u64],
@@ -327,7 +324,7 @@ fn run_replica<E: InferenceEngine>(
     let mut order: Vec<u64> = routed.to_vec();
     order.sort_unstable_by_key(|id| (by_id[id].arrival, *id));
     let jobs: Vec<GenerationJob> = order.iter().map(|id| by_id[id]).collect();
-    let report = serve_continuous_on(core, sim, engine, jobs, model, cost, scheduler);
+    let report = serve_continuous(sim, engine, jobs, model, cost, scheduler);
     let completed: BTreeSet<u64> = report.generation.results().iter().map(|r| r.id).collect();
     let unfinished = order.into_iter().filter(|id| !completed.contains(id)).collect();
     ReplicaOutcome { report, unfinished }
@@ -433,10 +430,9 @@ mod tests {
         let mut sched = SchedulerConfig::sized_for(&model, 1, 16 * (1 << 30));
         sched.max_running = 4;
         let config = ClusterConfig::new(2, sched);
-        let report =
-            serve_cluster_on(CoreSelect::Seq, jobs.clone(), &model, &cost, config, |_, _| {
-                (sim(1, FaultSpec::none()), StepToy::new(1))
-            });
+        let report = serve_cluster(jobs.clone(), &model, &cost, config, |_, _| {
+            (sim(1, FaultSpec::none()), StepToy::new(1))
+        });
         assert_eq!(report.completed(), jobs.len());
         for r in report.generation.results() {
             let job = &jobs[r.id as usize];

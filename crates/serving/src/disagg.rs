@@ -25,18 +25,16 @@
 //! The two workers run as two simulations sharing one time axis (both
 //! start at t = 0; a job enters the decode worker at the instant its KV
 //! stream finished on the prefill side). Each worker is a deterministic
-//! [`Driver`] over its own engine, so the whole tier is byte-identical
-//! across event cores.
+//! [`Driver`] over its own engine, so the whole tier replays byte for byte.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use liger_collectives::{kv_stream_time, ClusterTopology, NicLink};
 use liger_gpu_sim::{
-    CoreSelect, DetHashMap, DeviceId, Driver, HostId, KernelSpec, SimTime, Simulation, StreamId,
-    Trace, Wake,
+    DetHashMap, DeviceId, Driver, HostId, KernelSpec, SimTime, Simulation, StreamId, Trace, Wake,
 };
 use liger_kvcache::BlockPool;
-use liger_model::{BatchShape, CostModel, ModelConfig};
+use liger_model::{BatchShape, ModelConfig};
 
 use crate::admission::{ShedReason, ShedRecord};
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
@@ -198,25 +196,11 @@ impl liger_gpu_sim::ToJson for DisaggReport {
     }
 }
 
-/// Serves `jobs` disaggregated on the environment-selected event core.
-/// `make_worker(role, devices)` builds each worker's simulation and engine
-/// over that node's devices.
+/// Serves `jobs` disaggregated. `make_worker(role, devices)` builds each
+/// worker's simulation and engine over that node's devices.
 pub fn serve_disaggregated<E: InferenceEngine>(
     jobs: Vec<GenerationJob>,
     model: &ModelConfig,
-    cost: &CostModel,
-    config: DisaggConfig,
-    make_worker: impl FnMut(DisaggRole, &[DeviceId]) -> (Simulation, E),
-) -> DisaggReport {
-    serve_disaggregated_on(CoreSelect::from_env(), jobs, model, cost, config, make_worker)
-}
-
-/// [`serve_disaggregated`] on an explicit event core.
-pub fn serve_disaggregated_on<E: InferenceEngine>(
-    core: CoreSelect,
-    jobs: Vec<GenerationJob>,
-    model: &ModelConfig,
-    cost: &CostModel,
     config: DisaggConfig,
     mut make_worker: impl FnMut(DisaggRole, &[DeviceId]) -> (Simulation, E),
 ) -> DisaggReport {
@@ -236,9 +220,8 @@ pub fn serve_disaggregated_on<E: InferenceEngine>(
     // -- prefill wave --------------------------------------------------------
     let node_devices = config.node_devices();
     let (mut sim_p, mut engine_p) = make_worker(DisaggRole::Prefill, &node_devices);
-    let lookahead = crate::runner::core_lookahead(&sim_p, cost);
     let mut prefill = PrefillWorker::new(&mut engine_p, &jobs, &config, &node_devices);
-    crate::runner::run_core(core, Some(lookahead), &mut sim_p, &mut prefill);
+    sim_p.run_to_completion(&mut prefill);
     let PrefillOutcome {
         kv_ready,
         first_token,
@@ -254,9 +237,8 @@ pub fn serve_disaggregated_on<E: InferenceEngine>(
 
     // -- decode wave ---------------------------------------------------------
     let (mut sim_d, mut engine_d) = make_worker(DisaggRole::Decode, &node_devices);
-    let lookahead = crate::runner::core_lookahead(&sim_d, cost);
     let mut decode = DecodeWorker::new(&mut engine_d, &jobs, &config, &node_devices, kv_ready);
-    crate::runner::run_core(core, Some(lookahead), &mut sim_d, &mut decode);
+    sim_d.run_to_completion(&mut decode);
     let DecodeOutcome {
         serving: decode_metrics,
         generation: decode_generation,
@@ -549,7 +531,7 @@ struct DecodeWorker<'a, E: InferenceEngine + ?Sized> {
     generation: GenerationMetrics,
     outputs: BTreeMap<u64, Vec<u64>>,
     /// Completion instants in job-id order (ordered so the final report is
-    /// identical across event cores and hash seeds).
+    /// identical across runs and hash seeds).
     finished_at: BTreeMap<u64, SimTime>,
 }
 

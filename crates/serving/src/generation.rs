@@ -15,12 +15,11 @@
 //! continuous-batching scheduler in [`crate::scheduler`], which re-forms
 //! the running set at every decode step over a paged KV pool.
 
-use liger_gpu_sim::{CoreSelect, DetHashMap, Driver, SimDuration, SimTime, Simulation, Wake};
+use liger_gpu_sim::{DetHashMap, Driver, SimDuration, SimTime, Simulation, Wake};
 use liger_model::BatchShape;
 
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
 use crate::request::Request;
-use crate::runner::run_core;
 
 /// One generation job: a batch of prompts decoded for a fixed number of
 /// output tokens.
@@ -268,18 +267,8 @@ pub fn serve_generations<E: InferenceEngine + ?Sized>(
     engine: &mut E,
     jobs: Vec<GenerationJob>,
 ) -> GenerationMetrics {
-    serve_generations_on(CoreSelect::from_env(), sim, engine, jobs)
-}
-
-/// [`serve_generations`] on an explicit event core.
-pub fn serve_generations_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    jobs: Vec<GenerationJob>,
-) -> GenerationMetrics {
     let mut runner = GenerationRunner::new(engine, jobs);
-    run_core(core, None, sim, &mut runner);
+    sim.run_to_completion(&mut runner);
     runner.into_metrics()
 }
 

@@ -33,18 +33,17 @@ pub use admission::{AdmissionConfig, AdmissionController, ShedReason, ShedRecord
 pub use analysis::{dg1_wait, mg1_latency, mg1_wait, service_moments, utilization};
 pub use arrival::{ArrivalProcess, DecodeTraceConfig, LognormalTraceConfig, PrefillTraceConfig};
 pub use batcher::{
-    serve_queries, serve_queries_on, serve_queries_with_retry, serve_queries_with_retry_on,
-    Batcher, BatcherConfig, PackedBatch, Query, QueryRunner,
+    serve_queries, serve_queries_with_retry, Batcher, BatcherConfig, PackedBatch, Query,
+    QueryRunner,
 };
 pub use cluster::{
     route_jobs, serve_cluster, serve_cluster_on, ClusterConfig, ClusterReport, ReplicaSlot,
     RouterPolicy,
 };
-pub use disagg::{serve_disaggregated, serve_disaggregated_on, DisaggConfig, DisaggReport};
+pub use disagg::{serve_disaggregated, DisaggConfig, DisaggReport};
 pub use engine::{InferenceEngine, RUNNER_TOKEN_BASE};
 pub use generation::{
-    serve_generations, serve_generations_on, GenerationJob, GenerationMetrics, GenerationResult,
-    GenerationRunner,
+    serve_generations, GenerationJob, GenerationMetrics, GenerationResult, GenerationRunner,
 };
 pub use health::{HealthConfig, HealthEvents, HealthMonitor};
 pub use membership::RecoveryPhase;
@@ -53,12 +52,9 @@ pub use metrics::{
     ServingMetrics, SpecCounters,
 };
 pub use prefix::{block_digests, output_token, prompt_token, PrefixTag, SpecDecodeConfig};
-pub use recovery::{serve_with_recovery, serve_with_recovery_on, RecoveryConfig};
+pub use recovery::{serve_with_recovery, RecoveryConfig};
 pub use request::{Completion, Request};
-pub use runner::{
-    core_lookahead, serve, serve_on, serve_with_policy, serve_with_policy_on, RetryPolicy,
-    ServingRunner,
-};
+pub use runner::{serve, serve_on, serve_with_policy, RetryPolicy, ServingRunner};
 pub use scheduler::{serve_continuous, serve_continuous_on, ContinuousReport, SchedulerConfig};
 
 pub use liger_kvcache::{BlockPool, BlockPoolConfig, OutOfBlocks};

@@ -27,7 +27,7 @@
 
 use std::collections::VecDeque;
 
-use liger_gpu_sim::{CoreSelect, DeviceId, Simulation, Wake};
+use liger_gpu_sim::{DeviceId, Simulation, Wake};
 use liger_model::{CostModel, ModelConfig, RecoveryPolicy};
 
 use crate::admission::AdmissionConfig;
@@ -225,26 +225,7 @@ pub fn serve_with_recovery<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: RecoveryConfig,
 ) -> ServingMetrics {
-    serve_with_recovery_on(CoreSelect::from_env(), sim, engine, requests, model, cost, config)
-}
-
-/// [`serve_with_recovery`] on an explicit event core. A parallel core gets
-/// its lookahead derived from the host launch overhead and the cost model's
-/// interconnect latency ([`core_lookahead`](crate::runner::core_lookahead)).
-///
-/// # Panics
-/// If `config.health` is invalid.
-pub fn serve_with_recovery_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    requests: Vec<Request>,
-    model: &ModelConfig,
-    cost: &CostModel,
-    config: RecoveryConfig,
-) -> ServingMetrics {
     config.health.validate().expect("invalid health config");
-    let lookahead = crate::runner::core_lookahead(sim, cost);
     let mut controller = MembershipController::new(
         RecoveryRunner::new(engine, requests),
         model,
@@ -253,7 +234,7 @@ pub fn serve_with_recovery_on<E: InferenceEngine + ?Sized>(
         Some(config.health),
         config.admission,
     );
-    crate::runner::run_core(core, Some(lookahead), sim, &mut controller);
+    sim.run_to_completion(&mut controller);
     controller.into_driver().metrics
 }
 

@@ -1,50 +1,11 @@
 //! The serving runner: feeds a request trace into an engine running on the
 //! simulator and collects metrics.
 
-use liger_gpu_sim::{
-    CoreSelect, Driver, EventCore, HostId, ParallelCore, SimDuration, SimTime, Simulation, Wake,
-};
-use liger_model::CostModel;
+use liger_gpu_sim::{CoreSelect, Driver, SimDuration, Simulation, Wake};
 
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
 use crate::metrics::ServingMetrics;
 use crate::request::{Completion, Request};
-
-/// Lookahead for the parallel event core under serving workloads: the
-/// hosts' kernel launch-overhead floor plus the collective startup latency
-/// from the cost model's topology. Serving rounds cannot interact across
-/// devices faster than a launch plus a collective setup, so windows thinner
-/// than this are not worth a shard hop. Purely a performance hint — any
-/// value yields identical results.
-pub fn core_lookahead(sim: &Simulation, cost: &CostModel) -> SimDuration {
-    let launch = (0..sim.host_count())
-        .map(|h| sim.host_spec(HostId(h)).launch_overhead)
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    launch + cost.topology.base_latency
-}
-
-/// Runs `driver` on `sim` to completion with the selected event core.
-/// Parallel runs apply `lookahead` when one was derived (see
-/// [`core_lookahead`]); `None` keeps the simulator's launch-overhead
-/// default.
-pub(crate) fn run_core(
-    core: CoreSelect,
-    lookahead: Option<SimDuration>,
-    sim: &mut Simulation,
-    driver: &mut dyn Driver,
-) -> SimTime {
-    match core {
-        CoreSelect::Seq => sim.run_to_completion_with(CoreSelect::Seq, driver),
-        CoreSelect::Par { workers } => {
-            let mut engine = ParallelCore::new(workers);
-            if let Some(la) = lookahead {
-                engine = engine.with_lookahead(la);
-            }
-            engine.run(sim, driver, SimTime::MAX)
-        }
-    }
-}
 
 /// Timer-token marker (within the runner's bit-63 namespace) for retry
 /// resubmissions of requests whose kernels failed.
@@ -249,27 +210,26 @@ impl<E: InferenceEngine + ?Sized> Driver for ServingRunner<'_, E> {
     }
 }
 
-/// Serves `requests` with `engine` on `sim` using the ambient core
-/// selection ([`CoreSelect::from_env`]); returns the metrics.
+/// Serves `requests` with `engine` on `sim`; returns the metrics.
 pub fn serve<E: InferenceEngine + ?Sized>(
     sim: &mut Simulation,
     engine: &mut E,
     requests: Vec<Request>,
 ) -> ServingMetrics {
-    serve_on(CoreSelect::from_env(), sim, engine, requests)
+    let mut runner = ServingRunner::new(engine, requests);
+    sim.run_to_completion(&mut runner);
+    runner.into_metrics()
 }
 
-/// [`serve`] on an explicit event core. Both cores produce identical
-/// metrics for identical inputs.
+/// [`serve`]. Kept only because the repository benchmark (`perfbench/`)
+/// calls it with [`CoreSelect::Seq`]; new code should call [`serve`].
 pub fn serve_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
+    _core: CoreSelect,
     sim: &mut Simulation,
     engine: &mut E,
     requests: Vec<Request>,
 ) -> ServingMetrics {
-    let mut runner = ServingRunner::new(engine, requests);
-    run_core(core, None, sim, &mut runner);
-    runner.into_metrics()
+    serve(sim, engine, requests)
 }
 
 /// [`serve`] with a [`RetryPolicy`]: requests whose kernels fail are retried
@@ -281,19 +241,8 @@ pub fn serve_with_policy<E: InferenceEngine + ?Sized>(
     requests: Vec<Request>,
     policy: RetryPolicy,
 ) -> ServingMetrics {
-    serve_with_policy_on(CoreSelect::from_env(), sim, engine, requests, policy)
-}
-
-/// [`serve_with_policy`] on an explicit event core.
-pub fn serve_with_policy_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    requests: Vec<Request>,
-    policy: RetryPolicy,
-) -> ServingMetrics {
     let mut runner = ServingRunner::with_policy(engine, requests, policy);
-    run_core(core, None, sim, &mut runner);
+    sim.run_to_completion(&mut runner);
     runner.into_metrics()
 }
 

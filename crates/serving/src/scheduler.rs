@@ -914,17 +914,24 @@ pub fn serve_continuous<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: SchedulerConfig,
 ) -> ContinuousReport {
-    serve_continuous_on(CoreSelect::from_env(), sim, engine, jobs, model, cost, config)
+    config.validate().expect("invalid SchedulerConfig");
+    let (policy, health, admission) = (config.policy, config.health, config.admission);
+    let scheduler =
+        ContinuousScheduler::new(engine, jobs, model, cost, config, sim.alive_devices());
+    let mut controller =
+        MembershipController::new(scheduler, model, cost, policy, health, admission);
+    sim.run_to_completion(&mut controller);
+    controller.into_driver().into_report()
 }
 
-/// [`serve_continuous`] on an explicit event core. A parallel core gets its
-/// lookahead derived from the host launch overhead and the cost model's
-/// interconnect latency ([`core_lookahead`](crate::runner::core_lookahead)).
+/// [`serve_continuous`]. Kept only because the repository benchmark
+/// (`perfbench/`) calls it with [`CoreSelect::Seq`]; new code should call
+/// [`serve_continuous`].
 ///
 /// # Panics
 /// If `config` is invalid ([`SchedulerConfig::validate`]).
 pub fn serve_continuous_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
+    _core: CoreSelect,
     sim: &mut Simulation,
     engine: &mut E,
     jobs: Vec<GenerationJob>,
@@ -932,15 +939,7 @@ pub fn serve_continuous_on<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: SchedulerConfig,
 ) -> ContinuousReport {
-    config.validate().expect("invalid SchedulerConfig");
-    let lookahead = crate::runner::core_lookahead(sim, cost);
-    let (policy, health, admission) = (config.policy, config.health, config.admission);
-    let scheduler =
-        ContinuousScheduler::new(engine, jobs, model, cost, config, sim.alive_devices());
-    let mut controller =
-        MembershipController::new(scheduler, model, cost, policy, health, admission);
-    crate::runner::run_core(core, Some(lookahead), sim, &mut controller);
-    controller.into_driver().into_report()
+    serve_continuous(sim, engine, jobs, model, cost, config)
 }
 
 #[cfg(test)]

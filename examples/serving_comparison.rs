@@ -6,41 +6,15 @@
 //!
 //! ```sh
 //! cargo run --release --example serving_comparison
-//! cargo run --release --example serving_comparison -- --core par:2
 //! ```
-//!
-//! `--core {seq,par[:N]}` selects the discrete-event engine (default:
-//! sequential, or whatever `LIGER_CORE` says). Both cores produce identical
-//! numbers — the flag exists to exercise and time the parallel core.
 
 use liger::prelude::*;
-use liger::serving::{
-    serve_continuous_on, serve_generations_on, serve_on, GenerationJob, PrefixTag,
-};
+use liger::serving::{serve, serve_continuous, serve_generations, GenerationJob, PrefixTag};
 
-/// Parses `--core <value>` from the process arguments, defaulting to the
-/// `LIGER_CORE` environment variable (and ultimately the sequential core).
-fn arg_core() -> CoreSelect {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--core" {
-            let raw = args.next().unwrap_or_default();
-            return match CoreSelect::parse(&raw) {
-                Ok(core) => core,
-                Err(e) => {
-                    eprintln!("invalid --core value: {e}");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    CoreSelect::from_env()
-}
-
-fn run(core: CoreSelect, label: &str, engine: &mut dyn InferenceEngine, rate: f64) {
+fn run(label: &str, engine: &mut dyn InferenceEngine, rate: f64) {
     let mut sim = Simulation::builder().devices(DeviceSpec::v100_16gb(), 4).build().unwrap();
     let trace = PrefillTraceConfig::paper(150, 2, rate, 42).generate();
-    let m = serve_on(core, &mut sim, engine, trace);
+    let m = serve(&mut sim, engine, trace);
     println!(
         "  {label:<10} avg latency {:>9}  p99 {:>9}  throughput {:>6.1} req/s",
         m.avg_latency().to_string(),
@@ -96,7 +70,7 @@ fn gen_engine(cfg: &ModelConfig, cost: &CostModel, factor: f64) -> LigerEngine {
     .unwrap()
 }
 
-fn batching_comparison(core: CoreSelect, cost: &CostModel, factor: f64) {
+fn batching_comparison(cost: &CostModel, factor: f64) {
     let cfg = ModelConfig::gpt_8b().with_layers(8);
     let jobs = skewed_jobs(64, 40.0);
     let sim = || Simulation::builder().devices(DeviceSpec::v100_16gb(), 4).build().unwrap();
@@ -117,7 +91,7 @@ fn batching_comparison(core: CoreSelect, cost: &CostModel, factor: f64) {
         members.push(chunk.to_vec());
     }
     let mut e = gen_engine(&cfg, cost, factor);
-    let m = serve_generations_on(core, &mut sim(), &mut e, grouped);
+    let m = serve_generations(&mut sim(), &mut e, grouped);
     let static_seq: Vec<(GenerationJob, SimTime)> = m
         .results()
         .iter()
@@ -128,7 +102,7 @@ fn batching_comparison(core: CoreSelect, cost: &CostModel, factor: f64) {
     // Continuous: iteration-level scheduling over the paged KV pool.
     let config = SchedulerConfig::sized_for(&cfg, 4, DeviceSpec::v100_16gb().mem_capacity);
     let mut e = gen_engine(&cfg, cost, factor);
-    let report = serve_continuous_on(core, &mut sim(), &mut e, jobs.clone(), &cfg, cost, config);
+    let report = serve_continuous(&mut sim(), &mut e, jobs.clone(), &cfg, cost, config);
     let cont_seq: Vec<(GenerationJob, SimTime)> =
         report.generation.results().iter().map(|r| (jobs[r.id as usize], r.finished)).collect();
     let (cont_tps, cont_p99) = score(&cont_seq);
@@ -150,12 +124,10 @@ fn batching_comparison(core: CoreSelect, cost: &CostModel, factor: f64) {
 }
 
 fn main() {
-    let core = arg_core();
     let cfg = ModelConfig::opt_30b();
     let cost = CostModel::v100_node();
     let factor = profile_contention(&DeviceSpec::v100_16gb(), &NcclConfig::liger_tuned()).factor();
 
-    println!("event core: {core}");
     for rate in [10.0, 20.0, 26.0] {
         println!("arrival rate {rate:.0} req/s:");
         let mut liger = LigerEngine::new(
@@ -165,18 +137,18 @@ fn main() {
             LigerConfig::default().with_contention_factor(factor),
         )
         .unwrap();
-        run(core, "Liger", &mut liger, rate);
+        run("Liger", &mut liger, rate);
         let mut intra = IntraOpEngine::new(cfg.clone(), cost.clone(), 4).unwrap();
-        run(core, "Intra-Op", &mut intra, rate);
+        run("Intra-Op", &mut intra, rate);
         let mut inter =
             InterOpEngine::new(cfg.clone(), cost.clone(), 4, PipelineFlavor::Measured).unwrap();
-        run(core, "Inter-Op", &mut inter, rate);
+        run("Inter-Op", &mut inter, rate);
         let mut inter_th =
             InterOpEngine::new(cfg.clone(), cost.clone(), 4, PipelineFlavor::Theoretical).unwrap();
-        run(core, "Inter-Th", &mut inter_th, rate);
+        run("Inter-Th", &mut inter_th, rate);
         println!();
     }
     println!("Liger keeps Intra-Op's latency while pushing throughput past it; the pipelines pay full-model latency.");
     println!();
-    batching_comparison(core, &cost, factor);
+    batching_comparison(&cost, factor);
 }

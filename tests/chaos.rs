@@ -10,8 +10,6 @@
 //! * every admitted job finishes or is shed with a typed reason;
 //! * the trace is clean under the happens-before sanitizer — no TS-UAF,
 //!   TS-DOUBLE-FREE or TS-LEAK through any loss, rejoin or re-expansion;
-//! * the sequential and parallel event cores produce byte-identical
-//!   metrics and traces;
 //! * every surviving job's output stream is identical to the fault-free
 //!   oracle's — faults may slow or shed work, never corrupt it.
 //!
@@ -22,9 +20,8 @@
 use std::collections::BTreeMap;
 
 use liger::prelude::*;
-use liger::serving::{serve_continuous_on, ContinuousReport, GenerationJob, PrefixTag};
+use liger::serving::{serve_continuous, ContinuousReport, GenerationJob, PrefixTag};
 use liger_gpu_sim::testkit::{check, Gen};
-use liger_gpu_sim::ToJson;
 
 fn model() -> ModelConfig {
     ModelConfig::opt_30b().with_layers(4)
@@ -142,7 +139,7 @@ fn gen_storm(g: &mut Gen) -> Storm {
     Storm { world, jobs, faults }
 }
 
-fn run(storm: &Storm, core: CoreSelect, faults: FaultSpec) -> (ContinuousReport, Trace) {
+fn run(storm: &Storm, faults: FaultSpec) -> (ContinuousReport, Trace) {
     let mut sim = Simulation::builder()
         .devices(DeviceSpec::v100_16gb(), storm.world)
         .faults(faults)
@@ -152,8 +149,7 @@ fn run(storm: &Storm, core: CoreSelect, faults: FaultSpec) -> (ContinuousReport,
     let mut e = engine(storm.world);
     let cfg = model();
     let cost = CostModel::v100_node();
-    let report = serve_continuous_on(
-        core,
+    let report = serve_continuous(
         &mut sim,
         &mut e,
         storm.jobs.clone(),
@@ -172,49 +168,33 @@ fn seeded_storms_hold_the_robustness_contract() {
         let n = storm.jobs.len();
 
         // Fault-free oracle: the output streams faults must never corrupt.
-        let (oracle, _) = run(&storm, CoreSelect::Seq, FaultSpec::none());
+        let (oracle, _) = run(&storm, FaultSpec::none());
         assert_eq!(oracle.generation.completed(), n, "the oracle serves everything");
 
-        // The storm, on the sequential core.
-        let (seq, seq_trace) = run(&storm, CoreSelect::Seq, storm.faults.clone());
+        // The storm.
+        let (stormy, trace) = run(&storm, storm.faults.clone());
 
         // Accounting: every admitted job finishes or is shed with a reason.
-        let rec = seq.serving.recovery();
+        let rec = stormy.serving.recovery();
         assert_eq!(
-            seq.generation.completed() + rec.shed_requests() as usize,
+            stormy.generation.completed() + rec.shed_requests() as usize,
             n,
             "jobs lost without a shed record under {}",
             storm.faults
         );
 
         // Sanitizer: clean through every loss, rejoin and re-expansion.
-        let diags = liger_verify::sanitize(&seq_trace);
+        let diags = liger_verify::sanitize(&trace);
         assert_eq!(diags.len(), 0, "sanitizer diagnostics under {}: {diags:?}", storm.faults);
 
         // Outputs: identical to the fault-free oracle for every survivor.
         let oracle_outputs: &BTreeMap<u64, Vec<u64>> = &oracle.outputs;
-        for (id, stream) in &seq.outputs {
+        for (id, stream) in &stormy.outputs {
             assert_eq!(
                 stream, &oracle_outputs[id],
                 "job {id} diverged from the fault-free oracle under {}",
                 storm.faults
             );
         }
-
-        // Core invariance: the parallel core reproduces metrics and trace
-        // byte-for-byte.
-        let (par, par_trace) = run(&storm, CoreSelect::Par { workers: 2 }, storm.faults.clone());
-        assert_eq!(
-            par.serving.to_json(),
-            seq.serving.to_json(),
-            "metrics diverged across cores under {}",
-            storm.faults
-        );
-        assert_eq!(
-            par_trace.to_chrome_json(),
-            seq_trace.to_chrome_json(),
-            "trace bytes diverged across cores under {}",
-            storm.faults
-        );
     });
 }

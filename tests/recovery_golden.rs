@@ -2,8 +2,7 @@
 //! complete serving record — metrics summary, recovery timeline, shed
 //! records, completions and, for continuous serving, per-job generation
 //! results and output streams — is compared byte-for-byte against
-//! `tests/golden/metrics/*.json`, on the sequential and the parallel event
-//! core.
+//! `tests/golden/metrics/*.json`.
 //!
 //! * `serve_with_recovery` on a 4-way Liger engine: a mid-trace loss under
 //!   a tight watermark, a windowed outage that rejoins and re-expands, and
@@ -23,15 +22,13 @@
 
 use liger::prelude::*;
 use liger::serving::{
-    serve_continuous_on, serve_with_recovery_on, ContinuousReport, GenerationJob, PrefixTag,
+    serve_continuous, serve_with_recovery, ContinuousReport, GenerationJob, PrefixTag,
     SpecDecodeConfig,
 };
 use liger_gpu_sim::json::{JsonArray, JsonObject};
 use liger_gpu_sim::{FaultSpec, ToJson};
 
 const WORLD: usize = 4;
-
-const CORES: [CoreSelect; 2] = [CoreSelect::Seq, CoreSelect::Par { workers: 2 }];
 
 fn watchdog() -> HealthConfig {
     // The probe stream shares a hardware queue with the engine's secondary
@@ -104,9 +101,9 @@ fn render(metrics: &ServingMetrics, continuous: Option<&ContinuousReport>) -> St
 
 /// Compares `rendered` with `tests/golden/metrics/<name>.json`, or rewrites
 /// the file under `LIGER_GOLDEN_REGEN`.
-fn check_golden(name: &str, core: CoreSelect, rendered: &str) {
+fn check_golden(name: &str, rendered: &str) {
     let path = format!("{}/tests/golden/metrics/{name}.json", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("LIGER_GOLDEN_REGEN").is_some() && core == CoreSelect::Seq {
+    if std::env::var_os("LIGER_GOLDEN_REGEN").is_some() {
         std::fs::write(&path, rendered).expect("write golden file");
         eprintln!("regenerated {path}");
         return;
@@ -114,7 +111,7 @@ fn check_golden(name: &str, core: CoreSelect, rendered: &str) {
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     assert!(
         rendered == golden,
-        "{name} on {core:?} drifted from {path}; if the behaviour change is intentional, \
+        "{name} drifted from {path}; if the behaviour change is intentional, \
          regenerate with LIGER_GOLDEN_REGEN=1 and commit the diff\n--- rendered ---\n{rendered}"
     );
 }
@@ -142,7 +139,6 @@ fn requests(count: usize, rate: f64) -> Vec<Request> {
 }
 
 fn serve_recovery(
-    core: CoreSelect,
     faults: FaultSpec,
     requests: Vec<Request>,
     policy: RecoveryPolicy,
@@ -156,47 +152,41 @@ fn serve_recovery(
         admission: AdmissionConfig { queue_watermark: watermark },
     };
     let mut engine = engine(&model);
-    serve_with_recovery_on(core, &mut sim(faults), &mut engine, requests, &model, &cost, config)
+    serve_with_recovery(&mut sim(faults), &mut engine, requests, &model, &cost, config)
 }
 
 #[test]
 fn recovery_mid_trace_loss_matches_golden() {
-    for core in CORES {
-        let faults = FaultSpec::new(0x10).device_down(DeviceId(3), SimTime::from_millis(4));
-        let m = serve_recovery(core, faults, requests(48, 3000.0), RecoveryPolicy::Recompute, 4);
-        assert_eq!(labels(&m), ["draining", "recovering", "degraded"]);
-        assert!(m.recovery().shed_requests() > 0, "the tight watermark sheds");
-        check_golden("recovery_mid_trace_loss", core, &render(&m, None));
-    }
+    let faults = FaultSpec::new(0x10).device_down(DeviceId(3), SimTime::from_millis(4));
+    let m = serve_recovery(faults, requests(48, 3000.0), RecoveryPolicy::Recompute, 4);
+    assert_eq!(labels(&m), ["draining", "recovering", "degraded"]);
+    assert!(m.recovery().shed_requests() > 0, "the tight watermark sheds");
+    check_golden("recovery_mid_trace_loss", &render(&m, None));
 }
 
 #[test]
 fn recovery_outage_rejoin_matches_golden() {
-    for core in CORES {
-        let faults = FaultSpec::new(0x11).device_outage(
-            DeviceId(2),
-            SimTime::from_millis(3),
-            SimTime::from_millis(12),
-        );
-        let m = serve_recovery(core, faults, requests(60, 1500.0), RecoveryPolicy::Replicate, 2);
-        assert!(labels(&m).contains(&"expanding"), "timeline {:?}", labels(&m));
-        assert_eq!(m.recovery().re_expansions, 1);
-        check_golden("recovery_outage_rejoin", core, &render(&m, None));
-    }
+    let faults = FaultSpec::new(0x11).device_outage(
+        DeviceId(2),
+        SimTime::from_millis(3),
+        SimTime::from_millis(12),
+    );
+    let m = serve_recovery(faults, requests(60, 1500.0), RecoveryPolicy::Replicate, 2);
+    assert!(labels(&m).contains(&"expanding"), "timeline {:?}", labels(&m));
+    assert_eq!(m.recovery().re_expansions, 1);
+    check_golden("recovery_outage_rejoin", &render(&m, None));
 }
 
 #[test]
 fn recovery_loss_during_drain_matches_golden() {
-    for core in CORES {
-        let faults = FaultSpec::new(0x12)
-            .device_down(DeviceId(3), SimTime::from_millis(4))
-            .device_down(DeviceId(1), SimTime::from_millis(4));
-        let m = serve_recovery(core, faults, requests(40, 2000.0), RecoveryPolicy::Replicate, 64);
-        assert_eq!(m.recovery().losses, 2);
-        let drains = labels(&m).iter().filter(|&&l| l == "draining").count();
-        assert_eq!(drains, 2, "each loss drains: {:?}", labels(&m));
-        check_golden("recovery_loss_during_drain", core, &render(&m, None));
-    }
+    let faults = FaultSpec::new(0x12)
+        .device_down(DeviceId(3), SimTime::from_millis(4))
+        .device_down(DeviceId(1), SimTime::from_millis(4));
+    let m = serve_recovery(faults, requests(40, 2000.0), RecoveryPolicy::Replicate, 64);
+    assert_eq!(m.recovery().losses, 2);
+    let drains = labels(&m).iter().filter(|&&l| l == "draining").count();
+    assert_eq!(drains, 2, "each loss drains: {:?}", labels(&m));
+    check_golden("recovery_loss_during_drain", &render(&m, None));
 }
 
 // -- serve_continuous --------------------------------------------------------
@@ -218,30 +208,20 @@ fn continuous_outage_and_flap_match_golden() {
     // A windowed outage of device 2 plus a `flap:` link flap between
     // devices 0 and 1, in the fault grammar.
     let faults = FaultSpec::parse("seed=19;down:2:3..14;flap:0:1:1:9:2").expect("valid storm");
-    for core in CORES {
-        let mut config = SchedulerConfig::sized_for_shared(
-            &model,
-            WORLD as u32,
-            DeviceSpec::v100_16gb().mem_capacity,
-            256,
-        );
-        config.spec = Some(SpecDecodeConfig::for_target(&model, 3, 0.7));
-        config.health = Some(watchdog());
-        config.max_running = 4;
-        config.admission = AdmissionConfig { queue_watermark: 2 };
-        let mut engine = engine(&model);
-        let report = serve_continuous_on(
-            core,
-            &mut sim(faults.clone()),
-            &mut engine,
-            jobs.clone(),
-            &model,
-            &cost,
-            config,
-        );
-        assert!(labels(&report.serving).contains(&"expanding"), "{:?}", labels(&report.serving));
-        assert!(report.serving.spec().rounds > 0, "speculation ran");
-        assert!(report.serving.prefix().hits > 0, "the prefix cache served hits");
-        check_golden("continuous_outage_flap", core, &render(&report.serving, Some(&report)));
-    }
+    let mut config = SchedulerConfig::sized_for_shared(
+        &model,
+        WORLD as u32,
+        DeviceSpec::v100_16gb().mem_capacity,
+        256,
+    );
+    config.spec = Some(SpecDecodeConfig::for_target(&model, 3, 0.7));
+    config.health = Some(watchdog());
+    config.max_running = 4;
+    config.admission = AdmissionConfig { queue_watermark: 2 };
+    let mut engine = engine(&model);
+    let report = serve_continuous(&mut sim(faults), &mut engine, jobs, &model, &cost, config);
+    assert!(labels(&report.serving).contains(&"expanding"), "{:?}", labels(&report.serving));
+    assert!(report.serving.spec().rounds > 0, "speculation ran");
+    assert!(report.serving.prefix().hits > 0, "the prefix cache served hits");
+    check_golden("continuous_outage_flap", &render(&report.serving, Some(&report)));
 }
