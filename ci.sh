@@ -71,6 +71,9 @@ cargo test -q --release --test chaos
 # The simulator's host heap must follow the work in flight, not the trace:
 # paper-prefill peaks near 1 MiB, and above 16 MiB its event and collective
 # records are no longer being reclaimed (the unbounded tables took 414 MiB).
+# Its scheduling rounds must not allocate either: paper-prefill makes about
+# 3 allocations per request, and above 16 a per-round or per-layer
+# allocation is back (about 180 rounds per request took 313).
 echo "==> perfbench tests + workload smoke runs"
 cargo test -q --manifest-path perfbench/Cargo.toml
 for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; do
@@ -87,7 +90,14 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
             echo "perfbench $w: host_peak_heap_mib ${heap:-missing} exceeds 16 MiB" >&2
             exit 1
         fi
-        echo "    $w: host_peak_heap_mib $heap (limit 16)"
+        allocs=$(printf '%s' "$result" |
+            sed -n 's/.*"host_allocs_per_req": {"value": \([0-9.eE+-]*\).*/\1/p')
+        if [ -z "$allocs" ] || awk -v a="$allocs" 'BEGIN { exit !(a > 16) }'; then
+            echo "perfbench $w: host_allocs_per_req ${allocs:-missing} exceeds 16" >&2
+            exit 1
+        fi
+        echo "    $w: host_peak_heap_mib $heap (limit 16)," \
+            "host_allocs_per_req $allocs (limit 16)"
     fi
 done
 

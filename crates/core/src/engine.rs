@@ -3,8 +3,8 @@
 //! Implements interleaved parallelism on the simulated multi-GPU node: the
 //! engine keeps a waiting queue and a fixed-size processing list of
 //! assembled `FuncVec`s (§3.3), repeatedly plans scheduling rounds with
-//! [`plan_round`] (Algorithm 1 + contention anticipation + runtime
-//! decomposition) and launches each round's two subsets through the shared
+//! [`plan_round_into`] (Algorithm 1 + contention anticipation + runtime
+//! decomposition, into one reused [`RoundPlan`]) and launches each round's two subsets through the shared
 //! launch sequence (the crate-private `launch` module, which the verifier's
 //! [`LaunchProgram`](crate::LaunchProgram) records too) onto two streams of
 //! every device:
@@ -32,7 +32,7 @@ use liger_serving::{InferenceEngine, Request};
 use crate::config::{LigerConfig, SyncMode};
 use crate::funcvec::FuncVec;
 use crate::launch::{LaunchTarget, Launcher, Notify};
-use crate::scheduler::{plan_round, LaunchItem, PlanParams, RoundPlan};
+use crate::scheduler::{plan_round_into, LaunchItem, PlanParams, RoundPlan};
 
 /// Wake tokens with this bit set are engine control-flow (round events);
 /// tokens without it are batch completion notifications. The serving
@@ -83,6 +83,9 @@ pub struct LigerEngine {
     /// Round counter, E2 gate and per-batch stream state of the launch
     /// sequence.
     launcher: Launcher,
+    /// The round being launched, refilled by every plan so that steady-state
+    /// rounds reuse its buffers instead of allocating.
+    plan: RoundPlan,
     phase: Phase,
     completed: Vec<(u64, SimTime)>,
     /// Rounds planned so far (exposed for tests/diagnostics).
@@ -160,6 +163,7 @@ impl LigerEngine {
             waiting: VecDeque::new(),
             processing: VecDeque::new(),
             launcher: Launcher::default(),
+            plan: RoundPlan::default(),
             phase: Phase::Idle,
             completed: Vec::new(),
             rounds_planned: 0,
@@ -275,15 +279,15 @@ impl LigerEngine {
     fn advance(&mut self, sim: &mut Simulation) -> bool {
         self.update_list(sim);
         let params = self.params(sim);
-        let Some(plan) = plan_round(&mut self.processing, &params, &self.cost) else {
+        if !plan_round_into(&mut self.processing, &params, &self.cost, &mut self.plan) {
             self.phase = Phase::Idle;
             return false;
-        };
+        }
         self.rounds_planned += 1;
         if params.straggler_factor > 1.0 {
             self.degraded_rounds += 1;
         }
-        self.launch(sim, &plan);
+        self.launch(sim);
         self.phase = match self.config.sync_mode {
             SyncMode::Hybrid => Phase::Hybrid,
             // The round ends with one host sync per device and stream.
@@ -299,19 +303,21 @@ impl LigerEngine {
         loop {
             self.update_list(sim);
             let params = self.params(sim);
-            let Some(plan) = plan_round(&mut self.processing, &params, &self.cost) else { break };
+            if !plan_round_into(&mut self.processing, &params, &self.cost, &mut self.plan) {
+                break;
+            }
             self.rounds_planned += 1;
             if params.straggler_factor > 1.0 {
                 self.degraded_rounds += 1;
             }
-            outstanding += self.launch(sim, &plan);
+            outstanding += self.launch(sim);
         }
         self.phase = if outstanding > 0 { Phase::Flood { outstanding } } else { Phase::Idle };
     }
 
-    /// Launches one round through the shared launch sequence; returns the
-    /// number of batch-completion notifications registered.
-    fn launch(&mut self, sim: &mut Simulation, plan: &RoundPlan) -> u32 {
+    /// Launches the planned round through the shared launch sequence;
+    /// returns the number of batch-completion notifications registered.
+    fn launch(&mut self, sim: &mut Simulation) -> u32 {
         let mut target = SimTarget {
             sim,
             nccl: &self.nccl,
@@ -320,7 +326,7 @@ impl LigerEngine {
             completion_pending: &mut self.completion_pending,
             observations: &mut self.observations,
         };
-        self.launcher.launch_round(&mut target, &self.devices, plan, self.config.sync_mode)
+        self.launcher.launch_round(&mut target, &self.devices, &self.plan, self.config.sync_mode)
     }
 
     /// Abandons every queued and in-flight batch for a replan and returns

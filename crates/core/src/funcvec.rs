@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use liger_gpu_sim::{KernelClass, SimDuration, SimTime};
+use liger_gpu_sim::{KernelClass, SimTime};
 use liger_model::{assemble, BatchShape, CostModel, ModelConfig, PricedOp};
 
 /// The assembled kernel-launch list of one batch.
@@ -98,27 +98,12 @@ impl FuncVec {
     pub fn push_front(&mut self, op: PricedOp) {
         self.ops.push_front(op);
     }
-
-    /// Number of kernels in the maximal same-class run at the head.
-    pub fn head_run_len(&self) -> usize {
-        let Some(class) = self.next_class() else {
-            return 0;
-        };
-        self.ops.iter().take_while(|op| op.class() == class).count()
-    }
-
-    /// Duration of the maximal same-class run at the head.
-    pub fn head_run_duration(&self) -> SimDuration {
-        let Some(class) = self.next_class() else {
-            return SimDuration::ZERO;
-        };
-        self.ops.iter().take_while(|op| op.class() == class).map(|op| op.duration).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liger_gpu_sim::SimDuration;
     use liger_model::{GemmKind, LayerOp, PlacedOp};
 
     fn op(class: KernelClass, us: u64) -> PricedOp {
@@ -158,25 +143,6 @@ mod tests {
         assert!(v.switch(), "final kernel ends its run");
         let v = fv(vec![]);
         assert!(!v.switch());
-    }
-
-    #[test]
-    fn head_run_duration_sums_the_leading_run() {
-        use KernelClass::*;
-        let v = fv(vec![op(Compute, 10), op(Compute, 15), op(Comm, 100), op(Compute, 1)]);
-        assert_eq!(v.head_run_duration(), SimDuration::from_micros(25));
-        let v = fv(vec![op(Comm, 7)]);
-        assert_eq!(v.head_run_duration(), SimDuration::from_micros(7));
-        assert_eq!(fv(vec![]).head_run_duration(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn head_run_len_counts_the_leading_run() {
-        use KernelClass::*;
-        let v = fv(vec![op(Compute, 10), op(Compute, 15), op(Comm, 100), op(Compute, 1)]);
-        assert_eq!(v.head_run_len(), 2);
-        assert_eq!(fv(vec![op(Comm, 7)]).head_run_len(), 1);
-        assert_eq!(fv(vec![]).head_run_len(), 0);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! [`LaunchProgram::from_plans`](crate::introspect::LaunchProgram::from_plans)
 //! records the same calls as data for the verifier.
 
-use std::sync::Arc;
-
 use liger_gpu_sim::{DeviceId, EventId, KernelClass, SimDuration};
 
 use crate::config::SyncMode;
@@ -62,10 +60,14 @@ pub(crate) struct Launcher {
     /// The E2 list of the round before that, kept to be refilled: rounds
     /// alternate between the two buffers instead of allocating a list each.
     spare_e2: Vec<EventId>,
-    /// Batches whose latest kernels went to the secondary stream, with the
-    /// per-device dependency events recorded after them. An entry goes when
-    /// the batch is promoted to primary or its completing item launches.
-    on_secondary: Vec<(u64, Arc<[EventId]>)>,
+    /// Batches whose latest kernels went to the secondary stream, each with
+    /// its own copy of the per-device dependency events recorded after them.
+    /// An entry goes when the batch is promoted to primary or its completing
+    /// item launches.
+    on_secondary: Vec<(u64, Vec<EventId>)>,
+    /// Emptied dependency lists, refilled instead of allocating: an entry's
+    /// list comes from here and returns here when the entry goes.
+    spare_deps: Vec<Vec<EventId>>,
 }
 
 impl Launcher {
@@ -73,7 +75,23 @@ impl Launcher {
     /// (a replan abandons them all). The round counter keeps counting.
     pub(crate) fn reset(&mut self) {
         self.prev_e2 = None;
-        self.on_secondary.clear();
+        let lists = self.on_secondary.drain(..).map(|(_, deps)| deps);
+        self.spare_deps.extend(lists);
+    }
+
+    /// An empty dependency list, recycled when one is spare.
+    fn take_deps(&mut self) -> Vec<EventId> {
+        let mut deps = self.spare_deps.pop().unwrap_or_default();
+        deps.clear();
+        deps
+    }
+
+    /// Removes `batch`'s secondary-stream entry, if any, and returns its
+    /// dependency list. The caller hands the list back through
+    /// `spare_deps` once it has read it.
+    fn untrack(&mut self, batch: u64) -> Option<Vec<EventId>> {
+        let i = self.on_secondary.iter().position(|&(b, _)| b == batch)?;
+        Some(self.on_secondary.remove(i).1)
     }
 
     /// Launches one round's subsets on `devices` and returns the number of
@@ -125,12 +143,11 @@ impl Launcher {
     ) -> u32 {
         // Cross-stream dependency: a batch whose previous kernels ran on the
         // secondary stream must not start its stream-0 run before them.
-        let batch = plan.primary[0].batch;
-        if let Some(i) = self.on_secondary.iter().position(|&(b, _)| b == batch) {
-            let (_, deps) = self.on_secondary.swap_remove(i);
-            for (&d, &ev) in devices.iter().zip(deps.iter()) {
+        if let Some(deps) = self.untrack(plan.primary[0].batch) {
+            for (&d, &ev) in devices.iter().zip(&deps) {
                 t.wait(d, PRIMARY_STREAM, ev);
             }
+            self.spare_deps.push(deps);
         }
         let mut completions = 0;
         let last = plan.primary.len() - 1;
@@ -177,15 +194,21 @@ impl Launcher {
             completions += launch_item(t, devices, item, SECONDARY_STREAM);
         }
         // One dependency event per device covers every secondary batch of
-        // this round: the batches share the one list.
-        let deps: Arc<[EventId]> = devices.iter().map(|&d| t.record(d, SECONDARY_STREAM)).collect();
+        // this round; each batch's entry keeps its own copy of the list.
+        let mut deps = self.take_deps();
+        deps.extend(devices.iter().map(|&d| t.record(d, SECONDARY_STREAM)));
         t.notify(devices[0], deps[0], Notify::SecondaryEnd { round });
         for item in &plan.secondary {
-            self.on_secondary.retain(|&(b, _)| b != item.batch);
+            if let Some(stale) = self.untrack(item.batch) {
+                self.spare_deps.push(stale);
+            }
             if !item.completes_batch {
-                self.on_secondary.push((item.batch, Arc::clone(&deps)));
+                let mut own = self.take_deps();
+                own.extend_from_slice(&deps);
+                self.on_secondary.push((item.batch, own));
             }
         }
+        self.spare_deps.push(deps);
         completions
     }
 }
@@ -272,5 +295,12 @@ mod tests {
         assert_eq!(tracked(&launcher), [2], "a batch completing on the secondary is dropped");
         launcher.launch_round(&mut t, &devices, &plans[2], SyncMode::Hybrid);
         assert!(launcher.on_secondary.is_empty(), "a promoted batch is dropped");
+        // Three lists were ever taken (round 0's shared record plus two
+        // entries); every one is back in the pool for later rounds.
+        assert_eq!(launcher.spare_deps.len(), 3);
+        launcher.launch_round(&mut t, &devices, &plans[0], SyncMode::Hybrid);
+        launcher.reset();
+        assert!(launcher.on_secondary.is_empty());
+        assert_eq!(launcher.spare_deps.len(), 3, "reset returns the entries' lists");
     }
 }

@@ -45,4 +45,4 @@ pub use config::{LigerConfig, SyncMode};
 pub use engine::LigerEngine;
 pub use funcvec::FuncVec;
 pub use introspect::{LaunchProgram, PlanOp};
-pub use scheduler::{plan_round, LaunchItem, PlanParams, RoundPlan};
+pub use scheduler::{plan_round, plan_round_into, LaunchItem, PlanParams, RoundPlan};

@@ -33,7 +33,7 @@ use liger_model::{split_op, CostModel, PricedOp};
 use crate::funcvec::FuncVec;
 
 /// One kernel scheduled into a round, with its owning batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchItem {
     /// Owning batch id.
     pub batch: u64,
@@ -45,7 +45,7 @@ pub struct LaunchItem {
 }
 
 /// The two subsets of one scheduling round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundPlan {
     /// SubSet0: the primary batch's run (all the same class).
     pub primary: Vec<LaunchItem>,
@@ -74,6 +74,18 @@ impl RoundPlan {
     }
 }
 
+impl Default for RoundPlan {
+    /// An empty plan, ready to be filled by [`plan_round_into`].
+    fn default() -> RoundPlan {
+        RoundPlan {
+            primary: Vec::new(),
+            secondary: Vec::new(),
+            primary_class: KernelClass::Compute,
+            window: SimDuration::ZERO,
+        }
+    }
+}
+
 /// Scheduling knobs consumed by [`plan_round`].
 #[derive(Debug, Clone, Copy)]
 pub struct PlanParams {
@@ -93,13 +105,31 @@ pub struct PlanParams {
 /// Plans one round over the processing list (`processing[0]` is the primary
 /// batch). Pops scheduled kernels from the `FuncVec`s; decomposed remainders
 /// are pushed back at their batch's front. Returns `None` when the
-/// processing list is empty.
+/// processing list is empty. Allocates a fresh plan; a caller planning round
+/// after round should reuse one through [`plan_round_into`].
 pub fn plan_round(
     processing: &mut VecDeque<FuncVec>,
     params: &PlanParams,
     cm: &CostModel,
 ) -> Option<RoundPlan> {
+    let mut plan = RoundPlan::default();
+    plan_round_into(processing, params, cm, &mut plan).then_some(plan)
+}
+
+/// [`plan_round`] into a caller-owned plan: clears `plan` and refills its
+/// subsets, so once their buffers have grown to the largest round seen, a
+/// round allocates nothing. Returns false (leaving `plan` empty) when the
+/// processing list is empty.
+pub fn plan_round_into(
+    processing: &mut VecDeque<FuncVec>,
+    params: &PlanParams,
+    cm: &CostModel,
+    plan: &mut RoundPlan,
+) -> bool {
     debug_assert!(params.contention_factor >= 1.0);
+    plan.primary.clear();
+    plan.secondary.clear();
+    plan.window = SimDuration::ZERO;
     // Fold the straggler slowdown into the contention factor: both stretch
     // secondary kernels relative to the window the same way.
     let params = &PlanParams {
@@ -107,30 +137,28 @@ pub fn plan_round(
         straggler_factor: 1.0,
         ..*params
     };
-    let primary_batch = processing.front_mut()?;
+    let Some(primary_batch) = processing.front_mut() else { return false };
     let primary_id = primary_batch.batch_id;
-    let primary_class = primary_batch.next_class()?;
+    let Some(primary_class) = primary_batch.next_class() else { return false };
+    plan.primary_class = primary_class;
 
     // -- collect the primary run (Algorithm 1, lines 4-9) ---------------------
-    let mut primary = Vec::with_capacity(primary_batch.head_run_len());
-    let mut window = SimDuration::ZERO;
     loop {
         let ends_run = primary_batch.switch();
         let Some(op) = primary_batch.pop() else { break };
-        window += op.duration;
+        plan.window += op.duration;
         let completes = primary_batch.is_empty();
-        primary.push(LaunchItem { batch: primary_id, op, completes_batch: completes });
+        plan.primary.push(LaunchItem { batch: primary_id, op, completes_batch: completes });
         if ends_run {
             break;
         }
     }
-    debug_assert!(!primary.is_empty());
-    debug_assert!(primary.iter().all(|i| i.op.class() == primary_class));
+    debug_assert!(!plan.primary.is_empty());
+    debug_assert!(plan.primary.iter().all(|i| i.op.class() == primary_class));
 
     // -- fill the secondary subset (lines 10-20 + §3.5 + §3.6) ----------------
     let want = primary_class.opposite();
-    let mut secondary = Vec::new();
-    let mut remaining = window;
+    let mut remaining = plan.window;
     'batches: for v in processing.iter_mut().skip(1) {
         while remaining > SimDuration::ZERO {
             let Some(head) = v.peek() else { break };
@@ -142,7 +170,11 @@ pub fn plan_round(
                 let op = v.pop().expect("peeked head vanished");
                 remaining = remaining.saturating_sub(scaled);
                 let completes = v.is_empty();
-                secondary.push(LaunchItem { batch: v.batch_id, op, completes_batch: completes });
+                plan.secondary.push(LaunchItem {
+                    batch: v.batch_id,
+                    op,
+                    completes_batch: completes,
+                });
                 continue;
             }
             // Too long to fit whole: try to carve a fractional piece (§3.6).
@@ -151,7 +183,7 @@ pub fn plan_round(
                 && head.op_ref().decomposable()
             {
                 if let Some(item) = carve_piece(v, remaining, params, cm) {
-                    secondary.push(item);
+                    plan.secondary.push(item);
                 }
             }
             // Whether or not a piece fit, the window is now exhausted
@@ -162,8 +194,7 @@ pub fn plan_round(
             break;
         }
     }
-
-    Some(RoundPlan { primary, secondary, primary_class, window })
+    true
 }
 
 /// Finds the largest `j/F` piece of `v`'s head whose *scaled* duration fits

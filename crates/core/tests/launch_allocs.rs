@@ -3,10 +3,12 @@
 //! Serving launches thousands of kernels per OPT-30B request, and launching
 //! one allocates nothing: specs move inline into the simulator's queues,
 //! kernel names are borrowed, collectives are launched straight from the
-//! priced op, and a round's event lists are reused or shared. What remains
-//! per request is function assembly, per-round planning and the serving
-//! loop's bookkeeping, so the count per launched kernel stays well below
-//! one.
+//! priced op, and a round's event lists are reused or recycled. Planning
+//! allocates nothing either once the engine's one reused `RoundPlan` has
+//! grown to the largest round. What remains per request is function
+//! assembly (one buffer for the op list, one for its priced copy) and the
+//! serving loop's bookkeeping: a handful of allocations per request, not
+//! one per kernel or per round.
 //!
 //! The test binary installs its own counting allocator with thread-local
 //! counters, so tests running in parallel do not disturb each other.
@@ -14,10 +16,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::collections::VecDeque;
+
 use liger_collectives::Topology;
-use liger_core::{LigerConfig, LigerEngine};
-use liger_gpu_sim::{DeviceSpec, Simulation};
-use liger_model::{CostModel, ModelConfig};
+use liger_core::{plan_round_into, FuncVec, LigerConfig, LigerEngine, PlanParams, RoundPlan};
+use liger_gpu_sim::{DeviceSpec, SimTime, Simulation};
+use liger_model::{BatchShape, CostModel, ModelConfig};
 use liger_serving::{serve, PrefillTraceConfig};
 
 struct Counting;
@@ -65,26 +69,91 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-#[test]
-fn serving_allocates_under_half_an_allocation_per_launched_kernel() {
-    const WORLD: usize = 4;
+const WORLD: usize = 4;
+const REQUESTS: u64 = 40;
+
+fn v100_cost() -> CostModel {
+    CostModel::new(DeviceSpec::v100_16gb(), Topology::v100_nvlink())
+}
+
+/// Serves the paper's prefill trace (40 OPT-30B requests at 12 req/s) on a
+/// 4-GPU V100 node and returns the allocations serving made and the
+/// kernels it launched.
+fn serve_paper_prefill() -> (u64, u64) {
     let device = DeviceSpec::v100_16gb();
-    let cost = CostModel::new(device.clone(), Topology::v100_nvlink());
     let mut engine =
-        LigerEngine::new(ModelConfig::opt_30b(), cost, WORLD, LigerConfig::default()).unwrap();
+        LigerEngine::new(ModelConfig::opt_30b(), v100_cost(), WORLD, LigerConfig::default())
+            .unwrap();
     let mut sim = Simulation::builder().devices(device, WORLD).build().unwrap();
-    let requests = PrefillTraceConfig::paper(40, 2, 12.0, 7).generate();
+    let requests = PrefillTraceConfig::paper(REQUESTS as usize, 2, 12.0, 7).generate();
 
     let before = allocs();
     let metrics = serve(&mut sim, &mut engine, requests);
     let spent = allocs() - before;
 
-    assert_eq!(metrics.completed(), 40);
-    let kernels = sim.kernels_launched();
-    assert!(kernels > 40 * 1000, "an OPT-30B prefill launches thousands of kernels");
+    assert_eq!(metrics.completed(), REQUESTS as usize);
+    (spent, sim.kernels_launched())
+}
+
+#[test]
+fn serving_allocates_under_half_an_allocation_per_launched_kernel() {
+    let (spent, kernels) = serve_paper_prefill();
+    assert!(kernels > REQUESTS * 1000, "an OPT-30B prefill launches thousands of kernels");
     let per_kernel = spent as f64 / kernels as f64;
     assert!(
         per_kernel < 0.5,
         "serving allocated {spent} times for {kernels} launched kernels ({per_kernel:.3} each)"
     );
+}
+
+/// About 180 scheduling rounds serve one request; none of them may cost an
+/// allocation of its own.
+#[test]
+fn serving_allocates_at_most_eight_times_per_request() {
+    let (spent, _) = serve_paper_prefill();
+    let per_request = spent as f64 / REQUESTS as f64;
+    assert!(
+        per_request <= 8.0,
+        "serving allocated {spent} times for {REQUESTS} requests ({per_request:.2} each)"
+    );
+}
+
+/// Once a reused plan's buffers have grown to the largest round, planning
+/// allocates nothing, runtime decomposition included.
+#[test]
+fn steady_state_planning_allocates_nothing() {
+    let cost = v100_cost();
+    let cfg = ModelConfig::opt_30b();
+    let batches = |first: u64| -> VecDeque<FuncVec> {
+        (first..first + 4)
+            .map(|id| {
+                let shape = BatchShape::prefill(2, 64);
+                FuncVec::assemble(id, shape, SimTime::ZERO, &cost, &cfg, WORLD as u32)
+            })
+            .collect()
+    };
+    let params = PlanParams {
+        contention_factor: 1.1,
+        division_factor: 8,
+        enable_decomposition: true,
+        straggler_factor: 1.0,
+    };
+    let mut plan = RoundPlan::default();
+    // Warm-up: one pass over the same batches sizes the plan's buffers.
+    let mut warm_up = batches(0);
+    while plan_round_into(&mut warm_up, &params, &cost, &mut plan) {
+        warm_up.retain(|v| !v.is_empty());
+    }
+    let mut list = batches(4);
+
+    let before = allocs();
+    let mut rounds = 0;
+    while plan_round_into(&mut list, &params, &cost, &mut plan) {
+        list.retain(|v| !v.is_empty());
+        rounds += 1;
+    }
+    let spent = allocs() - before;
+
+    assert!(rounds > 100, "four OPT-30B batches take hundreds of rounds, got {rounds}");
+    assert_eq!(spent, 0, "{rounds} steady-state rounds allocated {spent} times");
 }

@@ -6,7 +6,7 @@
 
 use std::collections::VecDeque;
 
-use liger_core::{plan_round, FuncVec, PlanParams};
+use liger_core::{plan_round, plan_round_into, FuncVec, PlanParams, RoundPlan};
 use liger_gpu_sim::testkit::{check, Gen};
 use liger_gpu_sim::{KernelClass, SimDuration, SimTime};
 use liger_model::{BatchShape, CostModel, GemmKind, LayerOp, PlacedOp, PricedOp};
@@ -173,5 +173,39 @@ fn factor_monotonically_shrinks_secondary() {
             plan.secondary.iter().map(|i| i.op.duration.as_nanos()).sum()
         };
         assert!(sum(&p2) <= sum(&p1));
+    });
+}
+
+/// Stale-item guard for the reused plan: planning to exhaustion through one
+/// `RoundPlan` that already holds an earlier list's kernels yields, round by
+/// round, exactly what a fresh `plan_round` plans on a clone of the list.
+#[test]
+fn reused_plan_matches_a_fresh_plan_every_round() {
+    check("reused_plan_matches_a_fresh_plan_every_round", 128, |g| {
+        let cm = CostModel::v100_node();
+        let factor = g.f64_in(1.0, 1.5);
+        for df in [1, 8] {
+            let params = params(factor, df);
+            // Dirty the plan with another list's round first.
+            let mut plan = RoundPlan::default();
+            assert!(plan_round_into(&mut build_list(&gen_batches(g)), &params, &cm, &mut plan));
+            let mut q = build_list(&gen_batches(g));
+            let mut rounds = 0usize;
+            loop {
+                let mut fresh_q = q.clone();
+                let fresh = plan_round(&mut fresh_q, &params, &cm);
+                let planned = plan_round_into(&mut q, &params, &cm, &mut plan);
+                let Some(fresh) = fresh else {
+                    assert!(!planned, "fresh plan ended first");
+                    assert!(plan.is_empty(), "an exhausted list leaves the plan empty");
+                    break;
+                };
+                assert!(planned, "reused plan ended first");
+                assert_eq!(plan, fresh, "df={df} round {rounds}");
+                q.retain(|v| !v.is_empty());
+                rounds += 1;
+                assert!(rounds < 10_000, "planner failed to terminate");
+            }
+        }
     });
 }

@@ -34,6 +34,23 @@ pub const HEAD_LAYER: u32 = u32::MAX;
 /// heads, which every all-reduce must wait for. For divisible degrees this
 /// is byte-identical to the exact Megatron partitioning.
 pub fn layer_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32, layer: u32) -> Vec<PlacedOp> {
+    let mut ops = Vec::with_capacity(OPS_PER_LAYER);
+    push_layer_ops(&mut ops, cfg, shape, tp, layer);
+    ops
+}
+
+/// Most ops one block emits: ten kernels plus two all-reduces when `tp > 1`.
+const OPS_PER_LAYER: usize = 12;
+
+/// Appends [`layer_ops`]`(cfg, shape, tp, layer)` to `ops`, so that a whole
+/// model or stage is built in one buffer.
+fn push_layer_ops(
+    ops: &mut Vec<PlacedOp>,
+    cfg: &ModelConfig,
+    shape: BatchShape,
+    tp: u32,
+    layer: u32,
+) {
     assert!(tp >= 1, "tensor-parallel degree must be >= 1");
     assert!(
         tp <= cfg.heads,
@@ -54,7 +71,6 @@ pub fn layer_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32, layer: u32) -> V
     let dtype = cfg.dtype_bytes as u64;
     let ar_bytes = rows * h * dtype;
 
-    let mut ops = Vec::with_capacity(12);
     let mut push = |op: LayerOp| ops.push(PlacedOp { layer, op });
 
     // -- attention half ------------------------------------------------------
@@ -82,16 +98,14 @@ pub fn layer_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32, layer: u32) -> V
         push(LayerOp::AllReduce { bytes: ar_bytes, ranks: tp });
     }
     push(LayerOp::Residual { rows, hidden: h });
-
-    ops
 }
 
 /// Ops of the full model on one device at tensor-parallel degree `tp`:
 /// `layers` blocks, final layer norm, and the (column-parallel) LM head.
 pub fn model_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32) -> Vec<PlacedOp> {
-    let mut ops = Vec::with_capacity(cfg.layers as usize * 12 + 2);
+    let mut ops = Vec::with_capacity(cfg.layers as usize * OPS_PER_LAYER + 2);
     for layer in 0..cfg.layers {
-        ops.extend(layer_ops(cfg, shape, tp, layer));
+        push_layer_ops(&mut ops, cfg, shape, tp, layer);
     }
     let h = cfg.hidden as u64;
     let rows = shape.rows();
@@ -112,9 +126,9 @@ pub fn model_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32) -> Vec<PlacedOp>
 /// (Inter-Op baseline). The final stage appends the head ops.
 pub fn stage_ops(cfg: &ModelConfig, shape: BatchShape, lo: u32, hi: u32) -> Vec<PlacedOp> {
     assert!(lo < hi && hi <= cfg.layers, "invalid stage range [{lo},{hi}) of {}", cfg.layers);
-    let mut ops = Vec::new();
+    let mut ops = Vec::with_capacity((hi - lo) as usize * OPS_PER_LAYER + 2);
     for layer in lo..hi {
-        ops.extend(layer_ops(cfg, shape, 1, layer));
+        push_layer_ops(&mut ops, cfg, shape, 1, layer);
     }
     if hi == cfg.layers {
         let h = cfg.hidden as u64;
@@ -216,6 +230,40 @@ mod tests {
         assert!(ops.iter().any(|p| p.layer == HEAD_LAYER));
         for l in 0..cfg.layers {
             assert!(ops.iter().any(|p| p.layer == l));
+        }
+    }
+
+    #[test]
+    fn one_buffer_builds_match_the_per_layer_concatenation() {
+        let head = |cfg: &ModelConfig, shape: BatchShape, tp: u32| {
+            let rows = shape.rows();
+            let h = cfg.hidden as u64;
+            let n = (cfg.vocab as u64).div_ceil(tp as u64);
+            [
+                PlacedOp { layer: HEAD_LAYER, op: LayerOp::LayerNorm { rows, hidden: h } },
+                PlacedOp {
+                    layer: HEAD_LAYER,
+                    op: LayerOp::Gemm { m: rows, k: h, n, kind: GemmKind::LmHead },
+                },
+            ]
+        };
+        let concat = |cfg: &ModelConfig, shape, tp, layers: std::ops::Range<u32>| {
+            layers.flat_map(|l| layer_ops(cfg, shape, tp, l)).collect::<Vec<_>>()
+        };
+        for cfg in [ModelConfig::tiny_test(), ModelConfig::opt_30b()] {
+            for shape in [BatchShape::prefill(2, 16), BatchShape::decode(8, 40)] {
+                // tp = 3 exercises the uneven critical-path shard.
+                for tp in [1, 2, 3, 4] {
+                    let mut want = concat(&cfg, shape, tp, 0..cfg.layers);
+                    want.extend(head(&cfg, shape, tp));
+                    assert_eq!(model_ops(&cfg, shape, tp), want, "{} tp={tp}", cfg.name);
+                }
+                let mid = cfg.layers / 2;
+                assert_eq!(stage_ops(&cfg, shape, 0, mid), concat(&cfg, shape, 1, 0..mid));
+                let mut want = concat(&cfg, shape, 1, mid..cfg.layers);
+                want.extend(head(&cfg, shape, 1));
+                assert_eq!(stage_ops(&cfg, shape, mid, cfg.layers), want, "{}", cfg.name);
+            }
         }
     }
 

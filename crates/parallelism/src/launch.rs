@@ -207,6 +207,9 @@ mod tests {
 pub struct EngineMemory {
     weights: Option<Vec<liger_gpu_sim::AllocationId>>,
     per_batch: liger_gpu_sim::DetHashMap<u64, Vec<liger_gpu_sim::AllocationId>>,
+    /// Id lists of completed batches, emptied and kept for the next
+    /// submissions to refill instead of allocating.
+    spare: Vec<Vec<liger_gpu_sim::AllocationId>>,
 }
 
 impl EngineMemory {
@@ -251,24 +254,25 @@ impl EngineMemory {
         batch: u64,
         bytes_per_device: u64,
     ) {
-        let ids: Vec<_> = devices
-            .iter()
-            .map(|&d| {
-                sim.alloc_memory(d, bytes_per_device, "batch working set").unwrap_or_else(|e| {
-                    panic!("batch working set does not fit (reduce batch size or in-flight window): {e}")
-                })
+        let mut ids = self.spare.pop().unwrap_or_default();
+        ids.extend(devices.iter().map(|&d| {
+            sim.alloc_memory(d, bytes_per_device, "batch working set").unwrap_or_else(|e| {
+                panic!(
+                    "batch working set does not fit (reduce batch size or in-flight window): {e}"
+                )
             })
-            .collect();
+        }));
         let prev = self.per_batch.insert(batch, ids);
         debug_assert!(prev.is_none(), "batch {batch} submitted twice");
     }
 
     /// Frees a completed batch's working set.
     pub fn batch_completed(&mut self, sim: &mut Simulation, batch: u64) {
-        if let Some(ids) = self.per_batch.remove(&batch) {
-            for id in ids {
+        if let Some(mut ids) = self.per_batch.remove(&batch) {
+            for id in ids.drain(..) {
                 sim.free_memory(id);
             }
+            self.spare.push(ids);
         }
     }
 
