@@ -3,6 +3,10 @@
 //! wait on such an id resolves at once and logs its `Wait` mark under the
 //! original id, so the trace must still pair it with the event's `Record`
 //! mark and sanitize clean.
+//!
+//! A freed device-memory allocation keeps only its device. A double free
+//! long after the first must still be charged to that device and leave a
+//! `Free` mark naming it, so the sanitizer reports TS-DOUBLE-FREE there.
 
 use liger_gpu_sim::prelude::*;
 use liger_verify::sanitize;
@@ -52,4 +56,43 @@ fn a_wait_on_a_reclaimed_event_sanitizes_clean() {
     assert_eq!(waits.count(), 1);
     let diags = sanitize(&trace);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn a_double_free_long_after_reclaim_is_traced_on_its_device() {
+    let mut sim = Simulation::builder()
+        .devices(DeviceSpec::test_device(), 4)
+        .capture_trace(true)
+        .build()
+        .unwrap();
+    let victim = sim.alloc_memory(DeviceId(2), 4096, "act").unwrap();
+    sim.free_memory(victim);
+    for i in 0..5_000 {
+        let churn = sim.alloc_memory(DeviceId(i % 4), 64, "kv").unwrap();
+        sim.free_memory(churn);
+    }
+    // In debug builds the second free also fires the tracker's assertion;
+    // silence the default hook so the expected panic doesn't spam stderr.
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.free_memory(victim)));
+    std::panic::set_hook(prev);
+    assert_eq!(hit.is_err(), cfg!(debug_assertions));
+    assert_eq!(sim.memory_double_frees_on(DeviceId(2)), 1);
+    assert_eq!(sim.memory_double_frees(), 1);
+    assert_eq!(sim.memory_in_use(DeviceId(2)), 0);
+
+    let trace = sim.take_trace().unwrap();
+    let frees: Vec<DeviceId> = trace
+        .marks()
+        .iter()
+        .filter_map(|m| match m {
+            TraceMark::Free { id, device, .. } if *id == victim.0 => Some(*device),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(frees, vec![DeviceId(2), DeviceId(2)]);
+    let diags = sanitize(&trace);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!((diags[0].rule, diags[0].device), ("TS-DOUBLE-FREE", Some(2)));
 }

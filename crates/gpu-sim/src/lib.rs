@@ -80,7 +80,7 @@ pub use host::HostSpec;
 pub use ids::{CollectiveId, DeviceId, EventId, HostId, KernelId, StreamId, TimerId};
 pub use json::{JsonError, JsonParser, JsonValue, ToJson};
 pub use kernel::{KernelClass, KernelSpec};
-pub use memory::{AllocationId, MemoryTracker, OutOfMemory};
+pub use memory::{AllocationId, AllocationInfo, MemoryTracker, OutOfMemory};
 pub use rng::Rng;
 pub use sim::{
     BlockedLane, DispatchFootprint, Driver, LaneBlock, Simulation, SimulationBuilder,
@@ -118,7 +118,7 @@ pub mod prelude {
     pub use crate::ids::{CollectiveId, DeviceId, EventId, HostId, KernelId, StreamId, TimerId};
     pub use crate::json::{JsonError, JsonParser, JsonValue, ToJson};
     pub use crate::kernel::{KernelClass, KernelSpec};
-    pub use crate::memory::{AllocationId, MemoryTracker, OutOfMemory};
+    pub use crate::memory::{AllocationId, AllocationInfo, MemoryTracker, OutOfMemory};
     pub use crate::rng::Rng;
     pub use crate::sim::{
         BlockedLane, DispatchFootprint, Driver, LaneBlock, Simulation, SimulationBuilder,

@@ -6,10 +6,19 @@
 //! constraint that forces multi-GPU deployment in the first place (OPT-30B's
 //! 60 GB of FP16 weights vs. a 16 GB V100) — and records the peak footprint
 //! for capacity-planning reports.
+//!
+//! Allocation ids are dense, monotone and never reused, so trace marks and
+//! the sanitizer can key on them. The tracker's memory still follows the
+//! allocations in flight, not the ones ever made: size and label live in
+//! the crate's slab of live records (`idtable::IdTable`) and go back to it
+//! on free. All that stays behind for a freed id is its device index, two
+//! bytes, which is what a double free needs to be charged to its device
+//! and traced there.
 
 use std::fmt;
 
 use crate::ids::DeviceId;
+use crate::idtable::IdTable;
 
 /// Handle to a live allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,36 +51,76 @@ impl fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
-#[derive(Debug, Clone)]
+/// What the tracker knows about an allocation id it issued
+/// ([`MemoryTracker::info`]). A freed allocation keeps only its device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllocationInfo {
+    /// The allocation is live.
+    Live {
+        /// Device holding it.
+        device: DeviceId,
+        /// Its size in bytes.
+        bytes: u64,
+        /// Its label.
+        label: &'static str,
+    },
+    /// The allocation was freed; its size and label are gone.
+    Freed {
+        /// Device that held it.
+        device: DeviceId,
+    },
+}
+
+impl AllocationInfo {
+    /// Device the allocation was made on, live or freed.
+    pub fn device(&self) -> DeviceId {
+        match *self {
+            AllocationInfo::Live { device, .. } | AllocationInfo::Freed { device } => device,
+        }
+    }
+}
+
+#[derive(Debug, Default, Clone)]
 struct Allocation {
-    device: usize,
     bytes: u64,
     label: &'static str,
-    live: bool,
 }
 
 /// Tracks allocations across the node's devices.
 ///
 /// All accounting — in-use, peak, and the double-free bug counter — is kept
 /// strictly per device; node-wide totals are derived sums.
+///
+/// Live allocations sit in a slab whose slots are recycled on free, and one
+/// `u16` device index per issued id outlives them. An issued id with no
+/// live record is therefore a freed one: [`MemoryTracker::info`] still
+/// reports its device, and a second [`MemoryTracker::free`] is charged to
+/// that device, but its size and label are no longer known.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryTracker {
     capacities: Vec<u64>,
     in_use: Vec<u64>,
     peak: Vec<u64>,
-    allocations: Vec<Allocation>,
+    live: IdTable<Allocation>,
+    /// Device index of every id issued, live or freed.
+    devices: Vec<u16>,
     double_frees: Vec<u64>,
 }
 
 impl MemoryTracker {
     /// Creates a tracker for devices with the given capacities (bytes).
+    ///
+    /// # Panics
+    /// Panics when there are more devices than a `u16` can count.
     pub fn new(capacities: Vec<u64>) -> MemoryTracker {
         let n = capacities.len();
+        assert!(u16::try_from(n).is_ok(), "{n} devices exceed the tracker's u16 device index");
         MemoryTracker {
             capacities,
             in_use: vec![0; n],
             peak: vec![0; n],
-            allocations: Vec::new(),
+            live: IdTable::default(),
+            devices: Vec::new(),
             double_frees: vec![0; n],
         }
     }
@@ -97,29 +146,41 @@ impl MemoryTracker {
         }
         self.in_use[d] += bytes;
         self.peak[d] = self.peak[d].max(self.in_use[d]);
-        let id = AllocationId(self.allocations.len() as u64);
-        self.allocations.push(Allocation { device: d, bytes, label, live: true });
-        Ok(id)
+        let (id, slot) = self.live.alloc();
+        self.live[slot] = Allocation { bytes, label };
+        // Fits: `new` bounds the device count by `u16`.
+        self.devices.push(d as u16);
+        Ok(AllocationId(id))
     }
 
     /// Frees an allocation. Accounting is idempotent — freeing twice never
     /// corrupts the in-use totals — but a second free is an allocator bug:
-    /// it bumps the [`double_frees`](Self::double_frees) counter and fires a
-    /// debug assertion so the bug is observable at the tracker level, not
-    /// only via trace sanitization.
+    /// it bumps the [`double_frees`](Self::double_frees) counter of the
+    /// allocation's device and fires a debug assertion naming the id and
+    /// the device, so the bug is observable at the tracker level, not only
+    /// via trace sanitization.
+    ///
+    /// # Panics
+    /// Panics when `id` was not issued by this tracker.
     pub fn free(&mut self, id: AllocationId) {
-        let a = &mut self.allocations[id.0 as usize];
-        if a.live {
-            a.live = false;
-            self.in_use[a.device] -= a.bytes;
-        } else {
-            let (device, label) = (a.device, a.label);
-            self.double_frees[device] += 1;
-            debug_assert!(
-                false,
-                "double free of allocation {} ({label:?} on device {device})",
-                id.0
-            );
+        let d = self.device_index(id);
+        match self.live.slot(id.0) {
+            Some(slot) => {
+                self.in_use[d] -= self.live[slot].bytes;
+                self.live.reclaim(slot);
+            }
+            None => {
+                self.double_frees[d] += 1;
+                debug_assert!(false, "double free of allocation {} on device {d}", id.0);
+            }
+        }
+    }
+
+    /// Device index of issued id `id`.
+    fn device_index(&self, id: AllocationId) -> usize {
+        match self.devices.get(id.0 as usize) {
+            Some(&d) => usize::from(d),
+            None => panic!("unknown allocation {}", id.0),
         }
     }
 
@@ -150,19 +211,26 @@ impl MemoryTracker {
         self.capacities[device.0]
     }
 
-    /// Live allocations on `device`, as `(label, bytes)`.
+    /// Live allocations on `device`, as `(label, bytes)` in id order.
     pub fn live_allocations(&self, device: DeviceId) -> Vec<(&'static str, u64)> {
-        self.allocations
-            .iter()
-            .filter(|a| a.live && a.device == device.0)
-            .map(|a| (a.label, a.bytes))
+        self.live
+            .iter_live()
+            .filter(|&(id, _)| usize::from(self.devices[id as usize]) == device.0)
+            .map(|(_, slot)| (self.live[slot].label, self.live[slot].bytes))
             .collect()
     }
 
-    /// Device, size, label and liveness of an allocation, if `id` was ever
-    /// handed out by this tracker.
-    pub fn info(&self, id: AllocationId) -> Option<(DeviceId, u64, &'static str, bool)> {
-        self.allocations.get(id.0 as usize).map(|a| (DeviceId(a.device), a.bytes, a.label, a.live))
+    /// What is known about `id`, if it was ever handed out by this tracker:
+    /// device, size and label while it is live, only the device once freed.
+    pub fn info(&self, id: AllocationId) -> Option<AllocationInfo> {
+        let device = DeviceId(usize::from(*self.devices.get(id.0 as usize)?));
+        Some(match self.live.slot(id.0) {
+            Some(slot) => {
+                let a = &self.live[slot];
+                AllocationInfo::Live { device, bytes: a.bytes, label: a.label }
+            }
+            None => AllocationInfo::Freed { device },
+        })
     }
 }
 
@@ -178,6 +246,16 @@ mod tests {
 
     fn tracker() -> MemoryTracker {
         MemoryTracker::new(vec![1000, 2000])
+    }
+
+    /// Runs `f` with the panic hook silenced and reports whether it
+    /// panicked: a double free fires a debug assertion.
+    fn panics(f: impl FnOnce()) -> bool {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        std::panic::set_hook(prev);
+        hit
     }
 
     #[test]
@@ -211,13 +289,8 @@ mod tests {
         let a = t.alloc(DeviceId(1), 500, "act").unwrap();
         t.free(a);
         assert_eq!(t.double_frees(), 0);
-        // In debug builds the second free additionally fires an assertion;
-        // silence the default hook so the expected panic doesn't spam stderr.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.free(a)));
-        std::panic::set_hook(prev);
-        assert_eq!(hit.is_err(), cfg!(debug_assertions));
+        // In debug builds the second free additionally fires an assertion.
+        assert_eq!(panics(|| t.free(a)), cfg!(debug_assertions));
         assert_eq!(t.double_frees(), 1);
         assert_eq!(t.in_use(DeviceId(1)), 0);
     }
@@ -231,12 +304,9 @@ mod tests {
         let b = t.alloc(DeviceId(1), 20, "b").unwrap();
         t.free(a);
         t.free(b);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         for id in [a, b, b] {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.free(id)));
+            panics(|| t.free(id));
         }
-        std::panic::set_hook(prev);
         assert_eq!(t.double_frees_on(DeviceId(0)), 1);
         assert_eq!(t.double_frees_on(DeviceId(1)), 2);
         assert_eq!(t.double_frees(), 3, "total is the sum of per-device counters");
@@ -278,9 +348,64 @@ mod tests {
     fn info_reports_device_and_liveness() {
         let mut t = tracker();
         let a = t.alloc(DeviceId(1), 64, "kv").unwrap();
-        assert_eq!(t.info(a), Some((DeviceId(1), 64, "kv", true)));
+        assert_eq!(
+            t.info(a),
+            Some(AllocationInfo::Live { device: DeviceId(1), bytes: 64, label: "kv" })
+        );
         t.free(a);
-        assert_eq!(t.info(a), Some((DeviceId(1), 64, "kv", false)));
+        assert_eq!(t.info(a), Some(AllocationInfo::Freed { device: DeviceId(1) }));
         assert_eq!(t.info(AllocationId(99)), None);
+    }
+
+    #[test]
+    fn a_double_free_long_after_reclaim_is_charged_to_its_own_device() {
+        let mut t = tracker();
+        let old = t.alloc(DeviceId(1), 300, "act").unwrap();
+        let kept = t.alloc(DeviceId(1), 200, "weights").unwrap();
+        t.free(old);
+        for _ in 0..10_000 {
+            let a = t.alloc(DeviceId(0), 10, "act").unwrap();
+            t.free(a);
+        }
+        // `old` is now far behind the live table's window: only the device
+        // index remembers it.
+        assert_eq!(t.info(old), Some(AllocationInfo::Freed { device: DeviceId(1) }));
+        assert_eq!(panics(|| t.free(old)), cfg!(debug_assertions));
+        assert_eq!(t.double_frees_on(DeviceId(1)), 1);
+        assert_eq!(t.double_frees_on(DeviceId(0)), 0);
+        assert_eq!(t.in_use(DeviceId(1)), 200, "the double free leaves in-use exact");
+        assert_eq!(t.in_use(DeviceId(0)), 0);
+        t.free(kept);
+        assert_eq!(t.in_use(DeviceId(1)), 0);
+    }
+
+    #[test]
+    fn live_allocations_follow_churn_in_id_order() {
+        let mut t = MemoryTracker::new(vec![1 << 40; 2]);
+        let labels = ["weights", "kv", "act"];
+        let mut expect: Vec<Vec<(&str, u64)>> = vec![Vec::new(); 2];
+        for i in 0..3_000u64 {
+            let d = (i % 2) as usize;
+            let label = labels[(i % 3) as usize];
+            let a = t.alloc(DeviceId(d), i, label).unwrap();
+            if i % 7 == 0 {
+                expect[d].push((label, i));
+            } else {
+                t.free(a);
+            }
+        }
+        for (d, live) in expect.iter().enumerate() {
+            assert_eq!(&t.live_allocations(DeviceId(d)), live);
+            let sum: u64 = live.iter().map(|&(_, b)| b).sum();
+            assert_eq!(t.in_use(DeviceId(d)), sum);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown allocation 5")]
+    fn freeing_an_id_never_issued_panics() {
+        let mut t = tracker();
+        let _ = t.alloc(DeviceId(0), 1, "x").unwrap();
+        t.free(AllocationId(5));
     }
 }

@@ -754,6 +754,13 @@ impl SimulationBuilder {
         if self.devices.is_empty() {
             return Err("simulation requires at least one device".to_string());
         }
+        if u16::try_from(self.devices.len()).is_err() {
+            return Err(format!(
+                "{} devices exceed the memory tracker's limit of {}",
+                self.devices.len(),
+                u16::MAX
+            ));
+        }
         for d in &self.devices {
             d.validate()?;
         }
@@ -1049,11 +1056,19 @@ impl Simulation {
     /// (see [`Simulation::memory_double_frees`]) and fires a debug assertion,
     /// and the duplicate `Free` trace mark trips the sanitizer's
     /// TS-DOUBLE-FREE rule.
+    ///
+    /// A freed id still names its device, so a double free is charged to
+    /// that device and its `Free` mark names it.
+    ///
+    /// # Panics
+    /// Panics when `id` was not allocated by this simulation ("unknown
+    /// allocation").
     pub fn free_memory(&mut self, id: AllocationId) {
-        if let Some((device, ..)) = self.memory.info(id) {
-            if let Some(trace) = &mut self.trace {
-                trace.push_mark(TraceMark::Free { id: id.0, device, at: self.now });
-            }
+        let Some(info) = self.memory.info(id) else {
+            panic!("unknown allocation {}", id.0);
+        };
+        if let Some(trace) = &mut self.trace {
+            trace.push_mark(TraceMark::Free { id: id.0, device: info.device(), at: self.now });
         }
         self.memory.free(id);
     }
@@ -2898,6 +2913,17 @@ mod tests {
     #[test]
     fn builder_rejects_empty_node() {
         assert!(Simulation::builder().build().is_err());
+    }
+
+    #[test]
+    fn builder_rejects_more_devices_than_the_memory_tracker_indexes() {
+        let too_many = usize::from(u16::MAX) + 1;
+        let err = Simulation::builder()
+            .devices(DeviceSpec::test_device(), too_many)
+            .build()
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.contains("65536 devices"), "{err}");
     }
 
     fn faulty_sim(devices: usize, faults: FaultSpec) -> Simulation {

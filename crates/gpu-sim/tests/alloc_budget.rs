@@ -9,7 +9,8 @@
 //!
 //! Fired events and finished collectives give their records back, so the
 //! simulator's live heap follows the synchronisation in flight, not the
-//! length of the run.
+//! length of the run. Freed device-memory allocations give theirs back too,
+//! keeping only a two-byte device index per id.
 //!
 //! The test binary installs its own counting allocator. Counters are
 //! thread-local, so tests running in parallel do not disturb each other.
@@ -249,5 +250,54 @@ fn hybrid_sync_heap_stays_flat_as_the_run_doubles() {
         twice <= bound,
         "peak live heap {twice} B over {} rounds exceeds {bound} B ({once} B over {ROUNDS})",
         2 * ROUNDS
+    );
+}
+
+/// Working sets kept in flight by the device-memory churn.
+const IN_FLIGHT: usize = 8;
+
+/// Peak live heap of building a simulation, pinning a "weights" allocation
+/// on every device, and then churning through `sets` working sets (one
+/// allocation per device each, `IN_FLIGHT` live at a time), above the
+/// level at entry.
+fn device_memory_peak(sets: usize) -> u64 {
+    let base = reset_peak();
+    let mut sim =
+        Simulation::builder().devices(DeviceSpec::test_device(), DEVICES).build().unwrap();
+    for d in 0..DEVICES {
+        sim.alloc_memory(DeviceId(d), 1 << 20, "weights").unwrap();
+    }
+    let mut ring = [[AllocationId(0); DEVICES]; IN_FLIGHT];
+    for i in 0..sets {
+        let slot = &mut ring[i % IN_FLIGHT];
+        for (d, id) in slot.iter_mut().enumerate() {
+            if i >= IN_FLIGHT {
+                sim.free_memory(*id);
+            }
+            *id = sim.alloc_memory(DeviceId(d), 4096, "act").unwrap();
+        }
+    }
+    let spent = peak() - base;
+    for d in 0..DEVICES {
+        let expect = (1 << 20) + 4096 * sets.min(IN_FLIGHT) as u64;
+        assert_eq!(sim.memory_in_use(DeviceId(d)), expect);
+    }
+    assert_eq!(sim.memory_double_frees(), 0);
+    spent
+}
+
+#[test]
+fn device_memory_heap_stays_flat_as_the_run_doubles() {
+    // 4 * 15,000 allocations stay under 2^16 ids, and twice that under
+    // 2^17, so the device index grows by exactly one doubling.
+    const SETS: usize = 15_000;
+    let once = device_memory_peak(SETS);
+    let twice = device_memory_peak(2 * SETS);
+    let extra = (SETS * DEVICES) as u64;
+    let bound = once + 2 * extra + 64 * 1024;
+    assert!(
+        twice <= bound,
+        "peak live heap {twice} B over {} working sets exceeds {bound} B ({once} B over {SETS})",
+        2 * SETS
     );
 }

@@ -185,6 +185,14 @@ fn memory_api_is_visible_through_the_simulation() {
 }
 
 #[test]
+#[should_panic(expected = "unknown allocation 3")]
+fn freeing_an_allocation_never_made_panics() {
+    let mut s = sim(2);
+    s.alloc_memory(DeviceId(1), 64, "kv").unwrap();
+    s.free_memory(AllocationId(3));
+}
+
+#[test]
 fn timers_fire_in_order_with_stable_tie_breaking() {
     let mut s = sim(1);
     struct D {
