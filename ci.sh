@@ -74,9 +74,15 @@ cargo test -q --release --test chaos
 # reclaimed (the unbounded tables took 414 MiB). chat-continuous peaks near
 # 1.4 MiB, and above 4 MiB freed device-memory allocations are being kept
 # again (a 40-byte record per allocation ever made took it to 6 MiB).
+# chat-device-loss peaks near 1.9 MiB, and above 4 MiB the health probes
+# dropped by its dead device keep full event records again (about 190 B
+# each took it to 7.6 MiB, and to 11.5 MiB at other seeds).
 # Scheduling rounds must not allocate either: paper-prefill makes about
 # 3 allocations per request, and above 16 a per-round or per-layer
 # allocation is back (about 180 rounds per request took 313).
+# shared-prefix-cluster makes about 34 allocations per request, and above
+# 38 prefix eviction rebuilds a set of the index's parents per victim
+# again (41).
 echo "==> perfbench tests + workload smoke runs"
 cargo test -q --manifest-path perfbench/Cargo.toml
 for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; do
@@ -87,9 +93,10 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
         *) echo "perfbench $w failed its checks: $result" >&2; exit 1 ;;
     esac
     case "$w" in
-        paper-prefill) heap_limit=16 ;;
-        chat-continuous) heap_limit=4 ;;
-        *) heap_limit=none ;;
+        paper-prefill) heap_limit=16 alloc_limit=16 ;;
+        chat-continuous) heap_limit=4 alloc_limit=none ;;
+        shared-prefix-cluster) heap_limit=none alloc_limit=38 ;;
+        chat-device-loss) heap_limit=4 alloc_limit=none ;;
     esac
     heap=$(printf '%s' "$result" |
         sed -n 's/.*"host_peak_heap_mib": {"value": \([0-9.eE+-]*\).*/\1/p')
@@ -99,14 +106,15 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
         exit 1
     fi
     echo "    $w: host_peak_heap_mib $heap (limit $heap_limit)"
-    if [ "$w" = paper-prefill ]; then
+    if [ "$alloc_limit" != none ]; then
         allocs=$(printf '%s' "$result" |
             sed -n 's/.*"host_allocs_per_req": {"value": \([0-9.eE+-]*\).*/\1/p')
-        if [ -z "$allocs" ] || awk -v a="$allocs" 'BEGIN { exit !(a > 16) }'; then
-            echo "perfbench $w: host_allocs_per_req ${allocs:-missing} exceeds 16" >&2
+        if [ -z "$allocs" ] ||
+            awk -v a="$allocs" -v l="$alloc_limit" 'BEGIN { exit !(a > l) }'; then
+            echo "perfbench $w: host_allocs_per_req ${allocs:-missing} exceeds $alloc_limit" >&2
             exit 1
         fi
-        echo "    $w: host_allocs_per_req $allocs (limit 16)"
+        echo "    $w: host_allocs_per_req $allocs (limit $alloc_limit)"
     fi
 done
 

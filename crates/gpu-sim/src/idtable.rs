@@ -13,11 +13,16 @@
 //!   number each, with [`TOMBSTONE`] marking reclaimed ids. Tombstones at
 //!   its front are trimmed as they appear;
 //! * a *spill* list of the live ids older than `base`, in id order. A record
-//!   that lives far longer than its neighbours (an event recorded on a dead
-//!   device never fires) would otherwise pin the window's front; once the
+//!   that lives far longer than its neighbours (a stream waits on an event
+//!   whose record went to a dead device) would otherwise pin the window's
+//!   front; once the
 //!   window holds more than twice as many ids as it has live records (plus
 //!   a fixed slack), front ids move to the spill and the window shrinks
 //!   behind them.
+//!
+//! A reclaimed id may be given a slot again ([`IdTable::restore`]): the
+//! simulator keeps events that provably never fire outside the table and
+//! brings one back when something asks for its record.
 //!
 //! Lookups of recent ids are one indexed load; spilled ids take a binary
 //! search. Every walk over live ids runs in id order, so callers that act on
@@ -71,7 +76,41 @@ impl<T: Default> IdTable<T> {
     /// fresh slot holds `T::default()`.
     pub(crate) fn alloc(&mut self) -> (u64, usize) {
         let id = self.issued();
-        let slot = match self.free.pop() {
+        let slot = self.take_slot(id);
+        self.window.push_back(slot);
+        (id, slot as usize)
+    }
+
+    /// Gives the reclaimed id `id` a live slot again, in the window or in
+    /// the spill, and returns the slot. The record is handed back as
+    /// [`IdTable::alloc`] would hand it to a new id.
+    ///
+    /// # Panics
+    /// Panics when `id` is live or was never issued.
+    pub(crate) fn restore(&mut self, id: u64) -> usize {
+        assert!(id < self.issued(), "restoring id {id}, which was never issued");
+        if id >= self.base {
+            let k = (id - self.base) as usize;
+            assert_eq!(self.window[k], TOMBSTONE, "restoring live id {id}");
+            let slot = self.take_slot(id);
+            self.window[k] = slot;
+            slot as usize
+        } else {
+            let k = self
+                .spill
+                .binary_search_by_key(&id, |&(i, _)| i)
+                .expect_err("restoring a live spilled id");
+            let slot = self.take_slot(id);
+            self.spill.insert(k, (id, slot));
+            slot as usize
+        }
+    }
+
+    /// A free slot (recycled, or a fresh default record) now owned by
+    /// `id`, counted live. The caller indexes it.
+    fn take_slot(&mut self, id: u64) -> u32 {
+        self.live += 1;
+        match self.free.pop() {
             Some(s) => {
                 self.ids[s as usize] = id;
                 s
@@ -81,10 +120,7 @@ impl<T: Default> IdTable<T> {
                 self.ids.push(id);
                 u32::try_from(self.records.len() - 1).expect("id table slot overflow")
             }
-        };
-        self.window.push_back(slot);
-        self.live += 1;
-        (id, slot as usize)
+        }
     }
 }
 
@@ -222,6 +258,55 @@ mod tests {
         assert_eq!(t.slot(pinned), None);
         assert!(t.spill.is_empty());
         assert_eq!(t.live(), 0);
+    }
+
+    #[test]
+    fn a_reclaimed_window_id_is_restored_in_place() {
+        let mut t: IdTable<u32> = IdTable::default();
+        let (a, _) = t.alloc();
+        let (b, sb) = t.alloc();
+        let (c, _) = t.alloc();
+        t[sb] = 7;
+        t.reclaim(sb);
+        assert_eq!(t.slot(b), None);
+        let s = t.restore(b);
+        assert_eq!(s, sb, "the freed slot is recycled");
+        assert_eq!(t[s], 7, "restored records come back as reclaim left them");
+        assert_eq!(t.slot(b), Some(s));
+        assert_eq!(ids(&t), vec![a, b, c]);
+        assert_eq!((t.live(), t.issued()), (3, 3));
+        let (d, _) = t.alloc();
+        assert_eq!(d, 3, "restoring issues no id");
+    }
+
+    #[test]
+    fn a_reclaimed_spilled_id_is_restored_into_the_spill() {
+        let mut t: IdTable<u32> = IdTable::default();
+        let (early, _) = t.alloc();
+        let (doomed, ds) = t.alloc();
+        let (late, _) = t.alloc();
+        for _ in 0..10_000 {
+            let (_, s) = t.alloc();
+            t.reclaim(s);
+        }
+        assert_eq!(t.spill.len(), 3, "the survivors spilled");
+        t.reclaim(ds);
+        assert_eq!(t.spill.len(), 2);
+        assert!(doomed < t.base, "the id is below the window");
+        let s = t.restore(doomed);
+        assert_eq!(t.slot(doomed), Some(s));
+        assert_eq!(ids(&t), vec![early, doomed, late], "the spill stays sorted");
+        assert_eq!(t.live(), 3);
+        t.reclaim(s);
+        assert_eq!(ids(&t), vec![early, late]);
+    }
+
+    #[test]
+    #[should_panic(expected = "restoring live id")]
+    fn restoring_a_live_id_panics() {
+        let mut t: IdTable<u32> = IdTable::default();
+        let (a, _) = t.alloc();
+        t.restore(a);
     }
 
     #[test]

@@ -481,8 +481,9 @@ pub(crate) struct HostRt {
 
 /// A CUDA-like event. Its record is reclaimed once it has fired, its
 /// waiter and callback lists have drained and no queued host `Sync` op
-/// still names it; a reclaimed id answers "fired". The lists keep their
-/// capacity for the next event that reuses the table slot.
+/// still names it; a reclaimed id answers "fired" unless it is doomed (see
+/// [`DoomedEvent`]). The lists keep their capacity for the next event that
+/// reuses the table slot.
 #[derive(Debug, Default, Clone)]
 struct EventRt {
     fired_at: Option<SimTime>,
@@ -495,6 +496,40 @@ struct EventRt {
     /// Host `Sync` ops naming this event that have not resolved yet: each
     /// reads `fired_at` when it reaches the front of its host queue.
     syncs: u32,
+}
+
+/// Bits of [`DoomedEvent::key`] holding the callback's latency host.
+const DOOMED_HOST_BITS: u32 = 16;
+
+/// [`DoomedEvent::key`]'s host field of an event with no callback.
+const NO_CALLBACK: u64 = (1 << DOOMED_HOST_BITS) - 1;
+
+/// An unfired event whose record a dead device dropped while nothing waited
+/// on it: no queue, no parked host, no queued sync and at most one driver
+/// callback. It can fire only if something records it again, so its table
+/// record is reclaimed and this 16-B entry keeps what the record held. The
+/// next call that needs the record (a `Wait` reaching a queue head, another
+/// record firing it, a callback or a host sync) restores it first, so the
+/// event behaves exactly as if its record had stayed in the table.
+#[derive(Debug, Clone, Copy)]
+struct DoomedEvent {
+    /// The event id above [`DOOMED_HOST_BITS`], and below them the
+    /// callback's latency host, or [`NO_CALLBACK`].
+    key: u64,
+    /// The callback's token (0 without one).
+    token: u64,
+}
+
+impl DoomedEvent {
+    fn id(&self) -> u64 {
+        self.key >> DOOMED_HOST_BITS
+    }
+
+    /// The callback, as an [`EventRt::callbacks`] entry.
+    fn callback(&self) -> Option<(u64, usize)> {
+        let host = self.key & NO_CALLBACK;
+        (host != NO_CALLBACK).then_some((self.token, host as usize))
+    }
 }
 
 /// A scheduled simulation event. Which lane it dispatches on is fixed by
@@ -802,6 +837,7 @@ impl SimulationBuilder {
             devices,
             hosts,
             events: IdTable::default(),
+            doomed: Vec::new(),
             collectives: IdTable::default(),
             spare_members: Vec::new(),
             streams_per_device: streams,
@@ -856,6 +892,9 @@ pub struct Simulation {
     pub(crate) hosts: Vec<HostRt>,
     /// Live event records; see [`EventRt`] for when one is reclaimed.
     events: IdTable<EventRt>,
+    /// Events that can fire only if recorded again, ascending by id; none
+    /// of them has a record in `events`.
+    doomed: Vec<DoomedEvent>,
     /// Live collective records; see [`CollectiveRt`] for when one is
     /// reclaimed.
     collectives: IdTable<CollectiveRt>,
@@ -994,8 +1033,9 @@ impl Simulation {
     }
 
     /// Whether `ev` has fired. Exact for every id ever issued: an event's
-    /// record is reclaimed only after it fired, so a reclaimed id answers
-    /// `true`.
+    /// record is reclaimed only after it fired, or while a dead device's
+    /// drop keeps it from firing (it is doomed), so any other reclaimed id
+    /// answers `true`.
     ///
     /// # Panics
     /// Panics when `ev` was not created by this simulation.
@@ -1004,16 +1044,16 @@ impl Simulation {
             Some(slot) => self.events[slot].fired_at.is_some(),
             None => {
                 assert!(ev.0 < self.events.issued(), "unknown event {ev}");
-                true
+                self.doomed_index(ev.0).is_err()
             }
         }
     }
 
-    /// Event records still held: unfired events, plus fired ones a queued
-    /// host sync has yet to read. Follows the synchronisation in flight,
-    /// not the number of events ever created.
+    /// Events still held: unfired events (doomed ones included), plus fired
+    /// ones a queued host sync has yet to read. Follows the synchronisation
+    /// in flight, not the number of events ever created.
     pub fn live_events(&self) -> usize {
-        self.events.live()
+        self.events.live() + self.doomed.len()
     }
 
     /// Collective records still held: groups gathering or running, plus
@@ -1169,7 +1209,9 @@ impl Simulation {
     /// symbolic event ids to simulator events before any lane runs.
     ///
     /// Re-recording an event that already fired is a no-op, as on a
-    /// device: the event keeps its first trigger time.
+    /// device: the event keeps its first trigger time. An event whose
+    /// earlier record a dead device dropped has not fired, so re-recording
+    /// it on a live stream fires it normally, callbacks included.
     ///
     /// # Panics
     /// Panics when `ev` was not created by [`Simulation::new_event`].
@@ -1223,12 +1265,59 @@ impl Simulation {
         }
     }
 
-    /// The table slot of `ev`, which `caller` needs the record of.
-    fn live_event(&self, ev: EventId, caller: &str) -> usize {
+    /// The table slot of `ev`, which `caller` needs the record of (a
+    /// doomed event's is restored).
+    fn live_event(&mut self, ev: EventId, caller: &str) -> usize {
         assert!(ev.0 < self.events.issued(), "unknown event {ev}");
-        self.events
-            .slot(ev.0)
+        self.event_slot(ev.0)
             .unwrap_or_else(|| panic!("{caller} on {ev}, which already fired and was reclaimed"))
+    }
+
+    /// The table slot of `ev`'s record, restoring a doomed event's first;
+    /// `None` when the event fired and its record was reclaimed.
+    fn event_slot(&mut self, ev: u64) -> Option<usize> {
+        self.events.slot(ev).or_else(|| self.revive_event(ev))
+    }
+
+    /// Where doomed event `ev` sits in [`Simulation::doomed`], or where it
+    /// would go.
+    fn doomed_index(&self, ev: u64) -> Result<usize, usize> {
+        self.doomed.binary_search_by_key(&ev, DoomedEvent::id)
+    }
+
+    /// A dead device dropped `ev`'s record. Moves the event out of the
+    /// table into [`Simulation::doomed`] when nothing waits on it and its
+    /// callbacks fit one entry; any other event keeps its record.
+    fn doom_event(&mut self, ev: EventId) {
+        let Some(slot) = self.events.slot(ev.0) else { return };
+        let e = &mut self.events[slot];
+        let idle = e.fired_at.is_none()
+            && e.syncs == 0
+            && e.queue_waiters.is_empty()
+            && e.host_waiters.is_empty();
+        let (token, host) = match e.callbacks[..] {
+            [] => (0, NO_CALLBACK),
+            [(token, host)] if (host as u64) < NO_CALLBACK => (token, host as u64),
+            _ => return,
+        };
+        if !idle || ev.0 >> (64 - DOOMED_HOST_BITS) != 0 {
+            return;
+        }
+        // The reclaimed slot keeps the list's capacity for its next event.
+        e.callbacks.clear();
+        self.events.reclaim(slot);
+        let at = self.doomed_index(ev.0).expect_err("a doomed event has no record");
+        self.doomed.insert(at, DoomedEvent { key: (ev.0 << DOOMED_HOST_BITS) | host, token });
+    }
+
+    /// Gives doomed event `ev` its table record back, unfired and with its
+    /// callback, and returns its slot; `None` when `ev` is not doomed.
+    fn revive_event(&mut self, ev: u64) -> Option<usize> {
+        let at = self.doomed_index(ev).ok()?;
+        let doomed = self.doomed.remove(at);
+        let slot = self.events.restore(ev);
+        self.events[slot].callbacks.extend(doomed.callback());
+        Some(slot)
     }
 
     // -- event loop -----------------------------------------------------------
@@ -1321,7 +1410,8 @@ impl Simulation {
     }
 
     /// Queues currently blocked on event `ev` (explore-core footprints).
-    /// Empty once the event's record is reclaimed: it has fired.
+    /// Empty once the event's record is reclaimed: it has fired, or it is
+    /// doomed, and a doomed event has no queue waiter.
     pub(crate) fn event_queue_waiters(&self, ev: u64) -> &[(usize, usize)] {
         self.events.slot(ev).map_or(&[], |slot| &self.events[slot].queue_waiters)
     }
@@ -1329,10 +1419,13 @@ impl Simulation {
     /// True when a host blocking sync or a driver callback is parked on
     /// `ev`: firing it couples into host-side (global) state.
     pub(crate) fn event_has_host_interest(&self, ev: u64) -> bool {
-        self.events.slot(ev).is_some_and(|slot| {
-            let e = &self.events[slot];
-            !e.host_waiters.is_empty() || !e.callbacks.is_empty()
-        })
+        match self.events.slot(ev) {
+            Some(slot) => {
+                let e = &self.events[slot];
+                !e.host_waiters.is_empty() || !e.callbacks.is_empty()
+            }
+            None => self.doomed_index(ev).is_ok_and(|at| self.doomed[at].callback().is_some()),
+        }
     }
 
     /// Snapshot of everything unfinished: pending events, queued ops,
@@ -1765,8 +1858,8 @@ impl Simulation {
     /// An operation reaching a dead device: kernels fail instantly (the
     /// driver sees a [`Wake::KernelFailed`] per kernel, so no work is
     /// silently lost) and a collective member aborts its whole rendezvous;
-    /// records never fire — the missed heartbeats a health watchdog detects;
-    /// waits are dropped.
+    /// records never fire — the missed heartbeats a health watchdog detects
+    /// (their events are doomed where they can be); waits are dropped.
     fn dead_enqueue(&mut self, d: usize, stream: usize, op: StreamOp) {
         match op {
             StreamOp::Kernel(spec, kid) => {
@@ -1799,7 +1892,8 @@ impl Simulation {
                     });
                 }
             }
-            StreamOp::Record(_) | StreamOp::Wait(_) => {}
+            StreamOp::Record(ev) => self.doom_event(ev),
+            StreamOp::Wait(_) => {}
         }
     }
 
@@ -1845,8 +1939,9 @@ impl Simulation {
                         p.streams.insert((d, stream));
                         p.events.insert(ev.0);
                     });
-                    // A reclaimed record means the event fired long ago.
-                    if let Some(slot) = self.events.slot(ev.0) {
+                    // A reclaimed record means the event fired long ago,
+                    // unless it is doomed.
+                    if let Some(slot) = self.event_slot(ev.0) {
                         if self.events[slot].fired_at.is_none() {
                             self.devices[d].queues[q].head = HeadState::WaitingEvent;
                             self.events[slot].queue_waiters.push((d, q));
@@ -2193,8 +2288,9 @@ impl Simulation {
 
     fn trigger_event(&mut self, ev: EventId) {
         let now = self.now;
-        // A reclaimed record fired already; firing is idempotent.
-        let Some(slot) = self.events.slot(ev.0) else { return };
+        // A reclaimed record fired already, unless it is doomed; firing is
+        // idempotent.
+        let Some(slot) = self.event_slot(ev.0) else { return };
         let e = &mut self.events[slot];
         if e.fired_at.is_some() {
             return; // idempotent
@@ -3631,5 +3727,151 @@ mod tests {
         assert!(at(12).failed && at(12).ended_at == SimTime::from_micros(20));
         assert!(at(11).failed, "a late member fails on arrival");
         assert_eq!(at(11).ended_at, SimTime::from_micros(100));
+    }
+
+    // -- doomed events -----------------------------------------------------------
+
+    /// Device 1 of two dies at 10 µs. At 20 µs `probe` runs and returns an
+    /// event it recorded on the dead device; at 50 µs `then` runs on it.
+    /// Host 0's sync latency is 3 µs and host 1's is 7 µs. Returns the
+    /// simulation, the event and every other wake with its time.
+    fn dead_device_probe(
+        mut probe: impl FnMut(&mut Simulation) -> EventId,
+        mut then: impl FnMut(EventId, &mut Simulation),
+    ) -> (Simulation, EventId, Vec<(Wake, SimTime)>) {
+        let host =
+            |us| HostSpec { sync_latency: SimDuration::from_micros(us), ..HostSpec::instant() };
+        let mut sim = Simulation::builder()
+            .devices(DeviceSpec::test_device(), 2)
+            .streams_per_device(4)
+            .capture_trace(true)
+            .faults(FaultSpec::new(1).device_down(DeviceId(1), SimTime::from_micros(10)))
+            .host(host(3))
+            .host(host(7))
+            .build()
+            .unwrap();
+        let mut ev = None;
+        let mut wakes = Vec::new();
+        let mut drv = Script {
+            on_start: |sim: &mut Simulation| {
+                sim.set_timer(SimTime::from_micros(20), 1);
+                sim.set_timer(SimTime::from_micros(50), 2);
+            },
+            on_wake: |w: Wake, sim: &mut Simulation| match w {
+                Wake::Timer { token: 1 } => ev = Some(probe(sim)),
+                Wake::Timer { token: 2 } => then(ev.unwrap(), sim),
+                Wake::DeviceDown { .. } => {}
+                w => wakes.push((w, sim.now())),
+            },
+        };
+        sim.run_to_completion(&mut drv);
+        (sim, ev.unwrap(), wakes)
+    }
+
+    /// A heartbeat probe: a record on the dead device plus a driver
+    /// callback with latency host 1.
+    fn heartbeat(sim: &mut Simulation) -> EventId {
+        let ev = sim.record_event(HostId(0), s(1, 0));
+        sim.notify_on_event(ev, HostId(1), 42);
+        ev
+    }
+
+    #[test]
+    fn a_dropped_probe_is_doomed_unfired_and_counted_live() {
+        let (sim, ev, wakes) = dead_device_probe(heartbeat, |ev, sim| {
+            assert_eq!(sim.events.slot(ev.0), None, "the record left the table");
+            assert_eq!(sim.doomed.len(), 1);
+        });
+        assert!(wakes.is_empty(), "a dropped record never fires: {wakes:?}");
+        assert!(!sim.event_has_fired(ev));
+        assert_eq!(sim.live_events(), 1, "an unfired event stays live");
+        assert!(sim.event_has_host_interest(ev.0), "its callback still couples to the host");
+        assert!(sim.event_queue_waiters(ev.0).is_empty());
+        assert!(sim.terminal_report().is_quiescent());
+        let (sim, ev, _) = dead_device_probe(|sim| sim.record_event(HostId(0), s(1, 0)), |_, _| {});
+        assert!(!sim.event_has_fired(ev));
+        assert_eq!(sim.live_events(), 1);
+        assert!(!sim.event_has_host_interest(ev.0), "no callback, no host interest");
+    }
+
+    #[test]
+    fn re_recording_a_doomed_event_on_a_live_stream_fires_it() {
+        let (sim, ev, wakes) = dead_device_probe(heartbeat, |ev, sim| {
+            sim.record_existing_event(HostId(0), s(0, 0), ev);
+        });
+        let fired_at = SimTime::from_micros(50);
+        assert_eq!(
+            wakes,
+            vec![(Wake::EventFired { event: ev, token: 42, fired_at }, SimTime::from_micros(57))],
+            "the original token, after latency host 1's sync latency"
+        );
+        assert!(sim.event_has_fired(ev));
+        assert_eq!(sim.live_events(), 0);
+        assert!(sim.doomed.is_empty());
+    }
+
+    #[test]
+    fn a_survivor_wait_on_a_doomed_event_stays_blocked() {
+        let (sim, ev, wakes) = dead_device_probe(heartbeat, |ev, sim| {
+            sim.stream_wait(HostId(0), s(0, 1), ev);
+            sim.launch(
+                HostId(0),
+                s(0, 1),
+                KernelSpec::compute("after", SimDuration::from_micros(5)).with_tag(9),
+            );
+        });
+        assert!(wakes.is_empty(), "{wakes:?}");
+        assert!(!sim.event_has_fired(ev));
+        assert_eq!(sim.live_events(), 1);
+        assert_eq!(sim.event_queue_waiters(ev.0), &[(0, 1)], "the wait brought the record back");
+        let report = sim.terminal_report();
+        assert_eq!(
+            report.blocked_lanes,
+            vec![BlockedLane { device: 0, queue: 1, stream: 1, block: LaneBlock::Event(ev.0) }]
+        );
+        assert_eq!(report.queued_ops, 2, "the wait and the kernel behind it");
+        let trace = sim.trace().unwrap();
+        assert!(trace.events().iter().all(|e| e.tag != 9), "nothing ran behind the wait");
+    }
+
+    #[test]
+    fn a_callback_and_a_host_sync_on_a_doomed_event_park() {
+        let (sim, ev, wakes) = dead_device_probe(heartbeat, |ev, sim| {
+            sim.notify_on_event(ev, HostId(0), 43);
+            sim.host_sync(HostId(1), ev, 44);
+        });
+        assert!(wakes.is_empty(), "{wakes:?}");
+        assert!(!sim.event_has_fired(ev));
+        assert_eq!(sim.live_events(), 1);
+        assert!(sim.event_has_host_interest(ev.0));
+        assert_eq!(sim.terminal_report().blocked_hosts, vec![(1, ev.0)], "the host parks");
+        let slot = sim.events.slot(ev.0).expect("the record is back");
+        assert_eq!(sim.events[slot].callbacks, vec![(42, 1), (43, 0)], "callbacks in order");
+    }
+
+    #[test]
+    fn a_waited_on_or_twice_watched_event_keeps_its_record() {
+        let mut waited = None;
+        let (sim, watched, _) = dead_device_probe(
+            |sim| {
+                // A survivor queue blocks on `ev` before its record is dropped.
+                let ev = sim.new_event();
+                sim.stream_wait(HostId(0), s(0, 1), ev);
+                sim.record_existing_event(HostId(0), s(1, 0), ev);
+                waited = Some(ev);
+                let twice = heartbeat(sim);
+                sim.notify_on_event(twice, HostId(0), 43);
+                twice
+            },
+            |_, _| {},
+        );
+        let waited = waited.unwrap();
+        for ev in [waited, watched] {
+            assert!(!sim.event_has_fired(ev));
+            assert!(sim.events.slot(ev.0).is_some(), "{ev} stays in the table");
+        }
+        assert!(sim.doomed.is_empty());
+        assert_eq!(sim.live_events(), 2);
+        assert_eq!(sim.event_queue_waiters(waited.0), &[(0, 1)]);
     }
 }

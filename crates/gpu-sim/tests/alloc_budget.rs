@@ -10,7 +10,9 @@
 //! Fired events and finished collectives give their records back, so the
 //! simulator's live heap follows the synchronisation in flight, not the
 //! length of the run. Freed device-memory allocations give theirs back too,
-//! keeping only a two-byte device index per id.
+//! keeping only a two-byte device index per id. A heartbeat probe whose
+//! record a dead device dropped can never fire on its own; it gives its
+//! record back as well, keeping a 16-byte entry.
 //!
 //! The test binary installs its own counting allocator. Counters are
 //! thread-local, so tests running in parallel do not disturb each other.
@@ -299,5 +301,76 @@ fn device_memory_heap_stays_flat_as_the_run_doubles() {
         twice <= bound,
         "peak live heap {twice} B over {} working sets exceeds {bound} B ({once} B over {SETS})",
         2 * SETS
+    );
+}
+
+/// Probe interval of the watchdog below.
+const PROBE_EVERY: SimDuration = SimDuration::from_micros(200);
+
+/// A health watchdog whose device is gone: every [`PROBE_EVERY`] it
+/// records an event on dead device 1 and asks to hear when it fires, which
+/// it never does.
+struct DeadDeviceProbes {
+    probes: u64,
+    sent: u64,
+}
+
+impl DeadDeviceProbes {
+    fn probe(&mut self, sim: &mut Simulation) {
+        let ev = sim.record_event(HostId(0), StreamId::new(DeviceId(1), 0));
+        sim.notify_on_event(ev, HostId(0), self.sent);
+        self.sent += 1;
+        if self.sent < self.probes {
+            sim.set_timer(sim.now() + PROBE_EVERY, 0);
+        }
+    }
+}
+
+impl Driver for DeadDeviceProbes {
+    fn start(&mut self, sim: &mut Simulation) {
+        sim.set_timer(SimTime::from_micros(1), 0);
+    }
+
+    fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
+        if let Wake::Timer { .. } = wake {
+            self.probe(sim);
+        }
+    }
+}
+
+/// Peak live heap of building a simulation whose device 1 is dead from the
+/// start and sending `probes` heartbeat probes to it, above the level at
+/// entry.
+fn dead_probe_peak(probes: u64) -> u64 {
+    let base = reset_peak();
+    let mut b = Simulation::builder()
+        .devices(DeviceSpec::test_device(), 2)
+        .faults(FaultSpec::new(1).device_down(DeviceId(1), SimTime::ZERO));
+    for _ in 0..2 {
+        b = b.host(HostSpec::default());
+    }
+    let mut sim = b.build().unwrap();
+    let mut driver = DeadDeviceProbes { probes, sent: 0 };
+    sim.run_to_completion(&mut driver);
+    let spent = peak() - base;
+    assert_eq!(driver.sent, probes);
+    assert_eq!(sim.live_events() as u64, probes, "every probe is still unfired");
+    assert!(!sim.event_has_fired(EventId(0)));
+    spent
+}
+
+#[test]
+fn dead_device_probes_cost_sixteen_bytes_each() {
+    // 16 B per probe, plus one doubling of slack in the list holding them.
+    const PROBES: u64 = 4_096;
+    let once = dead_probe_peak(PROBES);
+    let twice = dead_probe_peak(2 * PROBES);
+    let bound = once + 32 * PROBES + 64 * 1024;
+    assert!(
+        twice <= bound,
+        "peak live heap {twice} B over {} dead-device probes exceeds {bound} B \
+         ({once} B over {PROBES}): {} B per extra probe",
+        2 * PROBES,
+        twice.saturating_sub(once) / PROBES
     );
 }

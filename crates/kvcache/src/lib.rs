@@ -224,8 +224,11 @@ struct PrefixEntry {
     /// The block holding this prefix position's KV pages.
     block: u64,
     /// Chain hash of the previous prefix block (`None` for block 0). Kept
-    /// so eviction can tell leaves from interior chain links.
+    /// so eviction can update the parent's `children`.
     parent: Option<u64>,
+    /// Indexed entries whose `parent` is this entry: eviction takes leaves
+    /// (`children == 0`) only.
+    children: u32,
     /// Logical clock of the last admit/publish that touched this entry.
     last_used: u64,
 }
@@ -549,7 +552,11 @@ impl BlockPool {
                 break;
             }
             let parent = if p == 0 { None } else { Some(hashes[p - 1]) };
-            self.prefix.insert(h, PrefixEntry { block: b, parent, last_used: clock });
+            if let Some(ph) = parent {
+                // Position `p - 1` was refreshed or inserted just above.
+                self.prefix.get_mut(&ph).expect("a chain's parent is indexed").children += 1;
+            }
+            self.prefix.insert(h, PrefixEntry { block: b, parent, children: 0, last_used: clock });
             self.prefix_of_block.insert(b, h);
             self.blocks.get_mut(&b).expect("table references a live block").refs += 1;
             published += 1;
@@ -567,13 +574,11 @@ impl BlockPool {
     pub fn evict_cold_prefixes(&mut self, sim: &mut Simulation, want_blocks: u64) -> u64 {
         let mut evicted = 0;
         while evicted < want_blocks {
-            let parents: std::collections::BTreeSet<u64> =
-                self.prefix.values().filter_map(|e| e.parent).collect();
             let victim = self
                 .prefix
                 .iter()
-                .filter(|(h, e)| {
-                    !parents.contains(h) && self.blocks.get(&e.block).is_some_and(|b| b.refs == 1)
+                .filter(|(_, e)| {
+                    e.children == 0 && self.blocks.get(&e.block).is_some_and(|b| b.refs == 1)
                 })
                 .min_by_key(|(&h, e)| (e.last_used, h))
                 .map(|(&h, _)| h);
@@ -581,6 +586,9 @@ impl BlockPool {
                 break;
             };
             let entry = self.prefix.remove(&h).expect("victim chosen from the index");
+            if let Some(ph) = entry.parent {
+                self.prefix.get_mut(&ph).expect("a leaf's parent is indexed").children -= 1;
+            }
             self.prefix_of_block.remove(&entry.block);
             let block = self.blocks.get_mut(&entry.block).expect("indexed block is live");
             block.refs -= 1;
@@ -753,6 +761,7 @@ impl BlockPool {
     /// tables referencing each block plus the prefix cache's pin, every
     /// block is reachable from some table or the prefix index, the index
     /// and its inverse form a bijection whose parent chains are unbroken,
+    /// every entry's child count matches the entries naming it as parent,
     /// and every block's backing allocations cover exactly the live device
     /// set.
     pub fn check_consistent(&self) -> Result<(), String> {
@@ -781,6 +790,10 @@ impl BlockPool {
                 self.prefix_of_block.len()
             ));
         }
+        let mut children: BTreeMap<u64, u32> = BTreeMap::new();
+        for p in self.prefix.values().filter_map(|e| e.parent) {
+            *children.entry(p).or_insert(0) += 1;
+        }
         for (&h, entry) in &self.prefix {
             if !self.blocks.contains_key(&entry.block) {
                 return Err(format!("prefix {h:#x} references dead block {}", entry.block));
@@ -795,6 +808,13 @@ impl BlockPool {
                 if !self.prefix.contains_key(&p) {
                     return Err(format!("prefix {h:#x} has evicted parent {p:#x}"));
                 }
+            }
+            let named = children.get(&h).copied().unwrap_or(0);
+            if named != entry.children {
+                return Err(format!(
+                    "prefix {h:#x}: child count {} but {named} entries name it parent",
+                    entry.children
+                ));
             }
             *refs.entry(entry.block).or_insert(0) += 1;
         }
@@ -1177,5 +1197,104 @@ mod tests {
         let weights = model.weight_bytes() / 4;
         let capped = BlockPoolConfig::sized_for_shared(&model, 4, cap, 16, u32::MAX);
         assert_eq!(capped.budget_bytes, (cap - weights) / 2);
+    }
+
+    /// `(parent, block, last_used)` of every prefix entry, keyed by hash.
+    type IndexCopy = BTreeMap<u64, (Option<u64>, u64, u64)>;
+
+    /// The victim the rule before entries counted their children picks:
+    /// rebuild the set of every entry's parent, then take the
+    /// least-recently-used (ties by hash) entry outside it whose block only
+    /// the cache pins.
+    fn reference_victim(p: &BlockPool) -> (IndexCopy, Option<u64>) {
+        let index: IndexCopy =
+            p.prefix.iter().map(|(&h, e)| (h, (e.parent, e.block, e.last_used))).collect();
+        let parents: std::collections::BTreeSet<u64> =
+            index.values().filter_map(|&(parent, _, _)| parent).collect();
+        let victim = index
+            .iter()
+            .filter(|&(h, &(_, block, _))| !parents.contains(h) && p.blocks[&block].refs == 1)
+            .min_by_key(|&(&h, &(_, _, last_used))| (last_used, h))
+            .map(|(&h, _)| h);
+        (index, victim)
+    }
+
+    /// Evicts one block and checks it was the reference rule's victim.
+    /// Returns the blocks freed.
+    fn evict_one_as_the_reference(p: &mut BlockPool, s: &mut Simulation) -> u64 {
+        let (index, expect) = reference_victim(p);
+        let freed = p.evict_cold_prefixes(s, 1);
+        let gone: Vec<u64> = index.keys().copied().filter(|h| !p.prefix.contains_key(h)).collect();
+        assert_eq!(gone, Vec::from_iter(expect), "victim differs from the parent-set rule");
+        assert_eq!(freed, gone.len() as u64);
+        freed
+    }
+
+    /// Digests of a prompt of `class` over `blocks` full blocks. Classes
+    /// share their first two blocks, pairs of classes the next two, so the
+    /// published chains form a tree with interior links and many leaves.
+    fn tree_digests(class: u64, blocks: usize) -> Vec<u64> {
+        (0..blocks as u64)
+            .map(|i| match i {
+                0..=1 => mix64(i),
+                2..=3 => mix64(mix64(class % 2) ^ i),
+                _ => mix64(mix64(class + 2) ^ i),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn child_counts_pick_the_victims_of_the_parent_set_rule() {
+        use liger_gpu_sim::testkit::{check, Gen};
+        let mut evicted = 0;
+        check("child_counts_pick_the_victims_of_the_parent_set_rule", 64, |g: &mut Gen| {
+            let mut s = sim(2);
+            let mut p = pool(2, 256, 96 * 256);
+            let mut class_of: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
+            for _ in 0..g.usize_in(20, 120) {
+                match g.usize_in(0, 10) {
+                    0..=3 => {
+                        let (seq, class) = (g.u64_in(0, 12), g.u64_in(0, 6));
+                        let tokens = g.u32_in(1, 160);
+                        let digests = tree_digests(class, (tokens / 16) as usize);
+                        if !p.has_seq(seq)
+                            && p.admit_with_prefix(&mut s, seq, &digests, tokens, 1).is_ok()
+                        {
+                            class_of.insert(seq, (class, tokens));
+                        }
+                    }
+                    4..=5 => {
+                        let seq = g.u64_in(0, 12);
+                        if let Some(&(class, tokens)) = class_of.get(&seq) {
+                            p.publish_prefix(seq, &tree_digests(class, (tokens / 16) as usize));
+                        }
+                    }
+                    6..=7 => {
+                        let seq = g.u64_in(0, 12);
+                        p.release(&mut s, seq);
+                        class_of.remove(&seq);
+                    }
+                    8 => {
+                        for _ in 0..g.u64_in(1, 8) {
+                            evicted += evict_one_as_the_reference(&mut p, &mut s);
+                        }
+                    }
+                    _ => {
+                        p.flush_prefix_cache(&mut s);
+                    }
+                }
+                p.check_consistent().unwrap();
+            }
+            for seq in p.seq_ids() {
+                p.release(&mut s, seq);
+            }
+            // With every sequence gone the whole cache drains leaf-first.
+            while !p.is_empty() {
+                assert_eq!(evict_one_as_the_reference(&mut p, &mut s), 1, "the drain stalled");
+                p.check_consistent().unwrap();
+            }
+            assert_eq!(s.memory_double_frees(), 0);
+        });
+        assert!(evicted > 0, "no case evicted mid-episode");
     }
 }
