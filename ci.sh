@@ -122,27 +122,27 @@ done
 # scenario x policy; the binary exits non-zero if any request goes missing
 # without a recorded shed reason or detection exceeds the watchdog bound.
 echo "==> ablation_recovery --smoke"
-cargo run --release -q -p liger-bench --bin ablation_recovery -- --smoke
+cargo run --release -q -p liger-bench -- ablation_recovery --smoke
 
 # Batching ablation gate: the same skewed workload through static and
 # continuous batching; exits non-zero unless continuous strictly beats
 # static on both token throughput and p99 latency, every sequence is
 # accounted for, and the healthy + device-loss traces sanitize clean.
 echo "==> ablation_batching --smoke"
-cargo run --release -q -p liger-bench --bin ablation_batching -- --smoke
+cargo run --release -q -p liger-bench -- ablation_batching --smoke
 
 # Prefix-caching ablation gate: a skewed shared-prefix workload with the
 # cache on must deliver at least 2x the uncached prefill throughput with
 # identical outputs, zero sanitizer diagnostics and zero double frees,
 # healthy and under a device loss.
 echo "==> ablation_prefix --smoke"
-cargo run --release -q -p liger-bench --bin ablation_prefix -- --smoke
+cargo run --release -q -p liger-bench -- ablation_prefix --smoke
 
 # Chaos ablation gate: healthy vs degraded vs outage+rejoin on the same
 # workload; exits non-zero unless every job is accounted for, outputs match
 # the fault-free run, and the rejoin path re-expands back to full width.
 echo "==> ablation_chaos --smoke"
-cargo run --release -q -p liger-bench --bin ablation_chaos -- --smoke
+cargo run --release -q -p liger-bench -- ablation_chaos --smoke
 
 # Cluster tier (DESIGN.md §17): replica router and disaggregated
 # prefill/decode must be byte-identical on a repeat run (every router
@@ -158,10 +158,26 @@ cargo test -q -p liger-verify --test cluster_props
 # streamed KV blocks fully accounted. Once on the pinned default seed,
 # once on a fresh one.
 echo "==> ablation_disagg --smoke (pinned seed)"
-cargo run --release -q -p liger-bench --bin ablation_disagg -- --smoke
+cargo run --release -q -p liger-bench -- ablation_disagg --smoke
 DISAGG_SEED=$((RANDOM * 32768 + RANDOM))
 echo "==> ablation_disagg --smoke (fresh seed $DISAGG_SEED)"
-cargo run --release -q -p liger-bench --bin ablation_disagg -- --smoke --seed "$DISAGG_SEED"
+cargo run --release -q -p liger-bench -- ablation_disagg --smoke --seed "$DISAGG_SEED"
+
+# Every experiment of the library once at its default size (fig10 at
+# --quick): a panic or a failed gate in any of them exits non-zero. The
+# list is the one the entry point prints when run without arguments.
+# About 45 s in release on a 2-vCPU host.
+echo "==> every liger-bench experiment at its default size"
+experiments=$(cargo run --release -q -p liger-bench 2>&1 | awk '/^  [a-z]/ { print $1 }' || true)
+if [ -z "$experiments" ]; then
+    echo "liger-bench listed no experiments" >&2
+    exit 1
+fi
+for e in $experiments; do
+    if [ "$e" = fig10_general ]; then flags=--quick; else flags=; fi
+    echo "    $e $flags"
+    cargo run --release -q -p liger-bench -- "$e" $flags >/dev/null
+done
 
 # Verification gate: the static plan verifier proves the default
 # deployments deadlock-free and memory-feasible (healthy and one-loss

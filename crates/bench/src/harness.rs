@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use liger_collectives::{NcclConfig, Topology};
 use liger_core::{LigerConfig, LigerEngine, SyncMode};
-use liger_gpu_sim::json::{JsonArray, JsonObject, ToJson};
+use liger_gpu_sim::json::{JsonObject, ToJson};
 use liger_gpu_sim::{DeviceSpec, FaultSpec, HostSpec, Simulation};
 use liger_model::{profile_contention, CostModel, ModelConfig};
 use liger_parallelism::{InterOpEngine, IntraOpEngine, PipelineFlavor};
@@ -48,6 +48,12 @@ impl Node {
     /// paper reports 1.10 for the V100 node and 1.15 for the A100 node.
     pub fn contention_factor(self) -> f64 {
         profile_contention(&self.device(), &NcclConfig::liger_tuned()).factor()
+    }
+
+    /// Liger with this node's profiled contention factor and the paper's
+    /// defaults (hybrid sync, division factor 8).
+    pub fn liger_config(self) -> LigerConfig {
+        LigerConfig::default().with_contention_factor(self.contention_factor())
     }
 
     /// Short label.
@@ -97,10 +103,9 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Liger with the node's profiled contention factor and the paper's
-    /// defaults (hybrid sync, division factor 8).
+    /// Liger tuned for `node` ([`Node::liger_config`]).
     pub fn liger_default(node: Node) -> EngineKind {
-        EngineKind::Liger(LigerConfig::default().with_contention_factor(node.contention_factor()))
+        EngineKind::Liger(node.liger_config())
     }
 
     /// Display label.
@@ -200,25 +205,11 @@ pub fn run_liger_recovery(
 ) -> ServingMetrics {
     let cost = node.cost_model();
     let mut sim = node.simulation_with_faults(world, false, faults);
-    let liger = LigerConfig::default().with_contention_factor(node.contention_factor());
-    let mut e =
-        LigerEngine::new(model.clone(), cost.clone(), world, liger).expect("valid Liger setup");
+    let mut e = LigerEngine::new(model.clone(), cost.clone(), world, node.liger_config())
+        .expect("valid Liger setup");
     let mut m = serve_with_recovery(&mut sim, &mut e, requests, model, &cost, config);
     m.faults_mut().degraded_rounds = e.degraded_rounds();
     m
-}
-
-/// Reads `--faults <spec>` from the process arguments and parses it with
-/// [`FaultSpec::parse`]. Exits with the parse error on a malformed spec.
-pub fn arg_faults() -> Option<FaultSpec> {
-    let raw = arg_value("faults")?;
-    match FaultSpec::parse(&raw) {
-        Ok(spec) => Some(spec),
-        Err(e) => {
-            eprintln!("invalid --faults spec: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// One measured point of a sweep.
@@ -321,7 +312,6 @@ impl Table {
 
     /// Renders the table.
     pub fn render(&self) -> String {
-        let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -332,7 +322,6 @@ impl Table {
         let line = |out: &mut String, cells: &[String]| {
             for (i, c) in cells.iter().enumerate() {
                 let _ = write!(out, "{:<w$}", c, w = widths[i] + 2);
-                let _ = i;
             }
             out.push('\n');
         };
@@ -343,7 +332,6 @@ impl Table {
         for row in &self.rows {
             line(&mut out, row);
         }
-        let _ = cols;
         out
     }
 }
@@ -369,12 +357,47 @@ pub fn rate_grid(capacity: f64) -> Vec<f64> {
     [0.4, 0.7, 0.9, 1.05, 1.2, 1.4].iter().map(|f| f * capacity).collect()
 }
 
-/// Writes sweep points as CSV to `results/<name>.csv` when `--csv` was
-/// passed (plotting-friendly export of the same data the tables print).
-pub fn maybe_write_csv(name: &str, points: &[ExperimentPoint]) {
-    if !arg_flag("csv") {
-        return;
+/// The points table most sweeps print: one row per `(label, point)` under
+/// the `first` column header, with the p99 column when `p99` is set.
+pub(crate) fn points_table<'a>(
+    first: &str,
+    p99: bool,
+    rows: impl IntoIterator<Item = (String, &'a ExperimentPoint)>,
+) -> Table {
+    let mut header = vec![first, "rate (req/s)", "avg lat (ms)"];
+    if p99 {
+        header.push("p99 lat (ms)");
     }
+    header.push("throughput (req/s)");
+    let mut t = Table::new(&header);
+    for (label, p) in rows {
+        let mut cells = vec![label, format!("{:.1}", p.rate), format!("{:.1}", p.avg_latency_ms)];
+        if p99 {
+            cells.push(format!("{:.1}", p.p99_latency_ms));
+        }
+        cells.push(format!("{:.1}", p.throughput));
+        t.row(&cells);
+    }
+    t
+}
+
+/// Saturated throughput of `engine` in a sweep: its best point.
+pub(crate) fn saturated(points: &[ExperimentPoint], engine: &str) -> f64 {
+    points.iter().filter(|p| p.engine == engine).map(|p| p.throughput).fold(0.0, f64::max)
+}
+
+/// Nearest-rank 99th percentile of `values` (sorts them in place).
+///
+/// # Panics
+/// When `values` is empty.
+pub(crate) fn p99(values: &mut [f64]) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let idx = ((values.len() as f64 * 0.99).ceil() as usize).clamp(1, values.len()) - 1;
+    values[idx]
+}
+
+/// Sweep points as CSV, one row per point.
+pub(crate) fn points_csv(points: &[ExperimentPoint]) -> String {
     let mut out =
         String::from("engine,rate_req_s,avg_latency_ms,p99_latency_ms,throughput_req_s\n");
     for p in points {
@@ -384,12 +407,7 @@ pub fn maybe_write_csv(name: &str, points: &[ExperimentPoint]) {
             p.engine, p.rate, p.avg_latency_ms, p.p99_latency_ms, p.throughput
         );
     }
-    let _ = std::fs::create_dir_all("results");
-    let path = format!("results/{name}.csv");
-    match std::fs::write(&path, out) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    out
 }
 
 impl ToJson for ExperimentPoint {
@@ -404,49 +422,11 @@ impl ToJson for ExperimentPoint {
     }
 }
 
-/// Writes sweep points as JSON to `results/<name>.json` when `--json` was
-/// passed (same data as [`maybe_write_csv`], machine-readable).
-pub fn maybe_write_json(name: &str, points: &[ExperimentPoint]) {
-    if !arg_flag("json") {
-        return;
-    }
-    let mut out = String::new();
-    {
-        let mut arr = JsonArray::begin(&mut out);
-        for p in points {
-            arr.item(p);
-        }
-        arr.end();
-    }
+/// Sweep points as a JSON array (the same data as [`points_csv`]).
+pub(crate) fn points_json(points: &[ExperimentPoint]) -> String {
+    let mut out = points.to_json();
     out.push('\n');
-    let _ = std::fs::create_dir_all("results");
-    let path = format!("results/{name}.json");
-    match std::fs::write(&path, out) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// Reads `--name value` from the process arguments.
-pub fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// True when `--name` appears in the process arguments.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == format!("--{name}"))
-}
-
-/// Requests per measured point: `--requests N` or 300 by default (the paper
-/// serves 2000; pass `--requests 2000` for full fidelity).
-pub fn default_requests() -> usize {
-    arg_value("requests").and_then(|v| v.parse().ok()).unwrap_or(300)
+    out
 }
 
 #[cfg(test)]
@@ -507,6 +487,32 @@ mod tests {
         assert!(lines[0].starts_with("engine"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[3].contains("Intra-Op"));
+    }
+
+    #[test]
+    fn p99_is_nearest_rank() {
+        let mut v: Vec<f64> = (1..=200).rev().map(f64::from).collect();
+        assert_eq!(p99(&mut v), 198.0);
+        assert_eq!(p99(&mut [3.0, 1.0]), 3.0);
+        assert_eq!(p99(&mut [5.0]), 5.0);
+    }
+
+    #[test]
+    fn points_table_has_the_p99_column_only_when_asked() {
+        let p = ExperimentPoint {
+            engine: "Liger",
+            rate: 10.0,
+            avg_latency_ms: 1.25,
+            p99_latency_ms: 2.5,
+            throughput: 9.96,
+        };
+        let with = points_table("engine", true, [("Liger".to_string(), &p)]).render();
+        assert!(with.starts_with("engine  rate (req/s)  avg lat (ms)  p99 lat (ms)  throughput"));
+        let row = with.lines().nth(2).unwrap();
+        assert!(row.starts_with("Liger   10.0          1.2           2.5"), "{row}");
+        let without = points_table("slots", false, [("4".to_string(), &p)]).render();
+        assert!(!without.contains("p99") && without.contains("10.0"));
+        assert_eq!(saturated(&[p.clone(), p], "Liger"), 9.96);
     }
 
     #[test]

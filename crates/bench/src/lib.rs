@@ -1,9 +1,11 @@
 //! # liger-bench
 //!
-//! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (§4). Each `src/bin/` binary corresponds to one
-//! table/figure and prints the same rows/series the paper reports;
-//! `EXPERIMENTS.md` at the repository root records paper-vs-measured.
+//! The experiment library that regenerates every table and figure of the
+//! paper's evaluation (§4) and the ablations beyond it. Each experiment is
+//! a function in [`experiments`] named after its figure; the `liger-bench`
+//! binary runs one by name (`liger-bench fig10_general --quick`) and
+//! prints the same rows and series the paper reports. `EXPERIMENTS.md` at
+//! the repository root records paper-vs-measured.
 //!
 //! The [`harness`] module contains the shared machinery: node descriptions
 //! (the paper's two testbeds), engine construction, trace building, a
@@ -13,10 +15,5 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod experiments;
 pub mod harness;
-
-pub use harness::{
-    arg_faults, arg_flag, arg_value, default_requests, intra_capacity, maybe_write_csv,
-    maybe_write_json, rate_grid, run_liger_recovery, run_serving, run_serving_with_faults, sweep,
-    EngineKind, ExperimentPoint, Node, Table,
-};

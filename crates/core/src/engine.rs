@@ -261,17 +261,33 @@ impl LigerEngine {
     /// processing-list capacity (§3.3's update_list()). Working sets are
     /// allocated at admission — the processing list, not the waiting queue,
     /// is what occupies device memory.
+    ///
+    /// A batch whose working set does not fit beside the batches in flight
+    /// stays waiting until one of them completes (inter-stream mode would
+    /// otherwise admit the whole backlog at once). With nothing in flight it
+    /// can never fit, and admission reports the deployment error.
     fn update_list(&mut self, sim: &mut Simulation) {
         self.processing.retain(|v| !v.is_empty());
         while self.processing.len() < self.config.processing_slots {
-            let Some(v) = self.waiting.pop_front() else { break };
-            self.memory.batch_submitted(
-                sim,
-                &self.devices,
-                v.batch_id,
-                batch_working_set_bytes(&self.cfg, v.shape, self.devices.len() as u32),
-            );
+            let Some(shape) = self.waiting.front().map(|v| v.shape) else { break };
+            let bytes = batch_working_set_bytes(&self.cfg, shape, self.devices.len() as u32);
+            if self.memory.has_batches() && !self.devices.iter().all(|&d| sim.memory_fits(d, bytes))
+            {
+                break;
+            }
+            let v = self.waiting.pop_front().expect("the front batch was just read");
+            self.memory.batch_submitted(sim, &self.devices, v.batch_id, bytes);
             self.processing.push_back(v);
+        }
+    }
+
+    /// Starts scheduling from idle in the configured sync mode.
+    fn start(&mut self, sim: &mut Simulation) {
+        match self.config.sync_mode {
+            SyncMode::InterStream => self.flood(sim),
+            _ => {
+                self.advance(sim);
+            }
         }
     }
 
@@ -442,12 +458,7 @@ impl InferenceEngine for LigerEngine {
         );
         self.waiting.push_back(v);
         if self.phase == Phase::Idle {
-            match self.config.sync_mode {
-                SyncMode::InterStream => self.flood(sim),
-                _ => {
-                    self.advance(sim);
-                }
-            }
+            self.start(sim);
         }
     }
 
@@ -464,16 +475,22 @@ impl InferenceEngine for LigerEngine {
                 self.completion_pending.retain(|&b| b != batch);
                 self.memory.batch_completed(sim, batch);
                 self.completed.push((batch, fired_at));
-                if let Phase::Flood { outstanding } = self.phase {
-                    let left = outstanding.saturating_sub(1);
-                    if left == 0 {
-                        self.phase = Phase::Idle;
-                        if !self.waiting.is_empty() {
-                            self.flood(sim);
+                match self.phase {
+                    Phase::Flood { outstanding } => {
+                        let left = outstanding.saturating_sub(1);
+                        if left == 0 {
+                            self.phase = Phase::Idle;
+                            if !self.waiting.is_empty() {
+                                self.flood(sim);
+                            }
+                        } else {
+                            self.phase = Phase::Flood { outstanding: left };
                         }
-                    } else {
-                        self.phase = Phase::Flood { outstanding: left };
                     }
+                    // `update_list` held a batch back for this completion's
+                    // memory and the schedule ran dry meanwhile.
+                    Phase::Idle if !self.waiting.is_empty() => self.start(sim),
+                    _ => {}
                 }
             }
             Wake::EventFired { token, fired_at, .. } => match token & KIND_MASK {
@@ -635,6 +652,26 @@ mod tests {
             assert_eq!(metrics.completed(), 25, "mode {mode:?} lost requests");
             assert!(engine.rounds_planned() > 25, "each batch takes many rounds");
         }
+    }
+
+    #[test]
+    fn inter_stream_backlog_larger_than_device_memory_completes() {
+        // Room for the weights and three working sets: a simultaneous
+        // backlog of twelve floods past it unless admission waits for
+        // completions to free memory.
+        let shape = BatchShape::prefill(2, 64);
+        let working = batch_working_set_bytes(&chunky(), shape, 2);
+        let capacity = chunky().weight_bytes() / 2 + 3 * working;
+        let spec = DeviceSpec { mem_capacity: capacity, ..DeviceSpec::v100_16gb() };
+        let mut b = Simulation::builder().devices(spec, 2);
+        for r in 0..2 {
+            b = b.host(HostSpec::mpi_rank(r));
+        }
+        let mut sim = b.build().unwrap();
+        let mut engine = liger(2, LigerConfig::default().with_sync_mode(SyncMode::InterStream));
+        let metrics = serve(&mut sim, &mut engine, trace(12, 1e6, 64));
+        assert_eq!(metrics.completed(), 12);
+        assert!(sim.memory_peak(DeviceId(0)) <= capacity);
     }
 
     #[test]

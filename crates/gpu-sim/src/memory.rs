@@ -134,12 +134,11 @@ impl MemoryTracker {
     ) -> Result<AllocationId, OutOfMemory> {
         let d = device.0;
         assert!(d < self.capacities.len(), "unknown device {device}");
-        let in_use = self.in_use[d];
-        if in_use.saturating_add(bytes) > self.capacities[d] {
+        if !self.fits(device, bytes) {
             return Err(OutOfMemory {
                 device,
                 requested: bytes,
-                in_use,
+                in_use: self.in_use[d],
                 capacity: self.capacities[d],
                 label,
             });
@@ -151,6 +150,12 @@ impl MemoryTracker {
         // Fits: `new` bounds the device count by `u16`.
         self.devices.push(d as u16);
         Ok(AllocationId(id))
+    }
+
+    /// True when `bytes` more would fit on `device` beside what it already
+    /// holds — the one capacity rule [`alloc`](Self::alloc) enforces.
+    pub fn fits(&self, device: DeviceId, bytes: u64) -> bool {
+        self.in_use[device.0].saturating_add(bytes) <= self.capacities[device.0]
     }
 
     /// Frees an allocation. Accounting is idempotent — freeing twice never

@@ -1123,6 +1123,12 @@ impl Simulation {
         self.memory.double_frees_on(device)
     }
 
+    /// True when an allocation of `bytes` on `device` would succeed now
+    /// (the capacity rule [`alloc_memory`](Self::alloc_memory) applies).
+    pub fn memory_fits(&self, device: DeviceId, bytes: u64) -> bool {
+        self.memory.fits(device, bytes)
+    }
+
     /// Bytes currently allocated on `device`.
     pub fn memory_in_use(&self, device: DeviceId) -> u64 {
         self.memory.in_use(device)

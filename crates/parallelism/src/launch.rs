@@ -266,6 +266,11 @@ impl EngineMemory {
         debug_assert!(prev.is_none(), "batch {batch} submitted twice");
     }
 
+    /// True when at least one batch's working set is allocated.
+    pub fn has_batches(&self) -> bool {
+        !self.per_batch.is_empty()
+    }
+
     /// Frees a completed batch's working set.
     pub fn batch_completed(&mut self, sim: &mut Simulation, batch: u64) {
         if let Some(mut ids) = self.per_batch.remove(&batch) {
