@@ -69,18 +69,20 @@ cargo test -q --release --test chaos
 # outputs (completion, bit-identical passes, repeatable allocation counts)
 # and prints one JSON line; a non-zero exit or "correct": false fails CI.
 # The simulator's host heap must follow the work in flight, not the trace;
-# every workload prints its peak. paper-prefill peaks near 0.5 MiB, and
-# above 16 MiB its event and collective records are no longer being
-# reclaimed (the unbounded tables took 414 MiB). chat-continuous peaks near
+# every workload prints its peak. paper-prefill peaks near 0.28 MiB, and
+# above 0.4 MiB queued batches hold their whole op list again instead of
+# one priced layer (0.52 MiB; 414 MiB when event and collective records
+# were not reclaimed). chat-continuous peaks near
 # 1.4 MiB, and above 4 MiB freed device-memory allocations are being kept
 # again (a 40-byte record per allocation ever made took it to 6 MiB).
 # chat-device-loss peaks near 1.9 MiB, and above 4 MiB the health probes
 # dropped by its dead device keep full event records again (about 190 B
 # each took it to 7.6 MiB, and to 11.5 MiB at other seeds).
 # Scheduling rounds must not allocate either: paper-prefill makes about
-# 3 allocations per request, and above 16 a per-round or per-layer
-# allocation is back (about 180 rounds per request took 313).
-# shared-prefix-cluster makes about 34 allocations per request, and above
+# 2 allocations per request, and above 4 function assembly prices the
+# whole stack into a second buffer again (3.06), or a per-round or
+# per-layer allocation is back (about 180 rounds per request took 313).
+# shared-prefix-cluster makes about 30 allocations per request, and above
 # 38 prefix eviction rebuilds a set of the index's parents per victim
 # again (41).
 echo "==> perfbench tests + workload smoke runs"
@@ -93,7 +95,7 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
         *) echo "perfbench $w failed its checks: $result" >&2; exit 1 ;;
     esac
     case "$w" in
-        paper-prefill) heap_limit=16 alloc_limit=16 ;;
+        paper-prefill) heap_limit=0.4 alloc_limit=4 ;;
         chat-continuous) heap_limit=4 alloc_limit=none ;;
         shared-prefix-cluster) heap_limit=none alloc_limit=38 ;;
         chat-device-loss) heap_limit=4 alloc_limit=none ;;

@@ -17,7 +17,7 @@ use liger_collectives::ClusterTopology;
 use liger_core::introspect::LaunchProgram;
 use liger_core::{plan_round, FuncVec, LigerConfig, PlanParams, SyncMode};
 use liger_gpu_sim::{DeviceSpec, SimTime, Trace, WindowRule};
-use liger_model::{assemble, BatchShape, CostModel, ModelConfig};
+use liger_model::{BatchShape, CostModel, ModelConfig};
 use liger_verify::model_checker::{
     adversarial_battery, explore, Exploration, McProgram, MC_REDUCTION,
 };
@@ -271,9 +271,7 @@ fn launch_program(
         straggler_factor: 1.0,
     };
     let mut processing: VecDeque<FuncVec> = (0..batches)
-        .map(|b| {
-            FuncVec::from_ops(b, shape, SimTime::ZERO, assemble(&cm, cfg, shape, world as u32))
-        })
+        .map(|b| FuncVec::assemble(b, shape, SimTime::ZERO, &cm, cfg, world as u32))
         .collect();
     let mut plans = Vec::new();
     while let Some(p) = plan_round(&mut processing, &params, &cm) {

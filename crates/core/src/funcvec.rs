@@ -3,16 +3,20 @@
 //! For each newly arrived batch, Liger assembles the ordered list of kernel
 //! launch functions — each wrapper carrying the kernel's duration, type,
 //! batch size and sequence length — which the scheduler consumes when
-//! building subsets. Here a [`FuncVec`] wraps the priced op list produced by
-//! [`liger_model::assemble`] plus the batch's arrival order. The paper's
+//! building subsets. Every transformer block emits the same kernels at the
+//! same durations, so a [`FuncVec`] stores the list in template form: one
+//! block's priced ops and the priced head ops from
+//! [`liger_model::assemble_template`], a cursor over the block's repetitions
+//! and a one-slot front for the remainder runtime decomposition pushes back.
+//! It hands out exactly the ops of [`liger_model::assemble`], layer indices
+//! included, while what it stores and what assembly prices no longer grow
+//! with the model's depth (14 ops instead of 578 for OPT-30B). The paper's
 //! function assembler also owns each batch's last-launched stream and
 //! cross-stream dependency event; here the launch sequence keeps those, as
 //! it is their only reader.
 
-use std::collections::VecDeque;
-
 use liger_gpu_sim::{KernelClass, SimTime};
-use liger_model::{assemble, BatchShape, CostModel, ModelConfig, PricedOp};
+use liger_model::{assemble_template, BatchShape, CostModel, ModelConfig, PricedOp};
 
 /// The assembled kernel-launch list of one batch.
 #[derive(Debug, Clone)]
@@ -23,7 +27,19 @@ pub struct FuncVec {
     pub shape: BatchShape,
     /// Arrival instant (drives the priority order of Principle 1).
     pub arrived: SimTime,
-    ops: VecDeque<PricedOp>,
+    /// `block` template ops, repeated for `layers` layers, then the tail.
+    /// The template ops carry the layer of the repetition being handed out.
+    ops: Vec<PricedOp>,
+    /// Template ops per layer (0 for an explicit list: all tail).
+    block: u32,
+    /// Repetitions of the template (the model's layers).
+    layers: u32,
+    /// Index into `ops` of the next op after `front`.
+    next: u32,
+    /// Repetition the template op at `next` belongs to.
+    layer: u32,
+    /// A pushed-back op, handed out before `ops[next]`.
+    front: Option<PricedOp>,
 }
 
 impl FuncVec {
@@ -36,52 +52,92 @@ impl FuncVec {
         cfg: &ModelConfig,
         tp: u32,
     ) -> FuncVec {
+        let (ops, block) = assemble_template(cm, cfg, shape, tp);
+        let layers = cfg.layers;
+        let next = if layers == 0 { block as u32 } else { 0 };
+        let v = FuncVec {
+            batch_id,
+            shape,
+            arrived,
+            ops,
+            block: block as u32,
+            layers,
+            next,
+            layer: 0,
+            front: None,
+        };
         #[cfg(debug_assertions)]
         {
-            // Structural oracle: the generated sequence must be a well-formed
-            // Megatron forward pass before the scheduler consumes it.
-            let ops = liger_model::model_ops(cfg, shape, tp);
+            // Structural oracle: the sequence this list hands out must be a
+            // well-formed Megatron forward pass before the scheduler
+            // consumes it.
+            let mut rest = v.clone();
+            let mut ops = Vec::with_capacity(v.len());
+            while let Some(op) = rest.pop() {
+                ops.push(op.placed);
+            }
             if let Err(e) = liger_model::validate_sequence(cfg, shape, tp, &ops) {
                 panic!("assembled an invalid kernel sequence: {e}");
             }
         }
-        FuncVec { batch_id, shape, arrived, ops: assemble(cm, cfg, shape, tp).into() }
+        v
     }
 
-    /// Builds a FuncVec from an explicit op list (tests, custom workloads).
+    /// Builds a FuncVec from an explicit op list (tests, custom workloads),
+    /// stored as zero repetitions of an empty template and `ops` as tail.
     pub fn from_ops(
         batch_id: u64,
         shape: BatchShape,
         arrived: SimTime,
         ops: Vec<PricedOp>,
     ) -> FuncVec {
-        FuncVec { batch_id, shape, arrived, ops: ops.into() }
+        FuncVec {
+            batch_id,
+            shape,
+            arrived,
+            ops,
+            block: 0,
+            layers: 0,
+            next: 0,
+            layer: 0,
+            front: None,
+        }
     }
 
     /// Remaining kernels.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        let next = self.next as usize;
+        let later_layers = if next < self.block as usize {
+            (self.layers - self.layer - 1) as usize * self.block as usize
+        } else {
+            0
+        };
+        self.front.is_some() as usize + self.ops.len() - next + later_layers
     }
 
     /// True when every kernel has been scheduled.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.front.is_none() && self.next as usize >= self.ops.len()
     }
 
     /// The next kernel, if any.
     pub fn peek(&self) -> Option<&PricedOp> {
-        self.ops.front()
+        self.front.as_ref().or_else(|| self.ops.get(self.next as usize))
     }
 
     /// Class of the next kernel.
     pub fn next_class(&self) -> Option<KernelClass> {
-        self.ops.front().map(|op| op.class())
+        self.peek().map(PricedOp::class)
     }
 
     /// True when the kernel *after* the head switches class (the head is the
     /// last kernel of the current run) — the paper's `switch()` predicate.
     pub fn switch(&self) -> bool {
-        match (self.ops.front(), self.ops.get(1)) {
+        let (head, after) = match &self.front {
+            Some(front) => (Some(front), self.ops.get(self.next as usize)),
+            None => (self.ops.get(self.next as usize), self.ops.get(self.after_next() as usize)),
+        };
+        match (head, after) {
             (Some(head), Some(next)) => head.class() != next.class(),
             (Some(_), None) => true, // last kernel overall ends the run
             _ => false,
@@ -90,13 +146,39 @@ impl FuncVec {
 
     /// Pops the next kernel.
     pub fn pop(&mut self) -> Option<PricedOp> {
-        self.ops.pop_front()
+        if self.front.is_some() {
+            return self.front.take();
+        }
+        let op = *self.ops.get(self.next as usize)?;
+        let next = self.after_next();
+        if next <= self.next {
+            // Into the next repetition: renumber the whole template at once,
+            // so a pop never reloads an op it has just written to.
+            self.layer += 1;
+            for op in &mut self.ops[..self.block as usize] {
+                op.placed.layer = self.layer;
+            }
+        }
+        self.next = next;
+        Some(op)
     }
 
-    /// Replaces the head with `op` (used when runtime decomposition carves a
-    /// piece off the head and pushes the remainder back).
+    /// Puts `op` ahead of the remaining kernels (used when runtime
+    /// decomposition carves a piece off the head and pushes the remainder
+    /// back). The front holds one op: push again only after a pop.
     pub fn push_front(&mut self, op: PricedOp) {
-        self.ops.push_front(op);
+        let displaced = self.front.replace(op);
+        assert!(displaced.is_none(), "FuncVec::push_front: the front already holds an op");
+    }
+
+    /// Index into `ops` of the op after `ops[next]`: the template wraps to
+    /// its start until the last repetition, then runs into the tail.
+    fn after_next(&self) -> u32 {
+        if self.next + 1 == self.block && self.layer + 1 < self.layers {
+            0
+        } else {
+            self.next + 1
+        }
     }
 }
 
@@ -154,5 +236,14 @@ mod tests {
         v.push_front(op(Compute, 3));
         assert_eq!(v.len(), 2);
         assert_eq!(v.peek().unwrap().duration, SimDuration::from_micros(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "front already holds an op")]
+    fn push_front_holds_one_op() {
+        use KernelClass::*;
+        let mut v = fv(vec![op(Compute, 10)]);
+        v.push_front(op(Compute, 3));
+        v.push_front(op(Compute, 2));
     }
 }

@@ -6,7 +6,7 @@
 //! priced op, and a round's event lists are reused or recycled. Planning
 //! allocates nothing either once the engine's one reused `RoundPlan` has
 //! grown to the largest round. What remains per request is function
-//! assembly (one buffer for the op list, one for its priced copy) and the
+//! assembly (one buffer holding one priced block and the head ops) and the
 //! serving loop's bookkeeping: a handful of allocations per request, not
 //! one per kernel or per round.
 //!
@@ -27,36 +27,49 @@ use liger_serving::{serve, PrefillTraceConfig};
 struct Counting;
 
 thread_local! {
-    // Const-initialised without a destructor: touching it never allocates.
+    // Const-initialised without a destructor: touching them never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
 fn count() {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
-// SAFETY: every method forwards to `System` unchanged and only bumps a
-// thread-local integer, so `System`'s contract carries over.
+/// Adds to the live allocation count and byte total.
+fn track(blocks: i64, bytes: i64) {
+    let _ = LIVE.try_with(|c| {
+        let (b, n) = c.get();
+        c.set((b + blocks, n + bytes));
+    });
+}
+
+// SAFETY: every method forwards to `System` unchanged and only updates
+// thread-local integers, so `System`'s contract carries over.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        track(1, layout.size() as i64);
         // SAFETY: forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        track(1, layout.size() as i64);
         // SAFETY: forwarded unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-1, -(layout.size() as i64));
         // SAFETY: forwarded unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        track(0, new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -67,6 +80,11 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Live allocations and their bytes on this thread.
+fn live() -> (i64, i64) {
+    LIVE.with(Cell::get)
 }
 
 const WORLD: usize = 4;
@@ -116,6 +134,27 @@ fn serving_allocates_at_most_eight_times_per_request() {
         per_request <= 8.0,
         "serving allocated {spent} times for {REQUESTS} requests ({per_request:.2} each)"
     );
+}
+
+/// Function assembly keeps one priced block and the two head ops, not the
+/// 48-layer stack: one allocation of at most 1 KiB for OPT-30B (578 ops
+/// took 37 KiB as a full list).
+#[test]
+fn assembling_opt30b_keeps_one_allocation_of_at_most_a_kibibyte() {
+    let cost = v100_cost();
+    let cfg = ModelConfig::opt_30b();
+    let shape = BatchShape::prefill(2, 64);
+    let (allocs_before, (blocks_before, bytes_before)) = (allocs(), live());
+    let v = FuncVec::assemble(0, shape, SimTime::ZERO, &cost, &cfg, WORLD as u32);
+    let spent = allocs() - allocs_before;
+    let (blocks, bytes) = live();
+    assert_eq!(v.len(), 48 * 12 + 2);
+    assert_eq!(blocks - blocks_before, 1, "assembly keeps exactly one allocation");
+    assert!(bytes - bytes_before <= 1024, "assembly keeps {} bytes", bytes - bytes_before);
+    // Debug builds also run the structural oracle over the handed-out
+    // sequence; its two scratch buffers are freed before `assemble` returns.
+    let oracle = if cfg!(debug_assertions) { 2 } else { 0 };
+    assert_eq!(spent, 1 + oracle, "assembly allocated {spent} times");
 }
 
 /// Once a reused plan's buffers have grown to the largest round, planning

@@ -352,13 +352,11 @@ impl BlockPool {
         rows: u32,
     ) -> Result<u64, OutOfBlocks> {
         assert!(rows >= 1, "a sequence has at least one row");
-        let have = match self.seqs.get(&seq) {
-            Some(e) => {
-                assert_eq!(e.rows, rows, "rows are fixed at sequence creation");
-                e.table.len() as u64
-            }
-            None => 0,
-        };
+        let existing = self.seqs.get(&seq).map(|e| {
+            assert_eq!(e.rows, rows, "rows are fixed at sequence creation");
+            e.table.len() as u64
+        });
+        let have = existing.unwrap_or(0);
         let needed = self.blocks_for(tokens) * rows as u64;
         if needed <= have {
             if let Some(e) = self.seqs.get_mut(&seq) {
@@ -378,9 +376,13 @@ impl BlockPool {
                 device: None,
             });
         }
-        // Allocate the new blocks, rolling the whole grow back if any
-        // device's tracker refuses a backing page.
-        let mut added: Vec<u64> = Vec::with_capacity(delta as usize);
+        // Allocate the new blocks straight into the table, rolling the whole
+        // grow back if any device's tracker refuses a backing page: the
+        // table is truncated to its old length (or the entry made for this
+        // call removed) and the new blocks are freed.
+        let created = existing.is_none();
+        let entry = self.seqs.entry(seq).or_insert(SeqEntry { table: Vec::new(), tokens: 0, rows });
+        entry.table.reserve(delta as usize);
         for _ in 0..delta {
             let mut allocs: Vec<(DeviceId, AllocationId)> = Vec::with_capacity(self.devices.len());
             let mut failed: Option<DeviceId> = None;
@@ -397,12 +399,15 @@ impl BlockPool {
                 for (_, id) in allocs {
                     sim.free_memory(id);
                 }
-                for b in added {
+                for b in entry.table.drain(have as usize..) {
                     let block = self.blocks.remove(&b).expect("just inserted");
                     for (_, id) in block.allocs {
                         sim.free_memory(id);
                     }
                     self.stats.allocated -= 1;
+                }
+                if created {
+                    self.seqs.remove(&seq);
                 }
                 return Err(OutOfBlocks {
                     requested_blocks: delta,
@@ -415,12 +420,10 @@ impl BlockPool {
             self.next_block += 1;
             self.blocks.insert(id, Block { allocs, refs: 1 });
             self.stats.allocated += 1;
-            added.push(id);
+            entry.table.push(id);
         }
-        self.stats.peak_live = self.stats.peak_live.max(self.live_blocks());
-        let entry = self.seqs.entry(seq).or_insert(SeqEntry { table: Vec::new(), tokens: 0, rows });
-        entry.table.extend(added);
         entry.tokens = entry.tokens.max(tokens);
+        self.stats.peak_live = self.stats.peak_live.max(self.live_blocks());
         Ok(delta)
     }
 
@@ -933,6 +936,32 @@ mod tests {
         assert!(!p.has_seq(0));
         assert!(p.is_empty());
         assert_eq!(s.memory_in_use(DeviceId(0)), before, "rollback frees partial pages");
+        p.check_consistent().unwrap();
+    }
+
+    #[test]
+    fn tracker_failure_truncates_an_existing_table_back() {
+        let mut s = sim(1);
+        let cap = DeviceSpec::test_device().mem_capacity;
+        // The device backs three blocks; the pool budget allows far more.
+        let block = cap / 4 + 1;
+        let mut p = pool(1, block, 100 * block);
+        assert_eq!(p.grow(&mut s, 0, 16, 1), Ok(1));
+        let table = p.seqs[&0].table.clone();
+        let before = s.memory_in_use(DeviceId(0));
+        let stats = p.stats();
+        // Four more blocks: two fit beside the first, the third is refused.
+        let err = p.grow(&mut s, 0, 16 * 5, 1).unwrap_err();
+        assert_eq!(err.device, Some(DeviceId(0)));
+        assert_eq!(p.seqs[&0].table, table, "the table is cut back to its old length");
+        assert_eq!(p.seq_tokens(0), Some(16));
+        assert_eq!(p.live_blocks(), 1);
+        assert_eq!(p.stats(), stats);
+        assert_eq!(s.memory_in_use(DeviceId(0)), before, "rollback frees the new pages");
+        p.check_consistent().unwrap();
+        // A grow that fits afterwards extends the same table.
+        assert_eq!(p.grow(&mut s, 0, 16 * 3, 1), Ok(2));
+        assert_eq!(p.seqs[&0].table[..1], table[..]);
         p.check_consistent().unwrap();
     }
 

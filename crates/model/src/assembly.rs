@@ -3,14 +3,18 @@
 //! This is the model-side half of the paper's *function assembly* (§3.2):
 //! for a batch shape, produce the ordered list of kernels with "details such
 //! as the kernel duration, the kernel type, the batch size, and the sequence
-//! length" attached. `liger-core` wraps these into its `FuncVec`s; the
-//! baseline engines launch them directly.
+//! length" attached. Every transformer block emits the same ops and the cost
+//! model prices an op by its shape alone, so [`assemble_template`] prices a
+//! single block plus the head ops; [`assemble`] expands that template into
+//! the full list and [`iteration_time`] sums it without expanding.
+//! `liger-core` keeps the template in its `FuncVec`s; the baseline engines
+//! launch the expanded list directly.
 
 use liger_gpu_sim::{KernelClass, SimDuration};
 
 use crate::config::ModelConfig;
 use crate::cost::CostModel;
-use crate::layers::{model_ops, PlacedOp};
+use crate::layers::{for_each_layer_op, head_ops, PlacedOp, HEAD_OPS, OPS_PER_LAYER};
 use crate::workload::BatchShape;
 
 /// One op with its offline-profiled no-load duration.
@@ -34,10 +38,53 @@ pub fn price_ops(cm: &CostModel, ops: &[PlacedOp]) -> Vec<PricedOp> {
     ops.iter().map(|&placed| PricedOp { placed, duration: cm.op_time(&placed.op) }).collect()
 }
 
+/// Prices one inference iteration at tensor-parallel degree `tp` in
+/// template form: one block's ops, placed at layer 0, then the head ops.
+/// Returns the list and the block's op count. The iteration is the block
+/// repeated for layers `0..cfg.layers`, each copy placed at its layer, then
+/// the head. One allocation of at most 14 ops, whatever the model's depth.
+pub fn assemble_template(
+    cm: &CostModel,
+    cfg: &ModelConfig,
+    shape: BatchShape,
+    tp: u32,
+) -> (Vec<PricedOp>, usize) {
+    let price = |placed: PlacedOp| PricedOp { placed, duration: cm.op_time(&placed.op) };
+    let mut ops = Vec::with_capacity(OPS_PER_LAYER + HEAD_OPS);
+    for_each_layer_op(cfg, shape, tp, 0, |placed| ops.push(price(placed)));
+    let block = ops.len();
+    ops.extend(head_ops(cfg, shape, tp).map(price));
+    (ops, block)
+}
+
 /// Prices the full per-device kernel list of one inference iteration at
-/// tensor-parallel degree `tp`.
+/// tensor-parallel degree `tp`: [`assemble_template`], expanded.
 pub fn assemble(cm: &CostModel, cfg: &ModelConfig, shape: BatchShape, tp: u32) -> Vec<PricedOp> {
-    price_ops(cm, &model_ops(cfg, shape, tp))
+    let (template, block) = assemble_template(cm, cfg, shape, tp);
+    let (block, head) = template.split_at(block);
+    let mut ops = Vec::with_capacity(cfg.layers as usize * block.len() + head.len());
+    for layer in 0..cfg.layers {
+        ops.extend(
+            block.iter().map(|op| PricedOp { placed: PlacedOp { layer, ..op.placed }, ..*op }),
+        );
+    }
+    ops.extend_from_slice(head);
+    ops
+}
+
+/// Sum of [`assemble`]`(cm, cfg, shape, tp)`'s durations, as `layers ×`
+/// one block's sum plus the head's. Durations are integer nanoseconds, so
+/// this equals the op-by-op sum exactly.
+pub fn iteration_time(
+    cm: &CostModel,
+    cfg: &ModelConfig,
+    shape: BatchShape,
+    tp: u32,
+) -> SimDuration {
+    let mut block = SimDuration::ZERO;
+    for_each_layer_op(cfg, shape, tp, 0, |placed| block += cm.op_time(&placed.op));
+    let head: SimDuration = head_ops(cfg, shape, tp).iter().map(|p| cm.op_time(&p.op)).sum();
+    block * cfg.layers as u64 + head
 }
 
 /// Splits a priced sequence's total duration by kernel class:
@@ -65,6 +112,27 @@ impl liger_gpu_sim::ToJson for PricedOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::model_ops;
+
+    #[test]
+    fn template_expands_to_the_priced_full_list() {
+        // The expanded template must equal pricing the generator's full
+        // list op by op, uneven degraded degrees (3 over 56 heads) included.
+        let cm = CostModel::v100_node();
+        for cfg in [ModelConfig::tiny_test(), ModelConfig::opt_30b()] {
+            for shape in [BatchShape::prefill(2, 16), BatchShape::decode(8, 40)] {
+                for tp in [1, 2, 3, 4] {
+                    let full = price_ops(&cm, &model_ops(&cfg, shape, tp));
+                    assert_eq!(assemble(&cm, &cfg, shape, tp), full, "{} tp={tp}", cfg.name);
+                    let sum: SimDuration = full.iter().map(|o| o.duration).sum();
+                    assert_eq!(iteration_time(&cm, &cfg, shape, tp), sum, "{} tp={tp}", cfg.name);
+                    let (template, block) = assemble_template(&cm, &cfg, shape, tp);
+                    assert_eq!(template.len(), block + 2);
+                    assert!(template.len() <= template.capacity() && template.capacity() <= 14);
+                }
+            }
+        }
+    }
 
     #[test]
     fn assembled_sequence_is_fully_priced() {

@@ -1,12 +1,15 @@
 //! Building the kernel sequence of a transformer forward pass.
 //!
-//! [`layer_ops`] emits the per-device op list of one transformer block under
-//! a given tensor-parallel degree, in execution order; [`model_ops`] chains
-//! all layers plus the final norm and LM head. The sequences follow
-//! Megatron-LM's partitioning (the paper's Intra-Op baseline): QKV and FC1
-//! are column-parallel, the attention output projection and FC2 are
-//! row-parallel, and each block synchronizes with **two all-reduces** —
-//! after the attention projection and after FC2.
+//! One generator, `for_each_layer_op`, emits the per-device ops of one
+//! transformer block under a given tensor-parallel degree, in execution
+//! order, and `head_ops` the final norm and LM head; [`layer_ops`],
+//! [`model_ops`] and [`stage_ops`] collect them, and function assembly
+//! ([`crate::assembly::assemble_template`]) prices one block of them for
+//! the whole stack. The sequences follow Megatron-LM's partitioning (the
+//! paper's Intra-Op baseline): QKV and FC1 are column-parallel, the
+//! attention output projection and FC2 are row-parallel, and each block
+//! synchronizes with **two all-reduces** — after the attention projection
+//! and after FC2.
 
 use crate::config::ModelConfig;
 use crate::ops::{GemmKind, LayerOp};
@@ -35,21 +38,26 @@ pub const HEAD_LAYER: u32 = u32::MAX;
 /// is byte-identical to the exact Megatron partitioning.
 pub fn layer_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32, layer: u32) -> Vec<PlacedOp> {
     let mut ops = Vec::with_capacity(OPS_PER_LAYER);
-    push_layer_ops(&mut ops, cfg, shape, tp, layer);
+    for_each_layer_op(cfg, shape, tp, layer, |p| ops.push(p));
     ops
 }
 
 /// Most ops one block emits: ten kernels plus two all-reduces when `tp > 1`.
-const OPS_PER_LAYER: usize = 12;
+pub(crate) const OPS_PER_LAYER: usize = 12;
 
-/// Appends [`layer_ops`]`(cfg, shape, tp, layer)` to `ops`, so that a whole
-/// model or stage is built in one buffer.
-fn push_layer_ops(
-    ops: &mut Vec<PlacedOp>,
+/// Ops after the last block: the final layer norm and the LM head.
+pub(crate) const HEAD_OPS: usize = 2;
+
+/// The one generator of a block's ops: hands [`layer_ops`]`(cfg, shape, tp,
+/// layer)` to `emit` in execution order. Every block of a model emits the
+/// same ops but for `layer`, which is what lets function assembly price a
+/// single block for the whole stack.
+pub(crate) fn for_each_layer_op(
     cfg: &ModelConfig,
     shape: BatchShape,
     tp: u32,
     layer: u32,
+    mut emit: impl FnMut(PlacedOp),
 ) {
     assert!(tp >= 1, "tensor-parallel degree must be >= 1");
     assert!(
@@ -71,7 +79,7 @@ fn push_layer_ops(
     let dtype = cfg.dtype_bytes as u64;
     let ar_bytes = rows * h * dtype;
 
-    let mut push = |op: LayerOp| ops.push(PlacedOp { layer, op });
+    let mut push = |op: LayerOp| emit(PlacedOp { layer, op });
 
     // -- attention half ------------------------------------------------------
     push(LayerOp::LayerNorm { rows, hidden: h });
@@ -100,25 +108,33 @@ fn push_layer_ops(
     push(LayerOp::Residual { rows, hidden: h });
 }
 
+/// The two post-block ops at `tp`, in execution order: the final layer
+/// norm and the (column-parallel) LM head.
+pub(crate) fn head_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32) -> [PlacedOp; HEAD_OPS] {
+    let h = cfg.hidden as u64;
+    let rows = shape.rows();
+    [
+        PlacedOp { layer: HEAD_LAYER, op: LayerOp::LayerNorm { rows, hidden: h } },
+        PlacedOp {
+            layer: HEAD_LAYER,
+            op: LayerOp::Gemm {
+                m: rows,
+                k: h,
+                n: (cfg.vocab as u64).div_ceil(tp as u64),
+                kind: GemmKind::LmHead,
+            },
+        },
+    ]
+}
+
 /// Ops of the full model on one device at tensor-parallel degree `tp`:
 /// `layers` blocks, final layer norm, and the (column-parallel) LM head.
 pub fn model_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32) -> Vec<PlacedOp> {
-    let mut ops = Vec::with_capacity(cfg.layers as usize * OPS_PER_LAYER + 2);
+    let mut ops = Vec::with_capacity(cfg.layers as usize * OPS_PER_LAYER + HEAD_OPS);
     for layer in 0..cfg.layers {
-        push_layer_ops(&mut ops, cfg, shape, tp, layer);
+        for_each_layer_op(cfg, shape, tp, layer, |p| ops.push(p));
     }
-    let h = cfg.hidden as u64;
-    let rows = shape.rows();
-    ops.push(PlacedOp { layer: HEAD_LAYER, op: LayerOp::LayerNorm { rows, hidden: h } });
-    ops.push(PlacedOp {
-        layer: HEAD_LAYER,
-        op: LayerOp::Gemm {
-            m: rows,
-            k: h,
-            n: (cfg.vocab as u64).div_ceil(tp as u64),
-            kind: GemmKind::LmHead,
-        },
-    });
+    ops.extend(head_ops(cfg, shape, tp));
     ops
 }
 
@@ -126,18 +142,12 @@ pub fn model_ops(cfg: &ModelConfig, shape: BatchShape, tp: u32) -> Vec<PlacedOp>
 /// (Inter-Op baseline). The final stage appends the head ops.
 pub fn stage_ops(cfg: &ModelConfig, shape: BatchShape, lo: u32, hi: u32) -> Vec<PlacedOp> {
     assert!(lo < hi && hi <= cfg.layers, "invalid stage range [{lo},{hi}) of {}", cfg.layers);
-    let mut ops = Vec::with_capacity((hi - lo) as usize * OPS_PER_LAYER + 2);
+    let mut ops = Vec::with_capacity((hi - lo) as usize * OPS_PER_LAYER + HEAD_OPS);
     for layer in lo..hi {
-        push_layer_ops(&mut ops, cfg, shape, 1, layer);
+        for_each_layer_op(cfg, shape, 1, layer, |p| ops.push(p));
     }
     if hi == cfg.layers {
-        let h = cfg.hidden as u64;
-        let rows = shape.rows();
-        ops.push(PlacedOp { layer: HEAD_LAYER, op: LayerOp::LayerNorm { rows, hidden: h } });
-        ops.push(PlacedOp {
-            layer: HEAD_LAYER,
-            op: LayerOp::Gemm { m: rows, k: h, n: cfg.vocab as u64, kind: GemmKind::LmHead },
-        });
+        ops.extend(head_ops(cfg, shape, 1));
     }
     ops
 }

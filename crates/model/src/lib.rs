@@ -22,7 +22,9 @@ pub mod spec;
 pub mod validate;
 pub mod workload;
 
-pub use assembly::{assemble, class_totals, price_ops, PricedOp};
+pub use assembly::{
+    assemble, assemble_template, class_totals, iteration_time, price_ops, PricedOp,
+};
 pub use config::ModelConfig;
 pub use cost::{CostModel, CostParams};
 pub use decompose::{

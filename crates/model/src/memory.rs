@@ -10,9 +10,9 @@
 
 use liger_gpu_sim::SimDuration;
 
+use crate::assembly::iteration_time;
 use crate::config::ModelConfig;
 use crate::cost::CostModel;
-use crate::layers::model_ops;
 use crate::workload::BatchShape;
 
 /// Memory footprint breakdown for one device.
@@ -174,8 +174,7 @@ pub fn kv_recovery_plan(
     match policy {
         RecoveryPolicy::Recompute => {
             let shape = BatchShape::prefill(seqs, context);
-            let duration =
-                model_ops(cfg, shape, survivors).iter().map(|p| cost.op_time(&p.op)).sum();
+            let duration = iteration_time(cost, cfg, shape, survivors);
             KvRecoveryPlan {
                 policy,
                 lost_bytes,
@@ -244,6 +243,12 @@ mod tests {
         assert_eq!(rec.lost_bytes, rep.lost_bytes, "same shard either way");
         assert_eq!(rec.recompute_tokens, 8 * 128);
         assert_eq!(rep.recompute_tokens, 0);
+        // Recompute replays the whole stack on the 3 survivors.
+        let replay: SimDuration = crate::layers::model_ops(&cfg, BatchShape::prefill(8, 128), 3)
+            .iter()
+            .map(|p| cost.op_time(&p.op))
+            .sum();
+        assert_eq!(rec.duration, replay);
         assert!(
             rec.duration.as_nanos() > 10 * rep.duration.as_nanos(),
             "prefill replay ({}) should dwarf a p2p copy ({})",

@@ -12,9 +12,9 @@
 
 use liger_gpu_sim::SimDuration;
 
+use crate::assembly::iteration_time;
 use crate::config::ModelConfig;
 use crate::cost::CostModel;
-use crate::layers::model_ops;
 use crate::workload::BatchShape;
 
 /// Derives a draft model for `target`: a quarter of the layers at half the
@@ -48,7 +48,7 @@ pub fn spec_draft_time(
     let mut total = SimDuration::ZERO;
     for step in 0..k {
         let shape = BatchShape::decode(rows.max(1), context + step);
-        total += model_ops(draft, shape, 1).iter().map(|p| cost.op_time(&p.op)).sum();
+        total += iteration_time(cost, draft, shape, 1);
     }
     total
 }
@@ -64,6 +64,7 @@ pub fn spec_verify_shape(rows: u32, max_context: u32, k: u32) -> BatchShape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::model_ops;
 
     #[test]
     fn draft_models_are_valid_and_smaller() {
@@ -95,6 +96,11 @@ mod tests {
         let draft = draft_model_for(&target);
         let cost = CostModel::v100_node();
         let one = spec_draft_time(&draft, &cost, 4, 128, 1);
+        let op_by_op: SimDuration = model_ops(&draft, BatchShape::decode(4, 128), 1)
+            .iter()
+            .map(|p| cost.op_time(&p.op))
+            .sum();
+        assert_eq!(one, op_by_op, "one draft step is one full-stack decode");
         let four = spec_draft_time(&draft, &cost, 4, 128, 4);
         assert!(four > one, "more draft steps cost more");
         assert_eq!(spec_draft_time(&draft, &cost, 4, 128, 0), SimDuration::ZERO);
