@@ -73,18 +73,21 @@ cargo test -q --release --test chaos
 # above 0.4 MiB queued batches hold their whole op list again instead of
 # one priced layer (0.52 MiB; 414 MiB when event and collective records
 # were not reclaimed). chat-continuous peaks near
-# 1.4 MiB, and above 4 MiB freed device-memory allocations are being kept
+# 1.2 MiB, and above 4 MiB freed device-memory allocations are being kept
 # again (a 40-byte record per allocation ever made took it to 6 MiB).
-# chat-device-loss peaks near 1.9 MiB, and above 4 MiB the health probes
+# chat-device-loss peaks near 1.7 MiB, and above 4 MiB the health probes
 # dropped by its dead device keep full event records again (about 190 B
 # each took it to 7.6 MiB, and to 11.5 MiB at other seeds).
-# Scheduling rounds must not allocate either: paper-prefill makes about
-# 2 allocations per request, and above 4 function assembly prices the
-# whole stack into a second buffer again (3.06), or a per-round or
-# per-layer allocation is back (about 180 rounds per request took 313).
-# shared-prefix-cluster makes about 30 allocations per request, and above
-# 38 prefix eviction rebuilds a set of the index's parents per victim
-# again (41).
+# Scheduling rounds and serving steps must not allocate either:
+# paper-prefill makes about 1 allocation per request, and above 2 function
+# assembly no longer reuses a retired batch's op buffer (2.06), or a
+# per-round or per-layer allocation is back (about 180 rounds per request
+# took 313). The chat workloads make about 8 (chat-continuous 7.7,
+# chat-device-loss 7.1), and above 12 a serving step builds a buffer anew
+# again: a KV page list or block table, a decode member list, an op buffer,
+# or an output stream that regrows (27.6 and 25.8 when each was new).
+# shared-prefix-cluster makes about 9, and above 12 the prefix path hashes
+# into scratch lists again, or the serving buffers above are new (28.4).
 echo "==> perfbench tests + workload smoke runs"
 cargo test -q --manifest-path perfbench/Cargo.toml
 for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; do
@@ -95,10 +98,10 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
         *) echo "perfbench $w failed its checks: $result" >&2; exit 1 ;;
     esac
     case "$w" in
-        paper-prefill) heap_limit=0.4 alloc_limit=4 ;;
-        chat-continuous) heap_limit=4 alloc_limit=none ;;
-        shared-prefix-cluster) heap_limit=none alloc_limit=38 ;;
-        chat-device-loss) heap_limit=4 alloc_limit=none ;;
+        paper-prefill) heap_limit=0.4 alloc_limit=2 ;;
+        chat-continuous) heap_limit=4 alloc_limit=12 ;;
+        shared-prefix-cluster) heap_limit=none alloc_limit=12 ;;
+        chat-device-loss) heap_limit=4 alloc_limit=12 ;;
     esac
     heap=$(printf '%s' "$result" |
         sed -n 's/.*"host_peak_heap_mib": {"value": \([0-9.eE+-]*\).*/\1/p')

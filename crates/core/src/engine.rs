@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use liger_collectives::{NcclConfig, Topology};
 use liger_gpu_sim::{DeviceId, EventId, HostId, KernelClass, SimTime, Simulation, StreamId, Wake};
-use liger_model::{CostModel, ModelConfig};
+use liger_model::{CostModel, ModelConfig, PricedOp};
 use liger_parallelism::launch::{
     batch_working_set_bytes, compute_spec, launch_collective, EngineMemory,
 };
@@ -80,6 +80,9 @@ pub struct LigerEngine {
     nccl: NcclConfig,
     waiting: VecDeque<FuncVec>,
     processing: VecDeque<FuncVec>,
+    /// Op buffers of fully scheduled batches, handed to the next assembly
+    /// (at most the peak batches assembled at once).
+    spare_ops: Vec<Vec<PricedOp>>,
     /// Round counter, E2 gate and per-batch stream state of the launch
     /// sequence.
     launcher: Launcher,
@@ -162,6 +165,7 @@ impl LigerEngine {
             nccl,
             waiting: VecDeque::new(),
             processing: VecDeque::new(),
+            spare_ops: Vec::new(),
             launcher: Launcher::default(),
             plan: RoundPlan::default(),
             phase: Phase::Idle,
@@ -257,8 +261,9 @@ impl LigerEngine {
         }
     }
 
-    /// Purges fully scheduled batches and admits waiting batches up to the
-    /// processing-list capacity (§3.3's update_list()). Working sets are
+    /// Purges fully scheduled batches (keeping their op buffers for the next
+    /// assembly) and admits waiting batches up to the processing-list
+    /// capacity (§3.3's update_list()). Working sets are
     /// allocated at admission — the processing list, not the waiting queue,
     /// is what occupies device memory.
     ///
@@ -267,7 +272,15 @@ impl LigerEngine {
     /// otherwise admit the whole backlog at once). With nothing in flight it
     /// can never fit, and admission reports the deployment error.
     fn update_list(&mut self, sim: &mut Simulation) {
-        self.processing.retain(|v| !v.is_empty());
+        let mut i = 0;
+        while i < self.processing.len() {
+            if self.processing[i].is_empty() {
+                let v = self.processing.remove(i).expect("index in bounds");
+                self.spare_ops.push(v.into_ops());
+            } else {
+                i += 1;
+            }
+        }
         while self.processing.len() < self.config.processing_slots {
             let Some(shape) = self.waiting.front().map(|v| v.shape) else { break };
             let bytes = batch_working_set_bytes(&self.cfg, shape, self.devices.len() as u32);
@@ -362,8 +375,8 @@ impl LigerEngine {
         // A notified batch can still sit in `processing` until the next
         // purge, so the two sources may overlap.
         ids.dedup();
-        self.processing.clear();
-        self.waiting.clear();
+        let abandoned = self.processing.drain(..).chain(self.waiting.drain(..));
+        self.spare_ops.extend(abandoned.map(FuncVec::into_ops));
         self.launcher.reset();
         self.observations.clear();
         self.phase = Phase::Idle;
@@ -448,7 +461,8 @@ impl InferenceEngine for LigerEngine {
     fn submit(&mut self, request: Request, sim: &mut Simulation) {
         let world = self.world() as u32;
         self.memory.ensure_weights(sim, &self.devices, self.cfg.weight_bytes() / world as u64);
-        let v = FuncVec::assemble(
+        let v = FuncVec::assemble_in(
+            self.spare_ops.pop().unwrap_or_default(),
             request.id,
             request.shape,
             request.arrival,

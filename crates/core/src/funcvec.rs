@@ -10,13 +10,16 @@
 //! and a one-slot front for the remainder runtime decomposition pushes back.
 //! It hands out exactly the ops of [`liger_model::assemble`], layer indices
 //! included, while what it stores and what assembly prices no longer grow
-//! with the model's depth (14 ops instead of 578 for OPT-30B). The paper's
+//! with the model's depth (14 ops instead of 578 for OPT-30B). The engine
+//! assembles each batch into the op buffer of one it has fully scheduled
+//! ([`FuncVec::assemble_in`]), so steady-state assembly allocates nothing.
+//! The paper's
 //! function assembler also owns each batch's last-launched stream and
 //! cross-stream dependency event; here the launch sequence keeps those, as
 //! it is their only reader.
 
 use liger_gpu_sim::{KernelClass, SimTime};
-use liger_model::{assemble_template, BatchShape, CostModel, ModelConfig, PricedOp};
+use liger_model::{assemble_template_into, BatchShape, CostModel, ModelConfig, PricedOp};
 
 /// The assembled kernel-launch list of one batch.
 #[derive(Debug, Clone)]
@@ -52,7 +55,23 @@ impl FuncVec {
         cfg: &ModelConfig,
         tp: u32,
     ) -> FuncVec {
-        let (ops, block) = assemble_template(cm, cfg, shape, tp);
+        FuncVec::assemble_in(Vec::new(), batch_id, shape, arrived, cm, cfg, tp)
+    }
+
+    /// [`assemble`](Self::assemble) into `buf`, typically the op buffer of
+    /// a fully scheduled list: whatever it held is replaced, and once it has
+    /// room for one priced block the assembly allocates nothing.
+    pub fn assemble_in(
+        buf: Vec<PricedOp>,
+        batch_id: u64,
+        shape: BatchShape,
+        arrived: SimTime,
+        cm: &CostModel,
+        cfg: &ModelConfig,
+        tp: u32,
+    ) -> FuncVec {
+        let mut ops = buf;
+        let block = assemble_template_into(cm, cfg, shape, tp, &mut ops);
         let layers = cfg.layers;
         let next = if layers == 0 { block as u32 } else { 0 };
         let v = FuncVec {
@@ -102,6 +121,12 @@ impl FuncVec {
             layer: 0,
             front: None,
         }
+    }
+
+    /// The list's op buffer, for [`assemble_in`](Self::assemble_in) to
+    /// reuse once the batch is fully scheduled.
+    pub(crate) fn into_ops(self) -> Vec<PricedOp> {
+        self.ops
     }
 
     /// Remaining kernels.

@@ -10,6 +10,11 @@
 //! serving loop's bookkeeping: a handful of allocations per request, not
 //! one per kernel or per round.
 //!
+//! Continuous batching keeps to a fixed handful per request too: KV page
+//! lists and block tables, decode member lists and function-assembly op
+//! buffers are recycled from step to step, and each output stream is sized
+//! once.
+//!
 //! The test binary installs its own counting allocator with thread-local
 //! counters, so tests running in parallel do not disturb each other.
 
@@ -20,9 +25,12 @@ use std::collections::VecDeque;
 
 use liger_collectives::Topology;
 use liger_core::{plan_round_into, FuncVec, LigerConfig, LigerEngine, PlanParams, RoundPlan};
-use liger_gpu_sim::{DeviceSpec, SimTime, Simulation};
+use liger_gpu_sim::{DeviceSpec, Rng, SimTime, Simulation, Wake};
 use liger_model::{BatchShape, CostModel, ModelConfig};
-use liger_serving::{serve, PrefillTraceConfig};
+use liger_serving::{
+    serve, serve_continuous, ArrivalProcess, GenerationJob, InferenceEngine, PrefillTraceConfig,
+    PrefixTag, Request, SchedulerConfig,
+};
 
 struct Counting;
 
@@ -125,13 +133,18 @@ fn serving_allocates_under_half_an_allocation_per_launched_kernel() {
 }
 
 /// About 180 scheduling rounds serve one request; none of them may cost an
-/// allocation of its own.
+/// allocation of its own, and function assembly reuses the op buffer of a
+/// retired batch. Serving measures 3.6 allocations per request (4.5 while
+/// every batch assembled into a new buffer).
 #[test]
-fn serving_allocates_at_most_eight_times_per_request() {
+fn serving_allocates_at_most_four_times_per_request() {
     let (spent, _) = serve_paper_prefill();
     let per_request = spent as f64 / REQUESTS as f64;
+    // Debug builds also run the structural oracle over every assembled
+    // batch, one per request: two scratch allocations each.
+    let bound = if cfg!(debug_assertions) { 6.0 } else { 4.0 };
     assert!(
-        per_request <= 8.0,
+        per_request <= bound,
         "serving allocated {spent} times for {REQUESTS} requests ({per_request:.2} each)"
     );
 }
@@ -195,4 +208,91 @@ fn steady_state_planning_allocates_nothing() {
 
     assert!(rounds > 100, "four OPT-30B batches take hundreds of rounds, got {rounds}");
     assert_eq!(spent, 0, "{rounds} steady-state rounds allocated {spent} times");
+}
+
+/// Counts the batches a healthy serve hands the engine (each is assembled
+/// once).
+struct CountingSubmits {
+    inner: LigerEngine,
+    submitted: u64,
+}
+
+impl InferenceEngine for CountingSubmits {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn submit(&mut self, request: Request, sim: &mut Simulation) {
+        self.submitted += 1;
+        self.inner.submit(request, sim);
+    }
+
+    fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
+        self.inner.on_wake(wake, sim);
+    }
+
+    fn drain_completions(&mut self) -> Vec<(u64, SimTime)> {
+        self.inner.drain_completions()
+    }
+}
+
+const CHAT_JOBS: usize = 300;
+
+/// Skewed chat traffic at 30 req/s: prompts of 32–128 tokens; three replies
+/// in four are 4–12 tokens, the rest 48–96.
+fn chat_jobs(seed: u64) -> Vec<GenerationJob> {
+    let arrivals = ArrivalProcess::Poisson { rate: 30.0 }.arrival_times(CHAT_JOBS, seed);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xc4a7);
+    arrivals
+        .into_iter()
+        .enumerate()
+        .map(|(i, arrival)| {
+            let prompt_len = rng.u32_inclusive(32, 128);
+            let output_tokens = if rng.u64_below(4) == 0 {
+                rng.u32_inclusive(48, 96)
+            } else {
+                rng.u32_inclusive(4, 12)
+            };
+            GenerationJob {
+                id: i as u64,
+                batch: 1,
+                prompt_len,
+                output_tokens,
+                arrival,
+                prefix: PrefixTag::NONE,
+            }
+        })
+        .collect()
+}
+
+/// Every decode step grows KV tables, forms a member list and assembles a
+/// batch; each prefill assembles one too. With those buffers recycled a
+/// chat request costs under eight allocations (about 28 when each was new).
+#[test]
+fn continuous_serving_allocates_at_most_ten_times_per_request() {
+    let device = DeviceSpec::v100_16gb();
+    let model = ModelConfig::opt_30b().with_layers(12);
+    let cost = v100_cost();
+    let engine = LigerEngine::new(model.clone(), cost.clone(), WORLD, LigerConfig::default())
+        .expect("OPT-30B divides 4 ways");
+    let mut engine = CountingSubmits { inner: engine, submitted: 0 };
+    let mut sim = Simulation::builder().devices(device.clone(), WORLD).build().unwrap();
+    let config = SchedulerConfig::sized_for(&model, WORLD as u32, device.mem_capacity);
+    let jobs = chat_jobs(7);
+
+    let before = allocs();
+    let report = serve_continuous(&mut sim, &mut engine, jobs, &model, &cost, config);
+    let spent = allocs() - before;
+
+    assert_eq!(report.generation.completed(), CHAT_JOBS);
+    let per_request = spent as f64 / CHAT_JOBS as f64;
+    // Debug builds also run the structural oracle over every assembled
+    // batch: two scratch allocations each.
+    let oracle = if cfg!(debug_assertions) { 2 * engine.submitted } else { 0 };
+    let bound = 10.0 + oracle as f64 / CHAT_JOBS as f64;
+    assert!(
+        per_request <= bound,
+        "continuous serving allocated {spent} times for {CHAT_JOBS} requests \
+         ({per_request:.2} each, bound {bound:.2})"
+    );
 }

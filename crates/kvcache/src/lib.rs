@@ -79,10 +79,16 @@ pub fn chain_hashes(digests: &[u64]) -> Vec<u64> {
     digests
         .iter()
         .map(|&d| {
-            h = mix64(h ^ d);
+            h = chain_step(h, d);
             h
         })
         .collect()
+}
+
+/// Extends chain hash `h` by one block digest. [`BlockPool`]'s prefix walks
+/// fold it as they go instead of materializing [`chain_hashes`].
+fn chain_step(h: u64, digest: u64) -> u64 {
+    mix64(h ^ digest)
 }
 
 /// Geometry and budget of a [`BlockPool`].
@@ -288,6 +294,13 @@ pub struct BlockPool {
     prefix_clock: u64,
     next_block: u64,
     stats: PoolStats,
+    /// Cleared page lists of freed blocks; `grow` backs new blocks with
+    /// them instead of allocating. Never longer than the peak live blocks.
+    spare_pages: Vec<Vec<(DeviceId, AllocationId)>>,
+    /// Cleared tables of released sequences; `grow`, `admit_with_prefix`
+    /// and `share` start new tables from them. Never longer than the peak
+    /// live sequences.
+    spare_tables: Vec<Vec<u64>>,
 }
 
 impl BlockPool {
@@ -308,6 +321,8 @@ impl BlockPool {
             prefix_clock: 0,
             next_block: 0,
             stats: PoolStats::default(),
+            spare_pages: Vec::new(),
+            spare_tables: Vec::new(),
         }
     }
 
@@ -334,6 +349,11 @@ impl BlockPool {
     /// Cached tokens per row for `seq`, if it has a table.
     pub fn seq_tokens(&self, seq: u64) -> Option<u32> {
         self.seqs.get(&seq).map(|e| e.tokens)
+    }
+
+    /// Block ids of `seq`'s table in table order, if it has one.
+    pub fn seq_blocks(&self, seq: u64) -> Option<&[u64]> {
+        self.seqs.get(&seq).map(|e| e.table.as_slice())
     }
 
     /// Grows `seq`'s table to cover `tokens` cached tokens per row across
@@ -381,11 +401,19 @@ impl BlockPool {
         // table is truncated to its old length (or the entry made for this
         // call removed) and the new blocks are freed.
         let created = existing.is_none();
-        let entry = self.seqs.entry(seq).or_insert(SeqEntry { table: Vec::new(), tokens: 0, rows });
+        let spare_tables = &mut self.spare_tables;
+        let entry = self.seqs.entry(seq).or_insert_with(|| SeqEntry {
+            table: spare_tables.pop().unwrap_or_default(),
+            tokens: 0,
+            rows,
+        });
         entry.table.reserve(delta as usize);
+        let mut failed: Option<DeviceId> = None;
         for _ in 0..delta {
-            let mut allocs: Vec<(DeviceId, AllocationId)> = Vec::with_capacity(self.devices.len());
-            let mut failed: Option<DeviceId> = None;
+            let mut allocs = match self.spare_pages.pop() {
+                Some(pages) => pages,
+                None => Vec::with_capacity(self.devices.len()),
+            };
             for &d in &self.devices {
                 match sim.alloc_memory(d, self.config.block_bytes, BLOCK_LABEL) {
                     Ok(id) => allocs.push((d, id)),
@@ -395,26 +423,13 @@ impl BlockPool {
                     }
                 }
             }
-            if let Some(d) = failed {
-                for (_, id) in allocs {
+            if failed.is_some() {
+                for &(_, id) in &allocs {
                     sim.free_memory(id);
                 }
-                for b in entry.table.drain(have as usize..) {
-                    let block = self.blocks.remove(&b).expect("just inserted");
-                    for (_, id) in block.allocs {
-                        sim.free_memory(id);
-                    }
-                    self.stats.allocated -= 1;
-                }
-                if created {
-                    self.seqs.remove(&seq);
-                }
-                return Err(OutOfBlocks {
-                    requested_blocks: delta,
-                    free_blocks: free,
-                    capacity_blocks: capacity,
-                    device: Some(d),
-                });
+                allocs.clear();
+                self.spare_pages.push(allocs);
+                break;
             }
             let id = self.next_block;
             self.next_block += 1;
@@ -422,9 +437,59 @@ impl BlockPool {
             self.stats.allocated += 1;
             entry.table.push(id);
         }
+        if let Some(d) = failed {
+            let mut table = std::mem::take(&mut entry.table);
+            for &b in &table[have as usize..] {
+                self.free_block(sim, b);
+                self.stats.allocated -= 1;
+            }
+            table.truncate(have as usize);
+            if created {
+                self.seqs.remove(&seq);
+                self.recycle_table(table);
+            } else {
+                self.seqs.get_mut(&seq).expect("an existing table").table = table;
+            }
+            return Err(OutOfBlocks {
+                requested_blocks: delta,
+                free_blocks: free,
+                capacity_blocks: capacity,
+                device: Some(d),
+            });
+        }
         entry.tokens = entry.tokens.max(tokens);
         self.stats.peak_live = self.stats.peak_live.max(self.live_blocks());
         Ok(delta)
+    }
+
+    /// Removes block `b` and frees its pages in device order, keeping the
+    /// emptied page list for a later `grow`. Counters are the caller's.
+    fn free_block(&mut self, sim: &mut Simulation, b: u64) {
+        let mut block = self.blocks.remove(&b).expect("freeing a live block");
+        for &(_, id) in &block.allocs {
+            sim.free_memory(id);
+        }
+        block.allocs.clear();
+        self.spare_pages.push(block.allocs);
+    }
+
+    /// Drops one reference to block `b`, freeing it when that was the last
+    /// one. Returns whether the block was freed.
+    fn unref_block(&mut self, sim: &mut Simulation, b: u64) -> bool {
+        let block = self.blocks.get_mut(&b).expect("a reference names a live block");
+        block.refs -= 1;
+        if block.refs > 0 {
+            return false;
+        }
+        self.free_block(sim, b);
+        self.stats.freed += 1;
+        true
+    }
+
+    /// Keeps the emptied `table` of a released sequence for a later one.
+    fn recycle_table(&mut self, mut table: Vec<u64>) {
+        table.clear();
+        self.spare_tables.push(table);
     }
 
     /// Drops `seq`'s table, freeing every block whose refcount reaches
@@ -435,18 +500,10 @@ impl BlockPool {
             return 0;
         };
         let mut freed = 0;
-        for b in entry.table {
-            let block = self.blocks.get_mut(&b).expect("table references a live block");
-            block.refs -= 1;
-            if block.refs == 0 {
-                let block = self.blocks.remove(&b).expect("present");
-                for (_, id) in block.allocs {
-                    sim.free_memory(id);
-                }
-                self.stats.freed += 1;
-                freed += 1;
-            }
+        for &b in &entry.table {
+            freed += self.unref_block(sim, b) as u64;
         }
+        self.recycle_table(entry.table);
         freed
     }
 
@@ -456,8 +513,9 @@ impl BlockPool {
     pub fn share(&mut self, src: u64, dst: u64) {
         assert!(!self.seqs.contains_key(&dst), "share target already has a table");
         let entry = self.seqs.get(&src).expect("share source has a table");
-        let cloned =
-            SeqEntry { table: entry.table.clone(), tokens: entry.tokens, rows: entry.rows };
+        let mut table = self.spare_tables.pop().unwrap_or_default();
+        table.extend_from_slice(&entry.table);
+        let cloned = SeqEntry { table, tokens: entry.tokens, rows: entry.rows };
         for &b in &cloned.table {
             self.blocks.get_mut(&b).expect("table references a live block").refs += 1;
         }
@@ -488,19 +546,22 @@ impl BlockPool {
             let added = self.grow(sim, seq, tokens, rows)?;
             return Ok(PrefixAdmit { cached_tokens: 0, cached_blocks: 0, added_blocks: added });
         }
-        let hashes = chain_hashes(digests);
+        // Walk the chain as far as the index matches it, refreshing every
+        // matched link.
         let max_cached = (tokens.saturating_sub(1) / self.config.block_tokens) as usize;
-        let mut matched: Vec<u64> = Vec::new();
-        for h in hashes.iter().take(max_cached) {
-            match self.prefix.get(h) {
-                Some(e) => matched.push(e.block),
-                None => break,
-            }
-        }
         self.prefix_clock += 1;
         let clock = self.prefix_clock;
-        for h in hashes.iter().take(matched.len()) {
-            self.prefix.get_mut(h).expect("matched above").last_used = clock;
+        let mut matched = self.spare_tables.pop().unwrap_or_default();
+        let mut h = PREFIX_CHAIN_SEED;
+        for &d in digests.iter().take(max_cached) {
+            h = chain_step(h, d);
+            match self.prefix.get_mut(&h) {
+                Some(e) => {
+                    e.last_used = clock;
+                    matched.push(e.block);
+                }
+                None => break,
+            }
         }
         let cached_blocks = matched.len() as u64;
         let cached_tokens = matched.len() as u32 * self.config.block_tokens;
@@ -509,6 +570,8 @@ impl BlockPool {
                 self.blocks.get_mut(&b).expect("cached block is live").refs += 1;
             }
             self.seqs.insert(seq, SeqEntry { table: matched, tokens: cached_tokens, rows: 1 });
+        } else {
+            self.spare_tables.push(matched);
         }
         match self.grow(sim, seq, tokens, rows) {
             Ok(added) => Ok(PrefixAdmit { cached_tokens, cached_blocks, added_blocks: added }),
@@ -536,17 +599,18 @@ impl BlockPool {
         if entry.rows != 1 {
             return 0;
         }
-        let hashes = chain_hashes(digests);
-        let n = hashes.len().min(entry.table.len());
-        let blocks: Vec<u64> = entry.table[..n].to_vec();
         self.prefix_clock += 1;
         let clock = self.prefix_clock;
         let mut published = 0;
-        for (p, (&h, &b)) in hashes.iter().zip(blocks.iter()).enumerate() {
+        let mut parent = None;
+        let mut h = PREFIX_CHAIN_SEED;
+        for (&d, &b) in digests.iter().zip(&entry.table) {
+            h = chain_step(h, d);
             if let Some(e) = self.prefix.get_mut(&h) {
                 // Same content already cached (possibly a different block
                 // from a racing prefill) — refresh and keep walking.
                 e.last_used = clock;
+                parent = Some(h);
                 continue;
             }
             if self.prefix_of_block.contains_key(&b) {
@@ -554,15 +618,15 @@ impl BlockPool {
                 // holds one content, so stop rather than double-index it.
                 break;
             }
-            let parent = if p == 0 { None } else { Some(hashes[p - 1]) };
             if let Some(ph) = parent {
-                // Position `p - 1` was refreshed or inserted just above.
+                // The previous position was refreshed or inserted just above.
                 self.prefix.get_mut(&ph).expect("a chain's parent is indexed").children += 1;
             }
             self.prefix.insert(h, PrefixEntry { block: b, parent, children: 0, last_used: clock });
             self.prefix_of_block.insert(b, h);
             self.blocks.get_mut(&b).expect("table references a live block").refs += 1;
             published += 1;
+            parent = Some(h);
         }
         published
     }
@@ -593,14 +657,8 @@ impl BlockPool {
                 self.prefix.get_mut(&ph).expect("a leaf's parent is indexed").children -= 1;
             }
             self.prefix_of_block.remove(&entry.block);
-            let block = self.blocks.get_mut(&entry.block).expect("indexed block is live");
-            block.refs -= 1;
-            debug_assert_eq!(block.refs, 0, "victims are cache-only by construction");
-            let block = self.blocks.remove(&entry.block).expect("present");
-            for (_, id) in block.allocs {
-                sim.free_memory(id);
-            }
-            self.stats.freed += 1;
+            let freed = self.unref_block(sim, entry.block);
+            debug_assert!(freed, "victims are cache-only by construction");
             evicted += 1;
         }
         evicted
@@ -611,21 +669,11 @@ impl BlockPool {
     /// empty) and on device loss (a cached prefix missing a shard would
     /// serve corrupt KV to its next adopter). Returns the blocks freed.
     pub fn flush_prefix_cache(&mut self, sim: &mut Simulation) -> u64 {
-        let cached: Vec<u64> = self.prefix.values().map(|e| e.block).collect();
-        self.prefix.clear();
+        let cached = std::mem::take(&mut self.prefix);
         self.prefix_of_block.clear();
         let mut freed = 0;
-        for b in cached {
-            let block = self.blocks.get_mut(&b).expect("cached block is live");
-            block.refs -= 1;
-            if block.refs == 0 {
-                let block = self.blocks.remove(&b).expect("present");
-                for (_, id) in block.allocs {
-                    sim.free_memory(id);
-                }
-                self.stats.freed += 1;
-                freed += 1;
-            }
+        for e in cached.into_values() {
+            freed += self.unref_block(sim, e.block) as u64;
         }
         freed
     }
@@ -644,22 +692,14 @@ impl BlockPool {
         };
         let entry = self.seqs.get_mut(&seq).expect("checked above");
         entry.tokens = entry.tokens.min(tokens);
-        let mut popped: Vec<u64> = Vec::new();
-        while entry.table.len() as u64 > needed {
-            popped.push(entry.table.pop().expect("longer than needed"));
+        let mut table = std::mem::take(&mut entry.table);
+        let mut dropped = 0;
+        while table.len() as u64 > needed {
+            let b = table.pop().expect("longer than needed");
+            self.unref_block(sim, b);
+            dropped += 1;
         }
-        let dropped = popped.len() as u64;
-        for b in popped {
-            let block = self.blocks.get_mut(&b).expect("table references a live block");
-            block.refs -= 1;
-            if block.refs == 0 {
-                let block = self.blocks.remove(&b).expect("present");
-                for (_, id) in block.allocs {
-                    sim.free_memory(id);
-                }
-                self.stats.freed += 1;
-            }
-        }
+        self.seqs.get_mut(&seq).expect("checked above").table = table;
         dropped
     }
 
@@ -683,16 +723,13 @@ impl BlockPool {
         }
         let mut freed = 0;
         for block in self.blocks.values_mut() {
-            let mut kept = Vec::with_capacity(block.allocs.len());
-            for (d, id) in block.allocs.drain(..) {
+            block.allocs.retain(|&(d, id)| {
                 if d == dead {
                     sim.free_memory(id);
                     freed += 1;
-                } else {
-                    kept.push((d, id));
                 }
-            }
-            block.allocs = kept;
+                d != dead
+            });
         }
         self.devices.retain(|&d| d != dead);
         freed

@@ -6,9 +6,11 @@
 //! Runs on the internal [`liger_gpu_sim::testkit`] harness; rerun a failing
 //! case with the `LIGER_PROP_SEED` it prints.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use liger_gpu_sim::testkit::{check, Gen};
 use liger_gpu_sim::{DeviceId, DeviceSpec, Driver, HostSpec, Simulation, Wake};
-use liger_kvcache::{BlockPool, BlockPoolConfig};
+use liger_kvcache::{mix64, BlockPool, BlockPoolConfig};
 
 /// One random pool operation.
 #[derive(Debug, Clone, Copy)]
@@ -132,4 +134,263 @@ fn random_interleavings_keep_the_pool_consistent_and_leak_free() {
             );
         }
     });
+}
+
+/// One operation of the recycling episode.
+#[derive(Debug, Clone, Copy)]
+enum RecycleOp {
+    /// Admit single-row `seq` with a prompt of `class` through the prefix
+    /// cache (a plain grow if it already has a table).
+    Admit {
+        seq: u64,
+        class: u64,
+        tokens: u32,
+    },
+    /// Grow `seq` at `rows` rows (fixed at its first grow).
+    Grow {
+        seq: u64,
+        tokens: u32,
+        rows: u32,
+    },
+    /// Publish `seq`'s full prompt blocks.
+    Publish {
+        seq: u64,
+    },
+    /// Roll `seq` back to `tokens` tokens.
+    Truncate {
+        seq: u64,
+        tokens: u32,
+    },
+    Release {
+        seq: u64,
+    },
+    Evict {
+        want: u64,
+    },
+    /// Lose the `nth` live device (if more than one is left).
+    Loss {
+        nth: usize,
+    },
+    /// Rejoin the lowest lost device, if any.
+    Rejoin,
+}
+
+fn gen_recycle_op(g: &mut Gen) -> RecycleOp {
+    // Few sequence ids, so tables are released and re-created constantly.
+    let seq = g.u64_in(0, 6);
+    match g.usize_in(0, 16) {
+        0..=3 => RecycleOp::Admit { seq, class: g.u64_in(0, 4), tokens: g.u32_in(1, 120) },
+        4..=5 => RecycleOp::Grow { seq, tokens: g.u32_in(1, 120), rows: g.u32_in(1, 3) },
+        6..=7 => RecycleOp::Publish { seq },
+        8..=9 => RecycleOp::Truncate { seq, tokens: g.u32_in(0, 120) },
+        10..=12 => RecycleOp::Release { seq },
+        13 => RecycleOp::Evict { want: g.u64_in(1, 6) },
+        14 => RecycleOp::Loss { nth: g.usize_in(0, 4) },
+        _ => RecycleOp::Rejoin,
+    }
+}
+
+/// Full-block digests of a prompt of `class` over `blocks` blocks: the
+/// classes share their first block and pairs of classes the second, so
+/// chains are adopted, extended and diverge.
+fn class_digests(class: u64, blocks: u32) -> Vec<u64> {
+    (0..blocks as u64)
+        .map(|i| match i {
+            0 => mix64(i),
+            1 => mix64(mix64(class % 2) ^ i),
+            _ => mix64(mix64(class + 2) ^ i),
+        })
+        .collect()
+}
+
+/// Checks that the blocks `table` gained past `old` are fresh: allocated by
+/// this call, so above every id the episode has seen, in allocation order.
+fn assert_fresh(table: &[u64], old: usize, seen_max: Option<u64>, what: &str) {
+    let mut last = seen_max;
+    for &b in &table[old..] {
+        assert!(last.is_none_or(|l| b > l), "{what}: block {b} in {table:?} is not fresh");
+        last = Some(b);
+    }
+}
+
+/// What the recycling episodes exercised, summed over every case.
+#[derive(Debug, Default)]
+struct Coverage {
+    adopted: u64,
+    /// Grows the pool budget refused.
+    refused: u64,
+    /// Grows a device's tracker refused midway, rolled back.
+    rolled_back: u64,
+    evicted: u64,
+    rejoined: u64,
+}
+
+#[test]
+fn recycled_tables_and_page_lists_keep_the_pool_consistent() {
+    let mut cov = Coverage::default();
+    let mut cases = 0;
+    check("kv_pool_recycling", 120, |g: &mut Gen| {
+        cases += 1;
+        let devices = g.usize_in(2, 5);
+        let capacity = DeviceSpec::test_device().mem_capacity;
+        // Either the pool budget or the devices' trackers run out first,
+        // so both the typed refusal and the grow rollback recycle buffers.
+        let tracker_limited = g.bool();
+        let block_bytes = if tracker_limited { capacity / 24 + 1 } else { 1 << g.u32_in(6, 12) };
+        let config = BlockPoolConfig {
+            block_tokens: 16,
+            block_bytes,
+            budget_bytes: block_bytes * g.u64_in(8, 40),
+            watermark: 0.9,
+        };
+        let mut builder = Simulation::builder().devices(DeviceSpec::test_device(), devices);
+        for _ in 0..devices {
+            builder = builder.host(HostSpec::instant());
+        }
+        let mut sim = builder.build().unwrap();
+        let all: Vec<DeviceId> = sim.alive_devices();
+        // A device other than the first also holds memory of its own, so
+        // its tracker refuses a block after earlier devices backed it.
+        let mut busy = tracker_limited.then(|| {
+            let d = all[g.usize_in(1, devices)];
+            (d, sim.alloc_memory(d, capacity / 3, "other").expect("an empty device"))
+        });
+        let mut pool = BlockPool::new(config, all.clone());
+
+        // The tables the pool must hold, as the episode built them.
+        let mut tables: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let mut rows_of: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut class_of: BTreeMap<u64, u64> = BTreeMap::new();
+        // Blocks some sequence offered for publication: the only ones an
+        // admission may adopt.
+        let mut offered: BTreeSet<u64> = BTreeSet::new();
+        let mut seen_max: Option<u64> = None;
+
+        for _ in 0..g.usize_in(40, 160) {
+            let op = gen_recycle_op(g);
+            match op {
+                // A multi-row sequence cannot go through the prefix path.
+                RecycleOp::Admit { seq, .. } if rows_of.get(&seq).is_some_and(|&r| r != 1) => {}
+                RecycleOp::Admit { seq, class, tokens } => {
+                    let digests = class_digests(class, tokens / 16);
+                    let old = tables.get(&seq).cloned();
+                    match pool.admit_with_prefix(&mut sim, seq, &digests, tokens, 1) {
+                        Ok(admit) => {
+                            let table = pool.seq_blocks(seq).expect("admitted").to_vec();
+                            // A re-grow keeps the table; a new sequence may
+                            // only adopt blocks offered for publication.
+                            let kept = match &old {
+                                Some(old) => {
+                                    assert_eq!(admit.cached_blocks, 0, "{op:?}: re-grow adopted");
+                                    assert_eq!(&table[..old.len()], &old[..], "{op:?}: moved");
+                                    old.len()
+                                }
+                                None => {
+                                    let adopted = admit.cached_blocks as usize;
+                                    for b in &table[..adopted] {
+                                        assert!(offered.contains(b), "{op:?}: adopted {b}");
+                                    }
+                                    cov.adopted += admit.cached_blocks;
+                                    class_of.insert(seq, class);
+                                    adopted
+                                }
+                            };
+                            assert_fresh(&table, kept, seen_max, &format!("{op:?}"));
+                            rows_of.insert(seq, 1);
+                            tables.insert(seq, table);
+                        }
+                        Err(e) if e.device.is_some() => cov.rolled_back += 1,
+                        Err(_) => cov.refused += 1,
+                    }
+                }
+                RecycleOp::Grow { seq, tokens, rows } => {
+                    let rows = *rows_of.get(&seq).unwrap_or(&rows);
+                    let old = tables.get(&seq).cloned().unwrap_or_default();
+                    match pool.grow(&mut sim, seq, tokens, rows) {
+                        Ok(_) => {
+                            let table = pool.seq_blocks(seq).expect("grown").to_vec();
+                            assert_eq!(&table[..old.len()], &old[..], "{op:?}: table moved");
+                            assert_fresh(&table, old.len(), seen_max, &format!("{op:?}"));
+                            rows_of.insert(seq, rows);
+                            tables.insert(seq, table);
+                        }
+                        Err(e) if e.device.is_some() => cov.rolled_back += 1,
+                        Err(_) => cov.refused += 1,
+                    }
+                }
+                RecycleOp::Publish { seq } => {
+                    if let (Some(&class), Some(&1)) = (class_of.get(&seq), rows_of.get(&seq)) {
+                        let covered = pool.seq_tokens(seq).expect("live") / 16;
+                        let digests = class_digests(class, covered);
+                        pool.publish_prefix(seq, &digests);
+                        offered.extend(tables[&seq].iter().take(digests.len()));
+                    }
+                }
+                RecycleOp::Truncate { seq, tokens } => {
+                    pool.truncate(&mut sim, seq, tokens);
+                    if let Some(t) = tables.get_mut(&seq) {
+                        let now = pool.seq_blocks(seq).expect("truncate keeps the table");
+                        assert_eq!(now, &t[..now.len()], "{op:?}: truncate kept a non-prefix");
+                        t.truncate(now.len());
+                    }
+                }
+                RecycleOp::Release { seq } => {
+                    pool.release(&mut sim, seq);
+                    tables.remove(&seq);
+                    rows_of.remove(&seq);
+                    class_of.remove(&seq);
+                }
+                RecycleOp::Evict { want } => {
+                    cov.evicted += pool.evict_cold_prefixes(&mut sim, want);
+                }
+                RecycleOp::Loss { nth } => {
+                    let live = pool.devices().to_vec();
+                    if live.len() > 1 {
+                        let dead = live[nth % live.len()];
+                        pool.on_device_loss(&mut sim, dead);
+                        // Its own memory goes with it: devices rejoin empty.
+                        if let Some((_, id)) = busy.take_if(|&mut (d, _)| d == dead) {
+                            sim.free_memory(id);
+                        }
+                    }
+                }
+                RecycleOp::Rejoin => {
+                    let lost = all.iter().find(|d| !pool.devices().contains(d)).copied();
+                    if let Some(d) = lost {
+                        pool.on_device_rejoin(&mut sim, d);
+                        cov.rejoined += 1;
+                    }
+                }
+            }
+            seen_max = seen_max.max(tables.values().flatten().copied().max());
+            pool.check_consistent().unwrap_or_else(|e| panic!("after {op:?}: {e}"));
+            assert_eq!(pool.seq_ids(), tables.keys().copied().collect::<Vec<_>>(), "{op:?}");
+            for (seq, table) in &tables {
+                assert_eq!(pool.seq_blocks(*seq), Some(&table[..]), "{op:?}: seq {seq}");
+            }
+            assert_eq!(sim.memory_double_frees(), 0, "{op:?} double-freed a page");
+        }
+        for seq in pool.seq_ids() {
+            pool.release(&mut sim, seq);
+        }
+        pool.flush_prefix_cache(&mut sim);
+        pool.check_consistent().unwrap();
+        assert!(pool.is_empty(), "episode ended with live blocks");
+        if let Some((_, id)) = busy {
+            sim.free_memory(id);
+        }
+        for d in all {
+            assert_eq!(sim.memory_in_use(d), 0, "device {d} still holds pool memory");
+        }
+    });
+    // A rerun of one case (`LIGER_PROP_SEED`) covers what that case covers.
+    assert!(
+        cases < 100
+            || cov.adopted > 0
+                && cov.refused > 0
+                && cov.rolled_back > 0
+                && cov.evicted > 0
+                && cov.rejoined > 0,
+        "the episodes missed a recycling path: {cov:?}"
+    );
 }

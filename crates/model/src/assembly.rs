@@ -49,12 +49,27 @@ pub fn assemble_template(
     shape: BatchShape,
     tp: u32,
 ) -> (Vec<PricedOp>, usize) {
+    let mut ops = Vec::new();
+    let block = assemble_template_into(cm, cfg, shape, tp, &mut ops);
+    (ops, block)
+}
+
+/// [`assemble_template`] into `ops`, replacing what it held: a buffer
+/// recycled from an earlier batch is refilled without allocating.
+pub fn assemble_template_into(
+    cm: &CostModel,
+    cfg: &ModelConfig,
+    shape: BatchShape,
+    tp: u32,
+    ops: &mut Vec<PricedOp>,
+) -> usize {
     let price = |placed: PlacedOp| PricedOp { placed, duration: cm.op_time(&placed.op) };
-    let mut ops = Vec::with_capacity(OPS_PER_LAYER + HEAD_OPS);
+    ops.clear();
+    ops.reserve_exact(OPS_PER_LAYER + HEAD_OPS);
     for_each_layer_op(cfg, shape, tp, 0, |placed| ops.push(price(placed)));
     let block = ops.len();
     ops.extend(head_ops(cfg, shape, tp).map(price));
-    (ops, block)
+    block
 }
 
 /// Prices the full per-device kernel list of one inference iteration at

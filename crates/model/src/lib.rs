@@ -23,7 +23,8 @@ pub mod validate;
 pub mod workload;
 
 pub use assembly::{
-    assemble, assemble_template, class_totals, iteration_time, price_ops, PricedOp,
+    assemble, assemble_template, assemble_template_into, class_totals, iteration_time, price_ops,
+    PricedOp,
 };
 pub use config::ModelConfig;
 pub use cost::{CostModel, CostParams};

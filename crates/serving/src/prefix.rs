@@ -65,16 +65,22 @@ pub fn output_token(job: &GenerationJob, t: u32) -> u64 {
 /// block — the keys the prefix cache chains over. A partial trailing block
 /// is never published or adopted, so it gets no digest.
 pub fn block_digests(job: &GenerationJob, block_tokens: u32) -> Vec<u64> {
+    let mut digests = Vec::new();
+    block_digests_into(job, block_tokens, &mut digests);
+    digests
+}
+
+/// [`block_digests`], appended to `out` (the scheduler reuses one buffer
+/// per in-flight prefill).
+pub(crate) fn block_digests_into(job: &GenerationJob, block_tokens: u32, out: &mut Vec<u64>) {
     let full = job.prompt_len / block_tokens.max(1);
-    (0..full)
-        .map(|b| {
-            let mut d = 0x_d16e_5700_u64 ^ b as u64;
-            for pos in b * block_tokens..(b + 1) * block_tokens {
-                d = mix64(d ^ prompt_token(job, pos));
-            }
-            d
-        })
-        .collect()
+    out.extend((0..full).map(|b| {
+        let mut d = 0x_d16e_5700_u64 ^ b as u64;
+        for pos in b * block_tokens..(b + 1) * block_tokens {
+            d = mix64(d ^ prompt_token(job, pos));
+        }
+        d
+    }));
 }
 
 /// Speculative-decoding configuration for the continuous scheduler: the

@@ -49,7 +49,7 @@ use crate::generation::{GenerationJob, GenerationMetrics, GenerationResult};
 use crate::health::HealthConfig;
 use crate::membership::{MembershipController, MembershipDriver};
 use crate::metrics::ServingMetrics;
-use crate::prefix::{block_digests, output_token, SpecDecodeConfig};
+use crate::prefix::{block_digests_into, output_token, SpecDecodeConfig};
 use crate::request::{Completion, Request};
 
 /// Draft-burst timer namespace (bit 54); the low bits carry the round's
@@ -168,6 +168,20 @@ struct SpecRound {
     rid: Option<u64>,
 }
 
+/// One in-flight prefill request.
+#[derive(Debug)]
+struct InflightPrefill {
+    /// Job index of the sequence being prefilled.
+    seq: u64,
+    /// Prefill tokens charged against the budget — the *novel* span when
+    /// the prefix cache served part of the prompt.
+    charged: u64,
+    /// The prompt's full-block digests, computed once at admission when the
+    /// prefix cache is consulted and published from on completion (empty
+    /// otherwise).
+    digests: Vec<u64>,
+}
+
 #[derive(Debug)]
 struct SeqState {
     job: GenerationJob,
@@ -213,12 +227,16 @@ pub(crate) struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     /// Sequences with live KV decoding together, admission order (the
     /// youngest is last — the preemption victim).
     running: Vec<u64>,
-    /// In-flight prefill requests: request id → (job index, charged prefill
-    /// tokens) — the charge is the *novel* span when the prefix cache
-    /// served part of the prompt.
-    prefill_inflight: DetHashMap<u64, (u64, u64)>,
+    /// In-flight prefill requests by request id.
+    prefill_inflight: DetHashMap<u64, InflightPrefill>,
     /// The one in-flight fused decode step, if any.
     decode_inflight: Option<(u64, Vec<u64>)>,
+    /// The decode-step member list while no step is in flight, for the next
+    /// step to refill.
+    decode_members: Vec<u64>,
+    /// Digest lists of completed or cancelled prefills, for later
+    /// admissions to refill (at most the peak prefills in flight).
+    spare_digests: Vec<Vec<u64>>,
     /// The one in-flight speculative round, if any (mutually exclusive with
     /// `decode_inflight`).
     spec_pending: Option<SpecRound>,
@@ -259,6 +277,8 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
             running: Vec::new(),
             prefill_inflight: DetHashMap::default(),
             decode_inflight: None,
+            decode_members: Vec::new(),
+            spare_digests: Vec::new(),
             spec_pending: None,
             spec_epoch: 0,
             prefill_tokens_inflight: 0,
@@ -331,7 +351,9 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
 
     /// Grows an admitted sequence's table, consulting the prefix cache when
     /// it is enabled (single-row sequences only — grouped rows interleave
-    /// their blocks and cannot adopt a shared chain).
+    /// their blocks and cannot adopt a shared chain). `digests` receives the
+    /// prompt's block digests when the cache is consulted and is left empty
+    /// otherwise.
     fn admit_grow(
         &mut self,
         sim: &mut Simulation,
@@ -339,10 +361,12 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
         job: GenerationJob,
         replay_tokens: u32,
         rows: u32,
+        digests: &mut Vec<u64>,
     ) -> Result<PrefixAdmit, liger_kvcache::OutOfBlocks> {
+        digests.clear();
         if self.config.prefix_cache && rows == 1 {
-            let digests = block_digests(&job, self.config.pool.block_tokens);
-            let admit = self.pool.admit_with_prefix(sim, id, &digests, replay_tokens, rows)?;
+            block_digests_into(&job, self.config.pool.block_tokens, digests);
+            let admit = self.pool.admit_with_prefix(sim, id, digests, replay_tokens, rows)?;
             let prefix = self.serving.prefix_mut();
             prefix.lookups += 1;
             if admit.cached_blocks > 0 {
@@ -394,37 +418,38 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
             {
                 return;
             }
-            match self.admit_grow(sim, id, job, replay_tokens, rows) {
-                Ok(admit) => {
-                    self.waiting.pop_front();
-                    let novel = replay_tokens - admit.cached_tokens;
-                    let charged = novel as u64 * rows as u64;
-                    self.serving.prefix_mut().novel_tokens += charged;
-                    let rid = self.next_request;
-                    self.next_request += 1;
-                    self.prefill_inflight.insert(rid, (id, charged));
-                    self.prefill_tokens_inflight += charged;
-                    let shape = liger_model::BatchShape::prefill(rows, novel);
-                    self.engine.submit(Request::new(rid, shape, sim.now()), sim);
-                }
-                Err(_) if self.evict_cold(sim, 1) > 0 => {
-                    // Cold cache blocks were holding the pool: retry the
-                    // same admission with the reclaimed headroom.
-                    self.serving.batching_mut().out_of_blocks += 1;
-                }
-                Err(_) if self.running.is_empty() && self.prefill_inflight.is_empty() => {
-                    // Nothing to preempt and nothing in flight: the pool can
-                    // never satisfy this sequence (device capacity).
-                    self.serving.batching_mut().out_of_blocks += 1;
-                    self.waiting.pop_front();
-                    self.pool.release(sim, id);
-                    self.shed_kv_exhausted(id, sim.now());
-                }
+            let mut digests = self.spare_digests.pop().unwrap_or_default();
+            let admit = match self.admit_grow(sim, id, job, replay_tokens, rows, &mut digests) {
+                Ok(admit) => admit,
                 Err(_) => {
+                    self.spare_digests.push(digests);
                     self.serving.batching_mut().out_of_blocks += 1;
+                    if self.evict_cold(sim, 1) > 0 {
+                        // Cold cache blocks were holding the pool: retry the
+                        // same admission with the reclaimed headroom.
+                        continue;
+                    }
+                    if self.running.is_empty() && self.prefill_inflight.is_empty() {
+                        // Nothing to preempt and nothing in flight: the pool
+                        // can never satisfy this sequence (device capacity).
+                        self.waiting.pop_front();
+                        self.pool.release(sim, id);
+                        self.shed_kv_exhausted(id, sim.now());
+                        continue;
+                    }
                     return;
                 }
-            }
+            };
+            self.waiting.pop_front();
+            let novel = replay_tokens - admit.cached_tokens;
+            let charged = novel as u64 * rows as u64;
+            self.serving.prefix_mut().novel_tokens += charged;
+            let rid = self.next_request;
+            self.next_request += 1;
+            self.prefill_inflight.insert(rid, InflightPrefill { seq: id, charged, digests });
+            self.prefill_tokens_inflight += charged;
+            let shape = liger_model::BatchShape::prefill(rows, novel);
+            self.engine.submit(Request::new(rid, shape, sim.now()), sim);
         }
     }
 
@@ -439,7 +464,8 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
         while self.pool.above_watermark() && self.running.len() > 1 {
             self.preempt_youngest(sim);
         }
-        let mut members: Vec<u64> = Vec::with_capacity(self.running.len());
+        let mut members = std::mem::take(&mut self.decode_members);
+        members.clear();
         let mut i = 0;
         while i < self.running.len() {
             let id = self.running[i];
@@ -463,6 +489,7 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
                     } else if !self.prefill_inflight.is_empty() {
                         // The pool is held by an in-flight replay prefill:
                         // sit this step out — its completion re-pumps.
+                        self.decode_members = members;
                         return;
                     } else {
                         // The only live sequence cannot grow with the pool
@@ -475,13 +502,12 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
                 }
             }
         }
-        if members.is_empty() {
-            return;
-        }
         // With speculation configured, try a draft round first; if no member
         // could draft ahead (all on their last token, or no blocks for draft
         // KV), fall through to a plain decode step.
-        if self.config.spec.is_some() && self.form_spec_round(sim, &members) {
+        if members.is_empty() || (self.config.spec.is_some() && self.form_spec_round(sim, &members))
+        {
+            self.decode_members = members;
             return;
         }
         let (total_rows, max_context, real_tokens) = self.fused_shape(&members, 0);
@@ -591,11 +617,7 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
                 // the sequence's remaining budget.
                 let produced = (accepted + 1).min(remaining);
                 for t in s.steps_done..s.steps_done + produced {
-                    // Record through the oracle: what the sequence emits is
-                    // a pure function of its identity, never of the cache
-                    // or the speculation machinery.
-                    let token = output_token(&s.job, t);
-                    self.outputs.entry(s.job.id).or_default().push(token);
+                    emit(&mut self.outputs, &s.job, t);
                 }
                 if s.first_token.is_none() {
                     s.first_token = Some(finished);
@@ -708,12 +730,15 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
     fn requeue(&mut self, cancelled: Vec<u64>, sim: &mut Simulation) {
         let mut requeue: Vec<u64> = Vec::new();
         for rid in cancelled {
-            if let Some((id, charged)) = self.prefill_inflight.remove(&rid) {
-                self.prefill_tokens_inflight = self.prefill_tokens_inflight.saturating_sub(charged);
-                self.pool.release(sim, id);
-                requeue.push(id);
+            if let Some(p) = self.prefill_inflight.remove(&rid) {
+                self.prefill_tokens_inflight =
+                    self.prefill_tokens_inflight.saturating_sub(p.charged);
+                self.pool.release(sim, p.seq);
+                requeue.push(p.seq);
+                self.spare_digests.push(p.digests);
             } else if self.decode_inflight.as_ref().is_some_and(|&(d, _)| d == rid) {
-                self.decode_inflight = None;
+                let (_, members) = self.decode_inflight.take().expect("checked above");
+                self.decode_members = members;
             }
         }
         requeue.sort_unstable();
@@ -763,16 +788,17 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
 
     fn collect(&mut self, serving: bool, sim: &mut Simulation) -> bool {
         for (rid, finished) in self.engine.drain_completions() {
-            if let Some((id, charged)) = self.prefill_inflight.remove(&rid) {
-                self.prefill_tokens_inflight = self.prefill_tokens_inflight.saturating_sub(charged);
+            if let Some(p) = self.prefill_inflight.remove(&rid) {
+                let id = p.seq;
+                self.prefill_tokens_inflight =
+                    self.prefill_tokens_inflight.saturating_sub(p.charged);
                 let (join, finish_now) = {
                     let s = self.states.get_mut(&id).expect("prefill for unknown sequence");
                     if s.steps_done == 0 {
                         // Initial prefill: token 1 is out.
                         s.first_token = Some(finished);
                         s.steps_done = 1;
-                        let token = output_token(&s.job, 0);
-                        self.outputs.entry(s.job.id).or_default().push(token);
+                        emit(&mut self.outputs, &s.job, 0);
                     }
                     (s.steps_done < s.total_steps(), s.steps_done >= s.total_steps())
                 };
@@ -782,17 +808,11 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
                 // Mid-replan completions never republish — a chain indexed
                 // before the rejoined device is warm would hand out blocks
                 // with an unfilled shard.
-                if self.config.prefix_cache && serving {
-                    let (job, rows) = {
-                        let s = &self.states[&id];
-                        (s.job, s.job.batch)
-                    };
-                    if rows == 1 {
-                        let digests = block_digests(&job, self.config.pool.block_tokens);
-                        let published = self.pool.publish_prefix(id, &digests);
-                        self.serving.prefix_mut().published_blocks += published;
-                    }
+                if self.config.prefix_cache && serving && self.states[&id].job.batch == 1 {
+                    let published = self.pool.publish_prefix(id, &p.digests);
+                    self.serving.prefix_mut().published_blocks += published;
                 }
+                self.spare_digests.push(p.digests);
                 if finish_now {
                     self.finish(id, finished, sim);
                 } else if join {
@@ -800,11 +820,10 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
                 }
             } else if self.decode_inflight.as_ref().is_some_and(|&(d, _)| d == rid) {
                 let (_, members) = self.decode_inflight.take().expect("checked above");
-                for id in members {
+                for &id in &members {
                     let done_now = {
                         let s = self.states.get_mut(&id).expect("decode member has state");
-                        let token = output_token(&s.job, s.steps_done);
-                        self.outputs.entry(s.job.id).or_default().push(token);
+                        emit(&mut self.outputs, &s.job, s.steps_done);
                         s.steps_done += 1;
                         s.steps_done >= s.total_steps()
                     };
@@ -813,6 +832,7 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
                         self.finish(id, finished, sim);
                     }
                 }
+                self.decode_members = members;
             } else if self.spec_pending.as_ref().is_some_and(|r| r.rid == Some(rid)) {
                 let round = self.spec_pending.take().expect("checked above");
                 self.spec_epoch += 1;
@@ -896,6 +916,17 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
     fn devices(&self) -> Option<&[DeviceId]> {
         Some(self.pool.devices())
     }
+}
+
+/// Appends step `step`'s token of `job` to its output stream, which is
+/// created at the job's full length so it never regrows.
+fn emit(outputs: &mut BTreeMap<u64, Vec<u64>>, job: &GenerationJob, step: u32) {
+    let stream = outputs
+        .entry(job.id)
+        .or_insert_with(|| Vec::with_capacity(job.output_tokens.max(1) as usize));
+    // Record through the oracle: what the sequence emits is a pure function
+    // of its identity, never of the cache or the speculation machinery.
+    stream.push(output_token(job, step));
 }
 
 /// Serves generation `jobs` with continuous batching: iteration-level
