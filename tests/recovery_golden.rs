@@ -1,9 +1,12 @@
-//! Golden metrics for both recovery drivers: pinned-seed fault storms whose
-//! complete serving record — metrics summary, recovery timeline, shed
-//! records, completions and, for continuous serving, per-job generation
-//! results and output streams — is compared byte-for-byte against
-//! `tests/golden/metrics/*.json`.
+//! Golden metrics for every serving path that runs under the membership
+//! controller: pinned-seed runs whose complete serving record — metrics
+//! summary, recovery timeline, shed records, completions and, for
+//! continuous serving, per-job generation results and output streams — is
+//! compared byte-for-byte against `tests/golden/metrics/*.json`.
 //!
+//! * `serve` on a healthy 4-way Liger engine, and `serve_with_policy` under
+//!   kernel failures plus a straggler window, so the retry and timeout arms
+//!   of the request driver are pinned too.
 //! * `serve_with_recovery` on a 4-way Liger engine: a mid-trace loss under
 //!   a tight watermark, a windowed outage that rejoins and re-expands, and
 //!   a second loss confirmed while the first is still draining.
@@ -26,7 +29,7 @@ use liger::serving::{
     SpecDecodeConfig,
 };
 use liger_gpu_sim::json::{JsonArray, JsonObject};
-use liger_gpu_sim::{FaultSpec, ToJson};
+use liger_gpu_sim::{FaultSpec, KernelFaultParams, ToJson};
 
 const WORLD: usize = 4;
 
@@ -187,6 +190,43 @@ fn recovery_loss_during_drain_matches_golden() {
     let drains = labels(&m).iter().filter(|&&l| l == "draining").count();
     assert_eq!(drains, 2, "each loss drains: {:?}", labels(&m));
     check_golden("recovery_loss_during_drain", &render(&m, None));
+}
+
+// -- serve and serve_with_policy -------------------------------------------
+
+#[test]
+fn plain_serve_matches_golden() {
+    let model = recovery_model();
+    let mut engine = engine(&model);
+    let m = serve(&mut sim(FaultSpec::none()), &mut engine, requests(48, 3000.0));
+    assert_eq!(m.completed(), 48);
+    assert!(m.recovery_timeline().is_empty());
+    check_golden("serve_healthy", &render(&m, None));
+}
+
+#[test]
+fn retry_policy_matches_golden() {
+    // Device 1 runs 50x slow for 445 ms, so most queued requests overrun
+    // the default 500 ms timeout; kernels starting early fail and retry.
+    let faults = FaultSpec::new(0x13)
+        .kernel_failures(KernelFaultParams {
+            prob: 0.2,
+            fraction: 0.5,
+            from: SimTime::ZERO,
+            until: SimTime::from_millis(20),
+        })
+        .straggler(DeviceId(1), SimTime::from_millis(5), SimTime::from_millis(450), 50.0);
+    let mut engine = engine(&recovery_model());
+    let m = serve_with_policy(
+        &mut sim(faults),
+        &mut engine,
+        requests(48, 3000.0),
+        RetryPolicy::default(),
+    );
+    assert_eq!(m.completed(), 48);
+    let f = m.faults();
+    assert!(f.retries > 0 && f.timeouts > 0 && f.kernel_failures > 0, "{f:?}");
+    check_golden("serve_retry_policy", &render(&m, None));
 }
 
 // -- serve_continuous --------------------------------------------------------
