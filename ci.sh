@@ -184,6 +184,24 @@ for e in $experiments; do
     cargo run --release -q -p liger-bench -- "$e" $flags >/dev/null
 done
 
+# Every example once in release: they drive serve, serve_queries,
+# serve_generations and serve_continuous end to end, and a non-zero exit
+# fails. trace_export writes its Chrome trace to a temporary file instead
+# of the working directory, and the sanitizer must find it clean.
+echo "==> examples"
+trace_dir=$(mktemp -d)
+trap 'rm -rf "$trace_dir"' EXIT
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "    $name"
+    if [ "$name" = trace_export ]; then
+        cargo run --release -q --example "$name" -- "$trace_dir/trace.json" >/dev/null
+    else
+        cargo run --release -q --example "$name" >/dev/null
+    fi
+done
+cargo run --release -q -p liger-verify --bin liger-verify -- "$trace_dir/trace.json"
+
 # Verification gate: the static plan verifier proves the default
 # deployments deadlock-free and memory-feasible (healthy and one-loss
 # degraded), and the happens-before sanitizer must report zero diagnostics

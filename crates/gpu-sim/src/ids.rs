@@ -92,27 +92,6 @@ impl fmt::Display for CollectiveId {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(DeviceId(2).to_string(), "gpu2");
-        assert_eq!(HostId(1).to_string(), "host1");
-        assert_eq!(StreamId::new(DeviceId(0), 3).to_string(), "gpu0.s3");
-        assert_eq!(KernelId(7).to_string(), "k7");
-        assert_eq!(EventId(9).to_string(), "ev9");
-        assert_eq!(CollectiveId(4).to_string(), "coll4");
-    }
-
-    #[test]
-    fn ids_are_ordered() {
-        assert!(KernelId(1) < KernelId(2));
-        assert!(DeviceId(0) < DeviceId(1));
-    }
-}
-
 /// Identifiers serialize as their raw index/handle numbers; streams as a
 /// `{device, index}` pair.
 mod json_impls {
@@ -137,5 +116,26 @@ mod json_impls {
             obj.field("device", &self.device).field("index", &self.index);
             obj.end();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_forms() {
+        assert_eq!(DeviceId(2).to_string(), "gpu2");
+        assert_eq!(HostId(1).to_string(), "host1");
+        assert_eq!(StreamId::new(DeviceId(0), 3).to_string(), "gpu0.s3");
+        assert_eq!(KernelId(7).to_string(), "k7");
+        assert_eq!(EventId(9).to_string(), "ev9");
+        assert_eq!(CollectiveId(4).to_string(), "coll4");
+    }
+
+    #[test]
+    fn ids_are_ordered() {
+        assert!(KernelId(1) < KernelId(2));
+        assert!(DeviceId(0) < DeviceId(1));
     }
 }

@@ -119,85 +119,6 @@ pub fn notify_completion(sim: &mut Simulation, device: DeviceId, stream: usize, 
     sim.notify_on_event(ev, HostId(device.0), token);
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use liger_model::{GemmKind, LayerOp, PlacedOp};
-
-    /// A driver with nothing to do on wakes.
-    struct Idle;
-
-    impl liger_gpu_sim::Driver for Idle {
-        fn on_wake(&mut self, _: liger_gpu_sim::Wake, _: &mut Simulation) {}
-    }
-
-    fn priced(op: LayerOp, us: u64) -> PricedOp {
-        PricedOp { placed: PlacedOp { layer: 0, op }, duration: SimDuration::from_micros(us) }
-    }
-
-    #[test]
-    fn compute_spec_carries_duration_and_tag() {
-        let op = priced(LayerOp::Gemm { m: 1, k: 1, n: 1, kind: GemmKind::Qkv }, 50);
-        let spec = compute_spec(&op, 9);
-        assert_eq!(spec.work, SimDuration::from_micros(50));
-        assert_eq!(spec.tag, 9);
-        assert_eq!(spec.class, KernelClass::Compute);
-        assert_eq!(&*spec.name, "gemm_qkv");
-        assert!(
-            matches!(spec.name, std::borrow::Cow::Borrowed(_)),
-            "a static op name is borrowed, not copied to the heap"
-        );
-    }
-
-    #[test]
-    fn comm_spec_carries_channels_group_and_tag() {
-        let op = priced(LayerOp::AllReduce { bytes: 1024, ranks: 3 }, 20);
-        let spec = comm_spec(&op, CollectiveId(5), &NcclConfig::liger_tuned(), 1);
-        assert_eq!(spec.blocks, 3, "NCCL channel count becomes the block footprint");
-        assert_eq!(spec.collective, Some(CollectiveId(5)));
-        assert_eq!((spec.class, spec.tag, spec.work), (KernelClass::Comm, 1, op.duration));
-        assert!(matches!(spec.name, std::borrow::Cow::Borrowed("nccl_allreduce")));
-    }
-
-    #[test]
-    fn launch_collective_shares_one_rendezvous() {
-        let mut sim = Simulation::builder()
-            .devices(liger_gpu_sim::DeviceSpec::test_device(), 3)
-            .capture_trace(true)
-            .build()
-            .unwrap();
-        let op = priced(LayerOp::AllReduce { bytes: 1024, ranks: 3 }, 20);
-        let devices: Vec<DeviceId> = (0..3).map(DeviceId).collect();
-        launch_collective(&mut sim, &op, &devices, 2, &NcclConfig::liger_tuned(), 1);
-        sim.run_to_completion(&mut Idle);
-        let trace = sim.take_trace().unwrap();
-        let events = trace.events();
-        let mut ranks: Vec<DeviceId> = events.iter().map(|e| e.device).collect();
-        ranks.sort_unstable();
-        assert_eq!(ranks, devices, "one member kernel per rank");
-        let group = events[0].collective.expect("members carry their rendezvous group");
-        for e in events {
-            assert_eq!(e.collective, Some(group));
-            assert_eq!(e.class, KernelClass::Comm);
-            assert_eq!((e.tag, e.stream, &*e.name), (1, 2, "nccl_allreduce"));
-            assert_eq!(
-                (e.started_at, e.ended_at),
-                (events[0].started_at, events[0].ended_at),
-                "members of one collective start and end together"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "compute-only")]
-    fn launch_stage_rejects_comm_ops() {
-        let mut sim =
-            Simulation::builder().device(liger_gpu_sim::DeviceSpec::test_device()).build().unwrap();
-        let op = priced(LayerOp::AllReduce { bytes: 1, ranks: 2 }, 1);
-        launch_stage(&mut sim, &[op], DeviceId(0), 0, 0);
-    }
-}
-
 /// Device-memory bookkeeping shared by the engines: weight shards are
 /// allocated once (on first submit), per-batch working sets (activations +
 /// KV cache) live from submission to completion. Running out of device
@@ -393,5 +314,84 @@ mod memory_tests {
                 "gpu{d} leaked batch working sets"
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use liger_model::{GemmKind, LayerOp, PlacedOp};
+
+    /// A driver with nothing to do on wakes.
+    struct Idle;
+
+    impl liger_gpu_sim::Driver for Idle {
+        fn on_wake(&mut self, _: liger_gpu_sim::Wake, _: &mut Simulation) {}
+    }
+
+    fn priced(op: LayerOp, us: u64) -> PricedOp {
+        PricedOp { placed: PlacedOp { layer: 0, op }, duration: SimDuration::from_micros(us) }
+    }
+
+    #[test]
+    fn compute_spec_carries_duration_and_tag() {
+        let op = priced(LayerOp::Gemm { m: 1, k: 1, n: 1, kind: GemmKind::Qkv }, 50);
+        let spec = compute_spec(&op, 9);
+        assert_eq!(spec.work, SimDuration::from_micros(50));
+        assert_eq!(spec.tag, 9);
+        assert_eq!(spec.class, KernelClass::Compute);
+        assert_eq!(&*spec.name, "gemm_qkv");
+        assert!(
+            matches!(spec.name, std::borrow::Cow::Borrowed(_)),
+            "a static op name is borrowed, not copied to the heap"
+        );
+    }
+
+    #[test]
+    fn comm_spec_carries_channels_group_and_tag() {
+        let op = priced(LayerOp::AllReduce { bytes: 1024, ranks: 3 }, 20);
+        let spec = comm_spec(&op, CollectiveId(5), &NcclConfig::liger_tuned(), 1);
+        assert_eq!(spec.blocks, 3, "NCCL channel count becomes the block footprint");
+        assert_eq!(spec.collective, Some(CollectiveId(5)));
+        assert_eq!((spec.class, spec.tag, spec.work), (KernelClass::Comm, 1, op.duration));
+        assert!(matches!(spec.name, std::borrow::Cow::Borrowed("nccl_allreduce")));
+    }
+
+    #[test]
+    fn launch_collective_shares_one_rendezvous() {
+        let mut sim = Simulation::builder()
+            .devices(liger_gpu_sim::DeviceSpec::test_device(), 3)
+            .capture_trace(true)
+            .build()
+            .unwrap();
+        let op = priced(LayerOp::AllReduce { bytes: 1024, ranks: 3 }, 20);
+        let devices: Vec<DeviceId> = (0..3).map(DeviceId).collect();
+        launch_collective(&mut sim, &op, &devices, 2, &NcclConfig::liger_tuned(), 1);
+        sim.run_to_completion(&mut Idle);
+        let trace = sim.take_trace().unwrap();
+        let events = trace.events();
+        let mut ranks: Vec<DeviceId> = events.iter().map(|e| e.device).collect();
+        ranks.sort_unstable();
+        assert_eq!(ranks, devices, "one member kernel per rank");
+        let group = events[0].collective.expect("members carry their rendezvous group");
+        for e in events {
+            assert_eq!(e.collective, Some(group));
+            assert_eq!(e.class, KernelClass::Comm);
+            assert_eq!((e.tag, e.stream, &*e.name), (1, 2, "nccl_allreduce"));
+            assert_eq!(
+                (e.started_at, e.ended_at),
+                (events[0].started_at, events[0].ended_at),
+                "members of one collective start and end together"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "compute-only")]
+    fn launch_stage_rejects_comm_ops() {
+        let mut sim =
+            Simulation::builder().device(liger_gpu_sim::DeviceSpec::test_device()).build().unwrap();
+        let op = priced(LayerOp::AllReduce { bytes: 1, ranks: 2 }, 1);
+        launch_stage(&mut sim, &[op], DeviceId(0), 0, 0);
     }
 }

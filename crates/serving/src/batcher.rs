@@ -128,86 +128,6 @@ impl Batcher {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn q(id: u64, seq: u32, at_us: u64) -> Query {
-        Query { id, seq_len: seq, arrival: SimTime::from_micros(at_us) }
-    }
-
-    #[test]
-    fn fills_to_max_batch() {
-        let mut b =
-            Batcher::new(BatcherConfig { max_batch: 3, max_wait: SimDuration::from_millis(5) })
-                .unwrap();
-        assert!(b.offer(q(0, 16, 0)).is_none());
-        assert!(b.offer(q(1, 64, 10)).is_none());
-        let batch = b.offer(q(2, 32, 20)).expect("third query fills the batch");
-        assert_eq!(batch.members, vec![0, 1, 2]);
-        assert_eq!(batch.request.shape.batch, 3);
-        // Padded to the longest member.
-        assert!(matches!(batch.request.shape.phase, liger_model::Phase::Prefill { seq_len: 64 }));
-        assert_eq!(b.pending(), 0);
-    }
-
-    #[test]
-    fn timeout_flushes_partial_batches() {
-        let mut b =
-            Batcher::new(BatcherConfig { max_batch: 8, max_wait: SimDuration::from_millis(5) })
-                .unwrap();
-        b.offer(q(0, 40, 0));
-        b.offer(q(1, 20, 1_000));
-        assert_eq!(b.flush_deadline(), Some(SimTime::from_millis(5)));
-        let batch = b.flush(SimTime::from_millis(5)).unwrap();
-        assert_eq!(batch.request.shape.batch, 2);
-        assert_eq!(batch.members, vec![0, 1]);
-        assert_eq!(b.pending(), 0);
-        assert!(b.flush(SimTime::from_millis(6)).is_none(), "nothing left to flush");
-        assert_eq!(b.flush_deadline(), None);
-    }
-
-    #[test]
-    fn request_ids_are_dense_and_increasing() {
-        let mut b =
-            Batcher::new(BatcherConfig { max_batch: 1, max_wait: SimDuration::ZERO }).unwrap();
-        let r0 = b.offer(q(0, 16, 0)).unwrap().request.id;
-        let r1 = b.offer(q(1, 16, 5)).unwrap().request.id;
-        assert_eq!((r0, r1), (0, 1));
-    }
-
-    #[test]
-    fn padding_waste_accounting() {
-        assert_eq!(Batcher::padding_waste(64, &[64, 64]), 0.0);
-        // 64-token pad over [16, 64]: (128-80)/128 = 0.375.
-        assert!((Batcher::padding_waste(64, &[16, 64]) - 0.375).abs() < 1e-12);
-        assert_eq!(Batcher::padding_waste(64, &[]), 0.0);
-        assert_eq!(Batcher::padding_waste(0, &[1]), 0.0);
-    }
-
-    #[test]
-    fn zero_max_batch_rejected() {
-        assert!(Batcher::new(BatcherConfig { max_batch: 0, max_wait: SimDuration::ZERO }).is_err());
-    }
-
-    #[test]
-    fn burst_larger_than_max_batch_splits() {
-        let mut b =
-            Batcher::new(BatcherConfig { max_batch: 4, max_wait: SimDuration::from_millis(1) })
-                .unwrap();
-        let mut emitted = Vec::new();
-        for i in 0..10 {
-            if let Some(batch) = b.offer(q(i, 16, 0)) {
-                emitted.push(batch);
-            }
-        }
-        assert_eq!(emitted.len(), 2, "two full batches emitted");
-        assert_eq!(b.pending(), 2, "remainder awaits the timeout");
-        let tail = b.flush(SimTime::from_millis(1)).unwrap();
-        assert_eq!(tail.request.shape.batch, 2);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Query-level serving loop
 // ---------------------------------------------------------------------------
@@ -424,6 +344,110 @@ pub fn serve_queries_with_retry<E: InferenceEngine + ?Sized>(
     runner.into_metrics()
 }
 
+impl liger_gpu_sim::ToJson for Query {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = liger_gpu_sim::json::JsonObject::begin(out);
+        obj.field("id", &self.id).field("seq_len", &self.seq_len).field("arrival", &self.arrival);
+        obj.end();
+    }
+}
+
+impl liger_gpu_sim::ToJson for BatcherConfig {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = liger_gpu_sim::json::JsonObject::begin(out);
+        obj.field("max_batch", &self.max_batch).field("max_wait", &self.max_wait);
+        obj.end();
+    }
+}
+
+impl liger_gpu_sim::ToJson for PackedBatch {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = liger_gpu_sim::json::JsonObject::begin(out);
+        obj.field("request", &self.request).field("members", &self.members);
+        obj.end();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn q(id: u64, seq: u32, at_us: u64) -> Query {
+        Query { id, seq_len: seq, arrival: SimTime::from_micros(at_us) }
+    }
+
+    #[test]
+    fn fills_to_max_batch() {
+        let mut b =
+            Batcher::new(BatcherConfig { max_batch: 3, max_wait: SimDuration::from_millis(5) })
+                .unwrap();
+        assert!(b.offer(q(0, 16, 0)).is_none());
+        assert!(b.offer(q(1, 64, 10)).is_none());
+        let batch = b.offer(q(2, 32, 20)).expect("third query fills the batch");
+        assert_eq!(batch.members, vec![0, 1, 2]);
+        assert_eq!(batch.request.shape.batch, 3);
+        // Padded to the longest member.
+        assert!(matches!(batch.request.shape.phase, liger_model::Phase::Prefill { seq_len: 64 }));
+        assert_eq!(b.pending(), 0);
+    }
+
+    #[test]
+    fn timeout_flushes_partial_batches() {
+        let mut b =
+            Batcher::new(BatcherConfig { max_batch: 8, max_wait: SimDuration::from_millis(5) })
+                .unwrap();
+        b.offer(q(0, 40, 0));
+        b.offer(q(1, 20, 1_000));
+        assert_eq!(b.flush_deadline(), Some(SimTime::from_millis(5)));
+        let batch = b.flush(SimTime::from_millis(5)).unwrap();
+        assert_eq!(batch.request.shape.batch, 2);
+        assert_eq!(batch.members, vec![0, 1]);
+        assert_eq!(b.pending(), 0);
+        assert!(b.flush(SimTime::from_millis(6)).is_none(), "nothing left to flush");
+        assert_eq!(b.flush_deadline(), None);
+    }
+
+    #[test]
+    fn request_ids_are_dense_and_increasing() {
+        let mut b =
+            Batcher::new(BatcherConfig { max_batch: 1, max_wait: SimDuration::ZERO }).unwrap();
+        let r0 = b.offer(q(0, 16, 0)).unwrap().request.id;
+        let r1 = b.offer(q(1, 16, 5)).unwrap().request.id;
+        assert_eq!((r0, r1), (0, 1));
+    }
+
+    #[test]
+    fn padding_waste_accounting() {
+        assert_eq!(Batcher::padding_waste(64, &[64, 64]), 0.0);
+        // 64-token pad over [16, 64]: (128-80)/128 = 0.375.
+        assert!((Batcher::padding_waste(64, &[16, 64]) - 0.375).abs() < 1e-12);
+        assert_eq!(Batcher::padding_waste(64, &[]), 0.0);
+        assert_eq!(Batcher::padding_waste(0, &[1]), 0.0);
+    }
+
+    #[test]
+    fn zero_max_batch_rejected() {
+        assert!(Batcher::new(BatcherConfig { max_batch: 0, max_wait: SimDuration::ZERO }).is_err());
+    }
+
+    #[test]
+    fn burst_larger_than_max_batch_splits() {
+        let mut b =
+            Batcher::new(BatcherConfig { max_batch: 4, max_wait: SimDuration::from_millis(1) })
+                .unwrap();
+        let mut emitted = Vec::new();
+        for i in 0..10 {
+            if let Some(batch) = b.offer(q(i, 16, 0)) {
+                emitted.push(batch);
+            }
+        }
+        assert_eq!(emitted.len(), 2, "two full batches emitted");
+        assert_eq!(b.pending(), 2, "remainder awaits the timeout");
+        let tail = b.flush(SimTime::from_millis(1)).unwrap();
+        assert_eq!(tail.request.shape.batch, 2);
+    }
+}
+
 #[cfg(test)]
 mod runner_tests {
     use super::*;
@@ -623,29 +647,5 @@ mod runner_tests {
         assert_eq!(m.completed(), 2, "no requeue: the tainted result is delivered");
         assert_eq!(m.faults().requeues, 0);
         assert!(m.completions().iter().all(|c| c.finished == SimTime::from_micros(5)));
-    }
-}
-
-impl liger_gpu_sim::ToJson for Query {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = liger_gpu_sim::json::JsonObject::begin(out);
-        obj.field("id", &self.id).field("seq_len", &self.seq_len).field("arrival", &self.arrival);
-        obj.end();
-    }
-}
-
-impl liger_gpu_sim::ToJson for BatcherConfig {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = liger_gpu_sim::json::JsonObject::begin(out);
-        obj.field("max_batch", &self.max_batch).field("max_wait", &self.max_wait);
-        obj.end();
-    }
-}
-
-impl liger_gpu_sim::ToJson for PackedBatch {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = liger_gpu_sim::json::JsonObject::begin(out);
-        obj.field("request", &self.request).field("members", &self.members);
-        obj.end();
     }
 }

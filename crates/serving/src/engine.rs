@@ -1,7 +1,7 @@
 //! The engine abstraction every parallelism strategy implements.
 //!
-//! An [`InferenceEngine`] runs *inside* a simulation, driven by the
-//! [`ServingRunner`](crate::runner::ServingRunner): the runner delivers
+//! An [`InferenceEngine`] runs *inside* a simulation, driven by a serving
+//! driver such as [`serve`](crate::runner::serve)'s: the driver delivers
 //! arriving requests and routes simulator wakes; the engine launches kernels
 //! and reports completed requests.
 
@@ -24,7 +24,9 @@ pub trait InferenceEngine {
     fn submit(&mut self, request: Request, sim: &mut Simulation);
 
     /// A simulator wake addressed to the engine (token below
-    /// [`RUNNER_TOKEN_BASE`]).
+    /// [`RUNNER_TOKEN_BASE`]). The oracle [`Wake::DeviceDown`] is never
+    /// delivered: an engine learns of a loss only through
+    /// [`InferenceEngine::on_device_loss`], once a watchdog confirms it.
     fn on_wake(&mut self, wake: Wake, sim: &mut Simulation);
 
     /// Requests that finished since the last drain: `(request id, GPU-side

@@ -3,9 +3,12 @@
 //! The serving layer of the Liger reproduction: batched requests, the
 //! paper's workload generators (random prefill traces with sequence lengths
 //! 16–128 and decode traces at batch 32), constant/Poisson arrival
-//! processes, the latency/throughput metrics of §4.1, and an
-//! engine-agnostic runner that serves a trace through any
-//! [`InferenceEngine`] on the simulator.
+//! processes, the latency/throughput metrics of §4.1, and one
+//! engine-agnostic request driver that serves a trace through any
+//! [`InferenceEngine`] on the simulator ([`serve`], [`serve_with_policy`],
+//! [`serve_with_recovery`]) under the membership controller that also
+//! steers continuous batching ([`serve_continuous`]) through device loss
+//! and rejoin.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,8 +29,6 @@ pub mod recovery;
 pub mod request;
 pub mod runner;
 pub mod scheduler;
-#[cfg(test)]
-mod testutil;
 
 pub use admission::{AdmissionConfig, AdmissionController, ShedReason, ShedRecord};
 pub use analysis::{dg1_wait, mg1_latency, mg1_wait, service_moments, utilization};
@@ -54,7 +55,10 @@ pub use metrics::{
 pub use prefix::{block_digests, output_token, prompt_token, PrefixTag, SpecDecodeConfig};
 pub use recovery::{serve_with_recovery, RecoveryConfig};
 pub use request::{Completion, Request};
-pub use runner::{serve, serve_on, serve_with_policy, RetryPolicy, ServingRunner};
+pub use runner::{serve, serve_on, serve_with_policy, RetryPolicy};
 pub use scheduler::{serve_continuous, serve_continuous_on, ContinuousReport, SchedulerConfig};
 
 pub use liger_kvcache::{BlockPool, BlockPoolConfig, OutOfBlocks};
+
+#[cfg(test)]
+mod testutil;

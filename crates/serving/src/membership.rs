@@ -1,5 +1,5 @@
-//! Device membership: the one drain / recover / expand state machine the
-//! recovery-aware serving drivers run.
+//! Device membership: the one drain / recover / expand state machine every
+//! request-trace and continuous-batching serve runs under.
 //!
 //! A [`MembershipController`] decides *when* the engine replans over a
 //! changed device set and what the replan costs. It owns:
@@ -16,6 +16,10 @@
 //! [`MembershipDriver`]: how its work is cancelled and requeued when the
 //! engine replans, which KV the replan must rebuild, the backlog admission
 //! sheds from, and how serving resumes.
+//!
+//! Without a watchdog ([`Recovery`] unset) nothing is ever confirmed, and
+//! the controller only forwards wakes to the driver and stops the run once
+//! it has served everything.
 //!
 //! The state machine:
 //!
@@ -46,10 +50,11 @@ use liger_gpu_sim::{
 };
 use liger_model::{kv_recovery_plan, CostModel, LayerOp, ModelConfig, RecoveryPolicy};
 
-use crate::admission::{AdmissionConfig, AdmissionController, ShedReason};
+use crate::admission::{AdmissionController, ShedReason};
 use crate::engine::RUNNER_TOKEN_BASE;
-use crate::health::{HealthConfig, HealthEvents, HealthMonitor};
+use crate::health::{HealthEvents, HealthMonitor};
 use crate::metrics::ServingMetrics;
+use crate::recovery::RecoveryConfig;
 
 /// Token base handed to the health monitor (bit 63 = runner namespace,
 /// bit 59 = health sub-namespace; the monitor fills the low 49 bits).
@@ -157,17 +162,24 @@ pub(crate) trait MembershipDriver {
     }
 }
 
-/// The simulation driver of a recovery-aware serve: health monitoring,
-/// drain-and-replan on a confirmed loss, re-expansion on a confirmed
-/// rejoin, and admission shedding, steering the serving driver `D`. See
-/// the module docs for the state machine.
+/// What the controller uses only once the watchdog confirms a loss or a
+/// rejoin: the watchdog's parameters, the KV [`RecoveryPolicy`] and the
+/// admission bound, and the model and cost model that price the replan.
+#[derive(Clone, Copy)]
+pub(crate) struct Recovery<'a> {
+    pub(crate) model: &'a ModelConfig,
+    pub(crate) cost: &'a CostModel,
+    pub(crate) config: RecoveryConfig,
+}
+
+/// The simulation driver of every serve: health monitoring, drain-and-replan
+/// on a confirmed loss, re-expansion on a confirmed rejoin, and admission
+/// shedding, steering the serving driver `D`. See the module docs for the
+/// state machine.
 pub(crate) struct MembershipController<'a, D> {
     driver: D,
-    model: &'a ModelConfig,
-    cost: &'a CostModel,
-    policy: RecoveryPolicy,
-    health: Option<HealthConfig>,
-    admission: AdmissionController,
+    /// Unset: no watchdog runs, so no loss or rejoin is ever confirmed.
+    recovery: Option<Recovery<'a>>,
     monitor: Option<HealthMonitor>,
     phase: RecoveryPhase,
     /// The serving world: devices the engine is currently planned over.
@@ -191,24 +203,11 @@ pub(crate) struct MembershipController<'a, D> {
 }
 
 impl<'a, D: MembershipDriver> MembershipController<'a, D> {
-    /// Steers `driver`; `model` and `cost` price the KV work under
-    /// `policy`, `health` (when set) configures the watchdog, and
-    /// `admission` bounds the backlog on re-entry to serving.
-    pub(crate) fn new(
-        driver: D,
-        model: &'a ModelConfig,
-        cost: &'a CostModel,
-        policy: RecoveryPolicy,
-        health: Option<HealthConfig>,
-        admission: AdmissionConfig,
-    ) -> Self {
+    /// Steers `driver`, with a watchdog and recovery when `recovery` is set.
+    pub(crate) fn new(driver: D, recovery: Option<Recovery<'a>>) -> Self {
         MembershipController {
             driver,
-            model,
-            cost,
-            policy,
-            health,
-            admission: AdmissionController::new(admission),
+            recovery,
             monitor: None,
             phase: RecoveryPhase::Normal,
             world: Vec::new(),
@@ -232,6 +231,11 @@ impl<'a, D: MembershipDriver> MembershipController<'a, D> {
             rec.rejoins = m.rejoins();
         }
         self.driver
+    }
+
+    /// The recovery inputs: set whenever a change can be confirmed.
+    fn recovery(&self) -> Recovery<'a> {
+        self.recovery.expect("a confirmed loss or rejoin needs the recovery inputs")
     }
 
     fn serving(&self) -> bool {
@@ -347,18 +351,12 @@ impl<'a, D: MembershipDriver> MembershipController<'a, D> {
         self.recover_started = now;
         // KV was sharded over the pre-loss degree (survivors + the dead).
         let survivors = self.survivors.len() as u32;
+        let Recovery { model, cost, config } = self.recovery();
         let mut duration = SimDuration::ZERO;
         let mut tokens = 0u64;
         for (batch, kv) in self.driver.kv_to_price() {
-            let plan = kv_recovery_plan(
-                self.model,
-                self.cost,
-                self.policy,
-                survivors + 1,
-                survivors,
-                batch,
-                kv,
-            );
+            let plan =
+                kv_recovery_plan(model, cost, config.policy, survivors + 1, survivors, batch, kv);
             duration += plan.duration;
             tokens += plan.recompute_tokens;
         }
@@ -367,7 +365,7 @@ impl<'a, D: MembershipDriver> MembershipController<'a, D> {
             self.finish_recovery(sim);
             return;
         }
-        let spec = match self.policy {
+        let spec = match config.policy {
             RecoveryPolicy::Recompute => KernelSpec::compute("kv-recover-recompute", duration),
             RecoveryPolicy::Replicate => KernelSpec::comm("kv-recover-replicate", duration),
         };
@@ -392,7 +390,8 @@ impl<'a, D: MembershipDriver> MembershipController<'a, D> {
     fn enter_degraded(&mut self, sim: &mut Simulation) {
         let now = sim.now();
         self.set_phase(RecoveryPhase::Degraded, now);
-        let shed = self.admission.shed_excess(self.driver.backlog(), now);
+        let admission = AdmissionController::new(self.recovery().config.admission);
+        let shed = admission.shed_excess(self.driver.backlog(), now);
         for s in &shed {
             self.driver.shed(s.id);
         }
@@ -429,13 +428,13 @@ impl<'a, D: MembershipDriver> MembershipController<'a, D> {
         // hold the copies a migrate would source.
         let holders = (devices.len() - 1).max(1) as u32;
         self.driver.on_rejoin(rejoined, &devices, sim);
+        let Recovery { model, cost, .. } = self.recovery();
         let mut migrate = SimDuration::ZERO;
         let mut recompute = SimDuration::ZERO;
         let mut tokens = 0u64;
         for (batch, kv) in self.driver.kv_to_price() {
-            let plan = |policy, holders| {
-                kv_recovery_plan(self.model, self.cost, policy, ways, holders, batch, kv)
-            };
+            let plan =
+                |policy, holders| kv_recovery_plan(model, cost, policy, ways, holders, batch, kv);
             let mig = plan(RecoveryPolicy::Replicate, holders);
             let rec = plan(RecoveryPolicy::Recompute, ways);
             if rec.duration < mig.duration {
@@ -450,9 +449,8 @@ impl<'a, D: MembershipDriver> MembershipController<'a, D> {
         let stream = StreamId::new(rejoined, 0);
         // Warm the rejoined device first: its weight shard travels over the
         // interconnect before any KV or serving kernel may land on it.
-        let warm = self
-            .cost
-            .op_time(&LayerOp::P2p { bytes: self.model.weight_bytes() / u64::from(ways.max(1)) });
+        let warm =
+            cost.op_time(&LayerOp::P2p { bytes: model.weight_bytes() / u64::from(ways.max(1)) });
         sim.launch(dev, stream, KernelSpec::comm("rejoin-warmup", warm));
         if migrate > SimDuration::ZERO {
             sim.launch(dev, stream, KernelSpec::comm("kv-expand-migrate", migrate));
@@ -490,8 +488,8 @@ impl<D: MembershipDriver> Driver for MembershipController<'_, D> {
     fn start(&mut self, sim: &mut Simulation) {
         self.world = sim.alive_devices();
         self.full_world = self.world.len();
-        if let Some(health) = self.health {
-            let mut monitor = HealthMonitor::new(health, sim.alive_devices(), HEALTH_BASE);
+        if let Some(r) = self.recovery {
+            let mut monitor = HealthMonitor::new(r.config.health, sim.alive_devices(), HEALTH_BASE);
             monitor.start(sim);
             self.monitor = Some(monitor);
         }
@@ -590,7 +588,8 @@ mod tests {
 
     /// Feeds watchdog confirmations to the controller at fixed instants
     /// (same-instant steps fire in order, before the state machine's own
-    /// wakes at that instant).
+    /// wakes at that instant). The scripted confirmations stand in for the
+    /// watchdog, which is dropped once the controller has started.
     struct Script<'a> {
         controller: MembershipController<'a, Fake>,
         steps: Vec<(u64, PendingChange)>,
@@ -601,6 +600,7 @@ mod tests {
     impl Driver for Script<'_> {
         fn start(&mut self, sim: &mut Simulation) {
             self.controller.start(sim);
+            self.controller.monitor = None;
             for (i, &(at_us, _)) in self.steps.iter().enumerate() {
                 sim.set_timer(SimTime::from_micros(at_us), STEP | i as u64);
             }
@@ -628,14 +628,9 @@ mod tests {
     fn run(world: usize, faults: FaultSpec, steps: &[(u64, PendingChange)]) -> Outcome {
         let model = ModelConfig::opt_30b();
         let cost = CostModel::v100_node();
-        let controller = MembershipController::new(
-            Fake::default(),
-            &model,
-            &cost,
-            RecoveryPolicy::Replicate,
-            None,
-            AdmissionConfig::default(),
-        );
+        let config = RecoveryConfig::default();
+        let recovery = Recovery { model: &model, cost: &cost, config };
+        let controller = MembershipController::new(Fake::default(), Some(recovery));
         let mut script = Script { controller, steps: steps.to_vec() };
         sim(world, faults).run_to_completion(&mut script);
         let Script { controller, .. } = script;

@@ -1,5 +1,4 @@
-//! Elastic recovery from device loss: the drain-and-replan request
-//! serving loop.
+//! Elastic recovery from device loss: the drain-and-replan request serve.
 //!
 //! [`serve_with_recovery`] serves a request trace through any
 //! [`InferenceEngine`] under the full failure-handling pipeline the paper's
@@ -14,28 +13,26 @@
 //! survivors. A device whose outage ends rejoins after its quarantine and
 //! the engine re-expands onto it.
 //!
-//! The state machine itself lives in the crate's membership controller,
-//! shared with continuous batching; this module is the request driver it
-//! steers: arrivals that land mid-replan are deferred, requests the engine
-//! abandons are requeued in arrival order and their KV is priced, and the
-//! backlog is resubmitted when serving resumes.
+//! The state machine lives in the crate's membership controller, and the
+//! requests run through [`serve`](crate::runner::serve)'s driver: arrivals
+//! that land mid-replan are deferred, requests the engine abandons are
+//! requeued in arrival order, and the backlog resubmits on resume.
 //!
 //! Every phase transition is timestamped into
 //! [`ServingMetrics::recovery_timeline`]; the recovery counters record
 //! detection latency, drain and replan time, replayed tokens, and every
 //! shed request.
 
-use std::collections::VecDeque;
-
-use liger_gpu_sim::{DeviceId, Simulation, Wake};
+use liger_gpu_sim::Simulation;
 use liger_model::{CostModel, ModelConfig, RecoveryPolicy};
 
 use crate::admission::AdmissionConfig;
-use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
+use crate::engine::InferenceEngine;
 use crate::health::HealthConfig;
-use crate::membership::{MembershipController, MembershipDriver};
+use crate::membership::Recovery;
 use crate::metrics::ServingMetrics;
-use crate::request::{Completion, Request};
+use crate::request::Request;
+use crate::runner::drive;
 
 /// Parameters of the elastic-recovery pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,159 +55,6 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Request driver steered by a [`MembershipController`]: submits arrivals,
-/// defers them mid-replan, and requeues what the engine abandons.
-pub(crate) struct RecoveryRunner<'a, E: InferenceEngine + ?Sized> {
-    engine: &'a mut E,
-    requests: Vec<Request>,
-    metrics: ServingMetrics,
-    /// Requests neither completed nor shed.
-    outstanding: usize,
-    /// Terminal (completed or shed) flags, indexed by request id.
-    done: Vec<bool>,
-    /// Arrivals deferred during a replan plus cancelled in-flight requests,
-    /// in arrival order (front = oldest).
-    deferred: VecDeque<u64>,
-    /// Cancelled in-flight ids whose KV the replan must rebuild.
-    lost: Vec<u64>,
-}
-
-impl<'a, E: InferenceEngine + ?Sized> RecoveryRunner<'a, E> {
-    /// Creates a runner over `requests` (dense ids, sorted by arrival).
-    pub(crate) fn new(engine: &'a mut E, requests: Vec<Request>) -> Self {
-        RecoveryRunner {
-            engine,
-            outstanding: requests.len(),
-            done: vec![false; requests.len()],
-            requests,
-            metrics: ServingMetrics::new(),
-            deferred: VecDeque::new(),
-            lost: Vec::new(),
-        }
-    }
-
-    /// Requeues the requests a replan abandoned ahead of every deferred
-    /// arrival (they are older) and keeps them for KV pricing.
-    fn requeue(&mut self, mut cancelled: Vec<u64>) {
-        cancelled.sort_unstable();
-        cancelled.retain(|&id| !self.done[id as usize]);
-        for &id in cancelled.iter().rev() {
-            self.deferred.push_front(id);
-        }
-        self.lost = cancelled;
-    }
-}
-
-impl<E: InferenceEngine + ?Sized> MembershipDriver for RecoveryRunner<'_, E> {
-    fn metrics(&mut self) -> &mut ServingMetrics {
-        &mut self.metrics
-    }
-
-    fn start(&mut self, sim: &mut Simulation) -> bool {
-        assert!(
-            // Ids must stay clear of the drain/recovered/health marker bits.
-            self.requests.len() < (1u64 << 55) as usize,
-            "request count overflows the recovery-runner token namespace"
-        );
-        let Some(first) = self.requests.first() else { return false };
-        for (i, r) in self.requests.iter().enumerate() {
-            debug_assert_eq!(r.id as usize, i, "request ids must be dense arrival indices");
-            debug_assert!(
-                i == 0 || self.requests[i - 1].arrival <= r.arrival,
-                "requests must be sorted by arrival"
-            );
-        }
-        sim.set_timer(first.arrival, RUNNER_TOKEN_BASE);
-        true
-    }
-
-    fn on_wake(&mut self, wake: Wake, serving: bool, sim: &mut Simulation) {
-        match wake {
-            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
-                let id = (token & !RUNNER_TOKEN_BASE) as usize;
-                if let Some(next) = self.requests.get(id + 1) {
-                    sim.set_timer(next.arrival, RUNNER_TOKEN_BASE | next.id);
-                }
-                if serving {
-                    self.engine.submit(self.requests[id], sim);
-                } else {
-                    // Mid-replan arrivals wait it out.
-                    self.deferred.push_back(id as u64);
-                }
-            }
-            other => self.engine.on_wake(other, sim),
-        }
-    }
-
-    fn collect(&mut self, _serving: bool, _sim: &mut Simulation) -> bool {
-        for (id, finished) in self.engine.drain_completions() {
-            let idx = id as usize;
-            if self.done[idx] {
-                continue;
-            }
-            self.done[idx] = true;
-            let arrival = self.requests[idx].arrival;
-            self.metrics.record(Completion { id, arrival, finished });
-            self.outstanding = self.outstanding.saturating_sub(1);
-        }
-        self.outstanding == 0
-    }
-
-    fn on_loss(&mut self, dead: DeviceId, survivors: &[DeviceId], sim: &mut Simulation) {
-        let cancelled = self.engine.on_device_loss(dead, survivors, sim);
-        self.requeue(cancelled);
-    }
-
-    fn on_rejoin(&mut self, rejoined: DeviceId, devices: &[DeviceId], sim: &mut Simulation) {
-        let cancelled = self.engine.on_device_rejoin(rejoined, devices, sim);
-        self.requeue(cancelled);
-    }
-
-    fn kv_to_price(&mut self) -> Vec<(u32, u32)> {
-        std::mem::take(&mut self.lost)
-            .into_iter()
-            .map(|id| {
-                let shape = self.requests[id as usize].shape;
-                (shape.batch, shape.phase.kv_len())
-            })
-            .collect()
-    }
-
-    fn backlog(&mut self) -> &mut VecDeque<u64> {
-        &mut self.deferred
-    }
-
-    fn shed(&mut self, id: u64) {
-        let idx = id as usize;
-        if !self.done[idx] {
-            self.done[idx] = true;
-            self.outstanding = self.outstanding.saturating_sub(1);
-        }
-    }
-
-    fn readmit(&mut self, ids: Vec<u64>) {
-        for id in ids {
-            self.done[id as usize] = false;
-            self.outstanding += 1;
-            self.deferred.push_back(id);
-        }
-        // Re-admitted sheds are older than deferred arrivals; restore
-        // arrival order before resubmitting.
-        let mut backlog: Vec<u64> = std::mem::take(&mut self.deferred).into();
-        backlog.sort_unstable();
-        backlog.dedup();
-        self.deferred = backlog.into();
-    }
-
-    fn resume(&mut self, sim: &mut Simulation) {
-        while let Some(id) = self.deferred.pop_front() {
-            if !self.done[id as usize] {
-                self.engine.submit(self.requests[id as usize], sim);
-            }
-        }
-    }
-}
-
 /// Serves `requests` with `engine` on `sim` under the elastic-recovery
 /// pipeline; `model` and `cost` price the KV-recovery work. Returns the
 /// metrics, including the recovery counters and phase timeline.
@@ -226,23 +70,14 @@ pub fn serve_with_recovery<E: InferenceEngine + ?Sized>(
     config: RecoveryConfig,
 ) -> ServingMetrics {
     config.health.validate().expect("invalid health config");
-    let mut controller = MembershipController::new(
-        RecoveryRunner::new(engine, requests),
-        model,
-        cost,
-        config.policy,
-        Some(config.health),
-        config.admission,
-    );
-    sim.run_to_completion(&mut controller);
-    controller.into_driver().metrics
+    drive(sim, engine, requests, None, Some(Recovery { model, cost, config }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{sim, StepToy};
-    use liger_gpu_sim::{FaultSpec, SimDuration, SimTime};
+    use liger_gpu_sim::{DeviceId, FaultSpec, SimDuration, SimTime};
     use liger_model::BatchShape;
 
     fn trace(n: usize, gap_us: u64) -> Vec<Request> {

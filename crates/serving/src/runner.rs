@@ -1,9 +1,14 @@
-//! The serving runner: feeds a request trace into an engine running on the
-//! simulator and collects metrics.
+//! The request driver: feeds a request trace into an engine running on the
+//! simulator and collects metrics. [`serve`], [`serve_with_policy`] and
+//! [`serve_with_recovery`](crate::recovery::serve_with_recovery) all run it
+//! under the crate's membership controller.
 
-use liger_gpu_sim::{CoreSelect, Driver, SimDuration, Simulation, Wake};
+use std::collections::VecDeque;
+
+use liger_gpu_sim::{CoreSelect, DeviceId, SimDuration, Simulation, Wake};
 
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
+use crate::membership::{MembershipController, MembershipDriver, Recovery};
 use crate::metrics::ServingMetrics;
 use crate::request::{Completion, Request};
 
@@ -56,98 +61,62 @@ impl RetryPolicy {
     }
 }
 
-/// Per-request fault-reaction state.
+/// Per-request state.
 #[derive(Debug, Clone, Copy, Default)]
 struct RequestState {
     /// Retries consumed so far.
     attempts: u32,
     /// A kernel of the current attempt failed; retry on completion.
     tainted: bool,
-    /// A completion has been recorded; late wakes are ignored.
+    /// Completed or shed; late wakes and completions are ignored.
     done: bool,
 }
 
-/// Drives one serving experiment: arrival timers → engine submissions →
-/// completion collection → stop when the whole trace has been served.
-///
-/// With a [`RetryPolicy`] attached (see [`serve_with_policy`]), the runner
-/// additionally reacts to [`Wake::KernelFailed`]: the affected request is
-/// marked tainted and resubmitted with exponential backoff once its current
-/// attempt drains, and per-request timeouts are tallied into the metrics.
-pub struct ServingRunner<'a, E: InferenceEngine + ?Sized> {
+/// The request driver: submits arrivals, retries failed attempts under a
+/// [`RetryPolicy`], and, steered by a [`MembershipController`], defers
+/// arrivals mid-replan and requeues what the engine abandons.
+pub(crate) struct RequestDriver<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     requests: Vec<Request>,
     metrics: ServingMetrics,
+    /// Requests neither completed nor shed.
     outstanding: usize,
-    policy: Option<RetryPolicy>,
+    retry: Option<RetryPolicy>,
+    /// Indexed by request id.
     states: Vec<RequestState>,
+    /// Arrivals deferred during a replan plus cancelled in-flight requests,
+    /// in arrival order (front = oldest).
+    deferred: VecDeque<u64>,
+    /// Cancelled in-flight ids whose KV the replan must rebuild.
+    lost: Vec<u64>,
 }
 
-impl<'a, E: InferenceEngine + ?Sized> ServingRunner<'a, E> {
-    /// Creates a runner over `requests` (any order; they are indexed by id).
-    pub fn new(engine: &'a mut E, requests: Vec<Request>) -> Self {
-        let outstanding = requests.len();
-        let states = vec![RequestState::default(); requests.len()];
-        ServingRunner {
-            engine,
-            requests,
-            metrics: ServingMetrics::new(),
-            outstanding,
-            policy: None,
-            states,
+impl<E: InferenceEngine + ?Sized> RequestDriver<'_, E> {
+    /// Requeues the requests a replan abandoned ahead of every deferred
+    /// arrival (they are older) and keeps them for KV pricing.
+    fn requeue(&mut self, mut cancelled: Vec<u64>) {
+        cancelled.sort_unstable();
+        cancelled.retain(|&id| !self.states[id as usize].done);
+        for &id in cancelled.iter().rev() {
+            self.deferred.push_front(id);
         }
-    }
-
-    /// [`Self::new`] with a degraded-mode reaction policy attached.
-    pub fn with_policy(engine: &'a mut E, requests: Vec<Request>, policy: RetryPolicy) -> Self {
-        let mut runner = ServingRunner::new(engine, requests);
-        runner.policy = Some(policy);
-        runner
-    }
-
-    /// The collected metrics (complete once the simulation has stopped).
-    pub fn into_metrics(self) -> ServingMetrics {
-        self.metrics
-    }
-
-    fn collect(&mut self, sim: &mut Simulation) {
-        for (id, finished) in self.engine.drain_completions() {
-            let idx = id as usize;
-            // A tainted attempt finished: resubmit after backoff instead of
-            // recording, while the retry budget lasts.
-            if let Some(policy) = self.policy {
-                let s = &mut self.states[idx];
-                if s.tainted && s.attempts < policy.max_retries {
-                    s.tainted = false;
-                    let delay = policy.delay(s.attempts);
-                    s.attempts += 1;
-                    self.metrics.faults_mut().retries += 1;
-                    sim.set_timer(sim.now() + delay, RUNNER_TOKEN_BASE | RETRY_BIT | id);
-                    continue;
-                }
-            }
-            self.states[idx].done = true;
-            let arrival = self.requests[idx].arrival;
-            self.metrics.record(Completion { id, arrival, finished });
-            self.outstanding = self.outstanding.saturating_sub(1);
-        }
-        if self.outstanding == 0 {
-            sim.request_stop();
-        }
+        self.lost = cancelled;
     }
 }
 
-impl<E: InferenceEngine + ?Sized> Driver for ServingRunner<'_, E> {
-    fn start(&mut self, sim: &mut Simulation) {
+impl<E: InferenceEngine + ?Sized> MembershipDriver for RequestDriver<'_, E> {
+    fn metrics(&mut self) -> &mut ServingMetrics {
+        &mut self.metrics
+    }
+
+    fn start(&mut self, sim: &mut Simulation) -> bool {
         assert!(
-            // Ids must stay clear of the RETRY/TIMEOUT marker bits.
-            self.requests.len() < (1u64 << 60) as usize,
+            // Ids must stay clear of the retry, timeout and controller
+            // marker bits.
+            self.requests.len() < (1u64 << 55) as usize,
             "request count overflows the runner token namespace"
         );
-        if self.requests.is_empty() {
-            sim.request_stop();
-            return;
-        }
+        let Some(first) = self.requests.first() else { return false };
         for (i, r) in self.requests.iter().enumerate() {
             debug_assert_eq!(r.id as usize, i, "request ids must be dense arrival indices");
             debug_assert!(
@@ -158,42 +127,43 @@ impl<E: InferenceEngine + ?Sized> Driver for ServingRunner<'_, E> {
         // Arrival timers are chained: only the next pending arrival has a
         // timer in flight, so the event heap holds O(in-flight batch) timer
         // entries instead of one per trace request up front.
-        sim.set_timer(self.requests[0].arrival, RUNNER_TOKEN_BASE);
+        sim.set_timer(first.arrival, RUNNER_TOKEN_BASE);
+        true
     }
 
-    fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
+    fn on_wake(&mut self, wake: Wake, serving: bool, sim: &mut Simulation) {
         match wake {
-            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 && token & RETRY_BIT != 0 => {
-                let id = (token & !(RUNNER_TOKEN_BASE | RETRY_BIT)) as usize;
-                if !self.states[id].done {
-                    let request = self.requests[id];
-                    self.engine.submit(request, sim);
-                }
-            }
-            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 && token & TIMEOUT_BIT != 0 => {
-                let id = (token & !(RUNNER_TOKEN_BASE | TIMEOUT_BIT)) as usize;
-                if !self.states[id].done {
-                    self.metrics.faults_mut().timeouts += 1;
-                }
-            }
             Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
-                let id = (token & !RUNNER_TOKEN_BASE) as usize;
+                let id = (token & !(RUNNER_TOKEN_BASE | RETRY_BIT | TIMEOUT_BIT)) as usize;
                 let request = self.requests[id];
-                if let Some(next) = self.requests.get(id + 1) {
-                    // `set_timer` clamps past deadlines to `now`, so a burst
-                    // of simultaneous arrivals still drains one per wake.
-                    sim.set_timer(next.arrival, RUNNER_TOKEN_BASE | next.id);
-                }
-                self.engine.submit(request, sim);
-                if let Some(policy) = self.policy {
-                    sim.set_timer(
-                        request.arrival + policy.timeout,
-                        RUNNER_TOKEN_BASE | TIMEOUT_BIT | request.id,
-                    );
+                if self.states[id].done {
+                    // A late retry or timeout of a finished request.
+                } else if token & TIMEOUT_BIT != 0 {
+                    self.metrics.faults_mut().timeouts += 1;
+                } else {
+                    // A first submission, not a retry: chain the next
+                    // arrival and arm this one's timeout.
+                    let fresh = token & RETRY_BIT == 0;
+                    if let Some(next) = self.requests.get(id + 1).filter(|_| fresh) {
+                        // `set_timer` clamps past deadlines to `now`, so a
+                        // burst of simultaneous arrivals still drains one
+                        // per wake.
+                        sim.set_timer(next.arrival, RUNNER_TOKEN_BASE | next.id);
+                    }
+                    if serving {
+                        self.engine.submit(request, sim);
+                    } else {
+                        // Mid-replan arrivals and retries wait it out.
+                        self.deferred.push_back(request.id);
+                    }
+                    if let Some(policy) = self.retry.filter(|_| fresh) {
+                        let deadline = request.arrival + policy.timeout;
+                        sim.set_timer(deadline, RUNNER_TOKEN_BASE | TIMEOUT_BIT | request.id);
+                    }
                 }
             }
             Wake::KernelFailed { tag, .. } => {
-                if self.policy.is_some() {
+                if self.retry.is_some() {
                     self.metrics.faults_mut().kernel_failures += 1;
                     if let Some(s) = self.states.get_mut(tag as usize) {
                         if !s.done {
@@ -206,8 +176,113 @@ impl<E: InferenceEngine + ?Sized> Driver for ServingRunner<'_, E> {
             }
             other => self.engine.on_wake(other, sim),
         }
-        self.collect(sim);
     }
+
+    fn collect(&mut self, _serving: bool, sim: &mut Simulation) -> bool {
+        for (id, finished) in self.engine.drain_completions() {
+            let idx = id as usize;
+            let s = &mut self.states[idx];
+            if s.done {
+                continue;
+            }
+            // A tainted attempt finished: resubmit after backoff instead of
+            // recording, while the retry budget lasts.
+            if let Some(policy) = self.retry {
+                if s.tainted && s.attempts < policy.max_retries {
+                    s.tainted = false;
+                    let delay = policy.delay(s.attempts);
+                    s.attempts += 1;
+                    self.metrics.faults_mut().retries += 1;
+                    sim.set_timer(sim.now() + delay, RUNNER_TOKEN_BASE | RETRY_BIT | id);
+                    continue;
+                }
+            }
+            s.done = true;
+            let arrival = self.requests[idx].arrival;
+            self.metrics.record(Completion { id, arrival, finished });
+            self.outstanding = self.outstanding.saturating_sub(1);
+        }
+        self.outstanding == 0
+    }
+
+    fn on_loss(&mut self, dead: DeviceId, survivors: &[DeviceId], sim: &mut Simulation) {
+        let cancelled = self.engine.on_device_loss(dead, survivors, sim);
+        self.requeue(cancelled);
+    }
+
+    fn on_rejoin(&mut self, rejoined: DeviceId, devices: &[DeviceId], sim: &mut Simulation) {
+        let cancelled = self.engine.on_device_rejoin(rejoined, devices, sim);
+        self.requeue(cancelled);
+    }
+
+    fn kv_to_price(&mut self) -> Vec<(u32, u32)> {
+        std::mem::take(&mut self.lost)
+            .into_iter()
+            .map(|id| {
+                let shape = self.requests[id as usize].shape;
+                (shape.batch, shape.phase.kv_len())
+            })
+            .collect()
+    }
+
+    fn backlog(&mut self) -> &mut VecDeque<u64> {
+        &mut self.deferred
+    }
+
+    fn shed(&mut self, id: u64) {
+        let s = &mut self.states[id as usize];
+        if !s.done {
+            s.done = true;
+            self.outstanding = self.outstanding.saturating_sub(1);
+        }
+    }
+
+    fn readmit(&mut self, ids: Vec<u64>) {
+        for id in ids {
+            self.states[id as usize].done = false;
+            self.outstanding += 1;
+            self.deferred.push_back(id);
+        }
+        // Re-admitted sheds are older than deferred arrivals; restore
+        // arrival order before resubmitting.
+        let mut backlog: Vec<u64> = std::mem::take(&mut self.deferred).into();
+        backlog.sort_unstable();
+        backlog.dedup();
+        self.deferred = backlog.into();
+    }
+
+    fn resume(&mut self, sim: &mut Simulation) {
+        while let Some(id) = self.deferred.pop_front() {
+            if !self.states[id as usize].done {
+                self.engine.submit(self.requests[id as usize], sim);
+            }
+        }
+    }
+}
+
+/// Serves `requests` (dense ids, sorted by arrival) with `engine` on `sim`,
+/// retrying under `retry` and recovering from confirmed losses and rejoins
+/// under `recovery`.
+pub(crate) fn drive<E: InferenceEngine + ?Sized>(
+    sim: &mut Simulation,
+    engine: &mut E,
+    requests: Vec<Request>,
+    retry: Option<RetryPolicy>,
+    recovery: Option<Recovery<'_>>,
+) -> ServingMetrics {
+    let driver = RequestDriver {
+        engine,
+        outstanding: requests.len(),
+        states: vec![RequestState::default(); requests.len()],
+        requests,
+        metrics: ServingMetrics::new(),
+        retry,
+        deferred: VecDeque::new(),
+        lost: Vec::new(),
+    };
+    let mut controller = MembershipController::new(driver, recovery);
+    sim.run_to_completion(&mut controller);
+    controller.into_driver().metrics
 }
 
 /// Serves `requests` with `engine` on `sim`; returns the metrics.
@@ -216,9 +291,7 @@ pub fn serve<E: InferenceEngine + ?Sized>(
     engine: &mut E,
     requests: Vec<Request>,
 ) -> ServingMetrics {
-    let mut runner = ServingRunner::new(engine, requests);
-    sim.run_to_completion(&mut runner);
-    runner.into_metrics()
+    drive(sim, engine, requests, None, None)
 }
 
 /// [`serve`]. Kept only because the repository benchmark (`perfbench/`)
@@ -241,9 +314,7 @@ pub fn serve_with_policy<E: InferenceEngine + ?Sized>(
     requests: Vec<Request>,
     policy: RetryPolicy,
 ) -> ServingMetrics {
-    let mut runner = ServingRunner::with_policy(engine, requests, policy);
-    sim.run_to_completion(&mut runner);
-    runner.into_metrics()
+    drive(sim, engine, requests, Some(policy), None)
 }
 
 #[cfg(test)]

@@ -47,9 +47,10 @@ use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
 use crate::generation::serve_generations;
 use crate::generation::{GenerationJob, GenerationMetrics, GenerationResult};
 use crate::health::HealthConfig;
-use crate::membership::{MembershipController, MembershipDriver};
+use crate::membership::{MembershipController, MembershipDriver, Recovery};
 use crate::metrics::ServingMetrics;
 use crate::prefix::{block_digests_into, output_token, SpecDecodeConfig};
+use crate::recovery::RecoveryConfig;
 use crate::request::{Completion, Request};
 
 /// Draft-burst timer namespace (bit 54); the low bits carry the round's
@@ -946,11 +947,15 @@ pub fn serve_continuous<E: InferenceEngine + ?Sized>(
     config: SchedulerConfig,
 ) -> ContinuousReport {
     config.validate().expect("invalid SchedulerConfig");
-    let (policy, health, admission) = (config.policy, config.health, config.admission);
+    let (policy, admission) = (config.policy, config.admission);
+    let recovery = config.health.map(|health| Recovery {
+        model,
+        cost,
+        config: RecoveryConfig { health, policy, admission },
+    });
     let scheduler =
         ContinuousScheduler::new(engine, jobs, model, cost, config, sim.alive_devices());
-    let mut controller =
-        MembershipController::new(scheduler, model, cost, policy, health, admission);
+    let mut controller = MembershipController::new(scheduler, recovery);
     sim.run_to_completion(&mut controller);
     controller.into_driver().into_report()
 }
