@@ -69,15 +69,20 @@ cargo test -q --release --test chaos
 # outputs (completion, bit-identical passes, repeatable allocation counts)
 # and prints one JSON line; a non-zero exit or "correct": false fails CI.
 # The simulator's host heap must follow the work in flight, not the trace;
-# every workload prints its peak. paper-prefill peaks near 0.28 MiB, and
-# above 0.4 MiB queued batches hold their whole op list again instead of
-# one priced layer (0.52 MiB; 414 MiB when event and collective records
-# were not reclaimed). chat-continuous peaks near
-# 1.2 MiB, and above 4 MiB freed device-memory allocations are being kept
-# again (a 40-byte record per allocation ever made took it to 6 MiB).
-# chat-device-loss peaks near 1.7 MiB, and above 4 MiB the health probes
-# dropped by its dead device keep full event records again (about 190 B
-# each took it to 7.6 MiB, and to 11.5 MiB at other seeds).
+# every workload prints its peak. paper-prefill peaks near 0.254 MiB, and
+# above 0.27 MiB freed device-memory ids keep a two-byte device index
+# again instead of two bits (0.281), or queued batches hold their whole op
+# list instead of one priced layer (0.52 MiB; 414 MiB when event and
+# collective records were not reclaimed). chat-continuous peaks near
+# 0.87 MiB, and above 1.0 MiB the continuous scheduler arms every arrival
+# timer up front again or the two-byte device index is back (1.18 MiB
+# with both; a 40-byte record per allocation ever made took it to 6 MiB).
+# chat-device-loss peaks near 1.38 MiB, and above 1.5 MiB the same two
+# costs are back (1.70 MiB), or the health probes dropped by its dead
+# device keep full event records again (about 190 B each took it to
+# 7.6 MiB, and to 11.5 MiB at other seeds). shared-prefix-cluster peaks
+# near 2.49 MiB, and above 2.6 MiB its two replicas arm every arrival up
+# front or keep the two-byte index again (2.70 MiB).
 # Scheduling rounds and serving steps must not allocate either:
 # paper-prefill makes about 1 allocation per request, and above 2 function
 # assembly no longer reuses a retired batch's op buffer (2.06), or a
@@ -98,10 +103,10 @@ for w in paper-prefill chat-continuous shared-prefix-cluster chat-device-loss; d
         *) echo "perfbench $w failed its checks: $result" >&2; exit 1 ;;
     esac
     case "$w" in
-        paper-prefill) heap_limit=0.4 alloc_limit=2 ;;
-        chat-continuous) heap_limit=4 alloc_limit=12 ;;
-        shared-prefix-cluster) heap_limit=none alloc_limit=12 ;;
-        chat-device-loss) heap_limit=4 alloc_limit=12 ;;
+        paper-prefill) heap_limit=0.27 alloc_limit=2 ;;
+        chat-continuous) heap_limit=1.0 alloc_limit=12 ;;
+        shared-prefix-cluster) heap_limit=2.6 alloc_limit=12 ;;
+        chat-device-loss) heap_limit=1.5 alloc_limit=12 ;;
     esac
     heap=$(printf '%s' "$result" |
         sed -n 's/.*"host_peak_heap_mib": {"value": \([0-9.eE+-]*\).*/\1/p')

@@ -337,6 +337,7 @@ impl JsonValue {
 /// positions.
 #[derive(Debug)]
 pub struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -344,7 +345,7 @@ pub struct JsonParser<'a> {
 impl<'a> JsonParser<'a> {
     /// Starts a parser at the beginning of `input`.
     pub fn new(input: &'a str) -> JsonParser<'a> {
-        JsonParser { bytes: input.as_bytes(), pos: 0 }
+        JsonParser { text: input, bytes: input.as_bytes(), pos: 0 }
     }
 
     /// The current byte offset (whitespace not yet skipped).
@@ -525,13 +526,15 @@ impl<'a> JsonParser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 passes through unchanged; advance by
-                    // whole characters to keep `out` valid.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::at(self.pos, "valid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as one
+                    // slice. Both are ASCII, so the run ends on a character
+                    // boundary and multi-byte UTF-8 passes through whole.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| self.pos + k);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -661,6 +664,50 @@ mod tests {
             let rendered = s.to_json();
             assert_eq!(JsonValue::parse(&rendered).unwrap().as_str(), Some(s));
         }
+    }
+
+    #[test]
+    fn multi_byte_characters_pass_through_beside_escapes() {
+        let v = JsonValue::parse(r#""é\nü\"ß€""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\nü\"ß€"));
+        let v = JsonValue::parse(r#"["\\日本", "語"]"#).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("\\日本"));
+        assert_eq!(items[1].as_str(), Some("語"));
+        // A key ending in a multi-byte character, then more input.
+        let v = JsonValue::parse(r#"{"ä": "x€"}"#).unwrap();
+        assert_eq!(v.get("ä").and_then(JsonValue::as_str), Some("x€"));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_between_plain_runs() {
+        let v = JsonValue::parse(r#""a\u00e9b\u20ACc\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("aéb€cA"));
+        let err = JsonValue::parse(r#""ab\u00G1""#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (5, "4 hex digits"));
+        let err = JsonValue::parse(r#""é\u12""#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (5, "4 hex digits"));
+        let err = JsonValue::parse(r#""\ud800""#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (3, "a non-surrogate code point"));
+    }
+
+    #[test]
+    fn an_unterminated_string_fails_at_the_end_of_input() {
+        let err = JsonValue::parse(r#""abc"#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (4, "'\"' closing a string"));
+        // Offsets are bytes: "é" is two of them.
+        let err = JsonValue::parse(r#"["é\n€"#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (9, "'\"' closing a string"));
+        let err = JsonValue::parse(r#""ab\"#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (4, "an escape character"));
+    }
+
+    #[test]
+    fn a_bad_escape_is_reported_at_its_character() {
+        let err = JsonValue::parse(r#""ab\x""#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (4, "a valid escape"));
+        let err = JsonValue::parse(r#""€\q""#).unwrap_err();
+        assert_eq!((err.offset, err.expected.as_str()), (5, "a valid escape"));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! the sanitizer can key on them. The tracker's memory still follows the
 //! allocations in flight, not the ones ever made: size and label live in
 //! the crate's slab of live records (`idtable::IdTable`) and go back to it
-//! on free. All that stays behind for a freed id is its device index, two
-//! bytes, which is what a double free needs to be charged to its device
-//! and traced there.
+//! on free. All that stays behind for a freed id is its device index, which
+//! is what a double free needs to be charged to its device and traced
+//! there. Indices are bit-packed at ⌈log₂ n⌉ bits for n devices: two bits
+//! per id on a 4-GPU node, none at all on one GPU.
 
 use std::fmt;
 
@@ -91,9 +92,9 @@ struct Allocation {
 /// All accounting — in-use, peak, and the double-free bug counter — is kept
 /// strictly per device; node-wide totals are derived sums.
 ///
-/// Live allocations sit in a slab whose slots are recycled on free, and one
-/// `u16` device index per issued id outlives them. An issued id with no
-/// live record is therefore a freed one: [`MemoryTracker::info`] still
+/// Live allocations sit in a slab whose slots are recycled on free, and a
+/// bit-packed device index per issued id outlives them. An issued id with
+/// no live record is therefore a freed one: [`MemoryTracker::info`] still
 /// reports its device, and a second [`MemoryTracker::free`] is charged to
 /// that device, but its size and label are no longer known.
 #[derive(Debug, Default, Clone)]
@@ -103,8 +104,66 @@ pub struct MemoryTracker {
     peak: Vec<u64>,
     live: IdTable<Allocation>,
     /// Device index of every id issued, live or freed.
-    devices: Vec<u16>,
+    devices: DeviceIndex,
     double_frees: Vec<u64>,
+}
+
+/// One device index per issued id, `bits` bits each, packed into `u64`
+/// words. An entry may straddle two words when `bits` does not divide 64.
+#[derive(Debug, Default, Clone)]
+struct DeviceIndex {
+    /// Bits per entry: ⌈log₂ n⌉ for n devices, so 0 on a single device.
+    bits: u32,
+    /// Entries pushed so far.
+    len: u64,
+    words: Vec<u64>,
+}
+
+impl DeviceIndex {
+    /// An empty index for `devices` devices (at most `u16::MAX`).
+    fn new(devices: usize) -> DeviceIndex {
+        let bits = usize::BITS - devices.saturating_sub(1).leading_zeros();
+        DeviceIndex { bits, len: 0, words: Vec::new() }
+    }
+
+    /// Word and bit offset of entry `i`.
+    fn position(&self, i: u64) -> (usize, u32) {
+        let at = i * u64::from(self.bits);
+        ((at / 64) as usize, (at % 64) as u32)
+    }
+
+    /// Appends the entry of the next id.
+    fn push(&mut self, device: usize) {
+        debug_assert!(device >> self.bits == 0, "device {device} exceeds {} bits", self.bits);
+        let (word, offset) = self.position(self.len);
+        self.len += 1;
+        // Zero-filled words are empty entries; a single device needs none.
+        self.words.resize((self.len * u64::from(self.bits)).div_ceil(64) as usize, 0);
+        if self.bits == 0 {
+            return;
+        }
+        let value = device as u64;
+        self.words[word] |= value << offset;
+        if offset + self.bits > 64 {
+            self.words[word + 1] |= value >> (64 - offset);
+        }
+    }
+
+    /// Entry `i`, or `None` when no id `i` was issued.
+    fn get(&self, i: u64) -> Option<usize> {
+        if i >= self.len {
+            return None;
+        }
+        if self.bits == 0 {
+            return Some(0);
+        }
+        let (word, offset) = self.position(i);
+        let mut value = self.words[word] >> offset;
+        if offset + self.bits > 64 {
+            value |= self.words[word + 1] << (64 - offset);
+        }
+        Some((value & ((1 << self.bits) - 1)) as usize)
+    }
 }
 
 impl MemoryTracker {
@@ -120,7 +179,7 @@ impl MemoryTracker {
             in_use: vec![0; n],
             peak: vec![0; n],
             live: IdTable::default(),
-            devices: Vec::new(),
+            devices: DeviceIndex::new(n),
             double_frees: vec![0; n],
         }
     }
@@ -147,8 +206,7 @@ impl MemoryTracker {
         self.peak[d] = self.peak[d].max(self.in_use[d]);
         let (id, slot) = self.live.alloc();
         self.live[slot] = Allocation { bytes, label };
-        // Fits: `new` bounds the device count by `u16`.
-        self.devices.push(d as u16);
+        self.devices.push(d);
         Ok(AllocationId(id))
     }
 
@@ -183,8 +241,8 @@ impl MemoryTracker {
 
     /// Device index of issued id `id`.
     fn device_index(&self, id: AllocationId) -> usize {
-        match self.devices.get(id.0 as usize) {
-            Some(&d) => usize::from(d),
+        match self.devices.get(id.0) {
+            Some(d) => d,
             None => panic!("unknown allocation {}", id.0),
         }
     }
@@ -220,7 +278,7 @@ impl MemoryTracker {
     pub fn live_allocations(&self, device: DeviceId) -> Vec<(&'static str, u64)> {
         self.live
             .iter_live()
-            .filter(|&(id, _)| usize::from(self.devices[id as usize]) == device.0)
+            .filter(|&(id, _)| self.devices.get(id) == Some(device.0))
             .map(|(_, slot)| (self.live[slot].label, self.live[slot].bytes))
             .collect()
     }
@@ -228,7 +286,7 @@ impl MemoryTracker {
     /// What is known about `id`, if it was ever handed out by this tracker:
     /// device, size and label while it is live, only the device once freed.
     pub fn info(&self, id: AllocationId) -> Option<AllocationInfo> {
-        let device = DeviceId(usize::from(*self.devices.get(id.0 as usize)?));
+        let device = DeviceId(self.devices.get(id.0)?);
         Some(match self.live.slot(id.0) {
             Some(slot) => {
                 let a = &self.live[slot];
@@ -404,6 +462,118 @@ mod tests {
             let sum: u64 = live.iter().map(|&(_, b)| b).sum();
             assert_eq!(t.in_use(DeviceId(d)), sum);
         }
+    }
+
+    /// Allocates `ids` ids over `n` devices, each id's device drawn from a
+    /// pattern that reaches the last device, frees every third one, and
+    /// checks what [`MemoryTracker::info`] reports for every id against the
+    /// expected device and the packed index's size.
+    fn index_roundtrip(n: usize, bits: u32) {
+        let mut t = MemoryTracker::new(vec![1 << 40; n]);
+        assert_eq!(t.devices.bits, bits);
+        // Enough entries to fill several words, whatever the entry width.
+        let ids = 3 * 64 + 7;
+        let device_of = |i: u64| if i % 4 == 3 { n - 1 } else { (i as usize * 7 + 3) % n };
+        for i in 0..ids {
+            let a = t.alloc(DeviceId(device_of(i)), 1, "x").unwrap();
+            assert_eq!(a, AllocationId(i));
+            if i % 3 == 0 {
+                t.free(a);
+            }
+        }
+        assert_eq!(t.devices.words.len() as u64, (ids * u64::from(bits)).div_ceil(64));
+        for i in 0..ids {
+            let device = DeviceId(device_of(i));
+            let expect = if i % 3 == 0 {
+                AllocationInfo::Freed { device }
+            } else {
+                AllocationInfo::Live { device, bytes: 1, label: "x" }
+            };
+            assert_eq!(t.info(AllocationId(i)), Some(expect), "id {i} of {n} devices");
+        }
+        assert_eq!(t.info(AllocationId(ids)), None);
+    }
+
+    #[test]
+    fn one_device_needs_no_index_bits() {
+        index_roundtrip(1, 0);
+    }
+
+    #[test]
+    fn two_and_three_devices_pack_one_and_two_bits() {
+        index_roundtrip(2, 1);
+        index_roundtrip(3, 2);
+    }
+
+    #[test]
+    fn five_devices_straddle_word_boundaries_at_three_bits() {
+        index_roundtrip(5, 3);
+    }
+
+    #[test]
+    fn the_largest_node_packs_sixteen_bits() {
+        index_roundtrip(usize::from(u16::MAX), 16);
+    }
+
+    #[test]
+    fn a_tracker_without_devices_issues_nothing() {
+        let t = MemoryTracker::new(Vec::new());
+        assert_eq!(t.devices.bits, 0);
+        assert_eq!(t.info(AllocationId(0)), None);
+        assert!(panics(|| MemoryTracker::new(Vec::new()).free(AllocationId(0))));
+    }
+
+    #[test]
+    fn random_churn_matches_an_unpacked_reference() {
+        crate::testkit::check("memory-tracker-vs-u16-reference", 64, |g| {
+            let n = g.usize_in(1, 10);
+            let mut t = MemoryTracker::new(vec![u64::MAX; n]);
+            // The reference: one `u16` device and a live flag per issued
+            // id, with sizes and labels for the live ones.
+            let mut devices: Vec<u16> = Vec::new();
+            let mut live: Vec<Option<(u64, &'static str)>> = Vec::new();
+            let mut double_frees = vec![0u64; n];
+            for _ in 0..g.usize_in(1, 400) {
+                if devices.is_empty() || g.usize_in(0, 3) > 0 {
+                    let d = g.usize_in(0, n);
+                    let (bytes, label) = (g.u64_in(0, 1 << 20), *g.choose(&["w", "kv", "act"]));
+                    let a = t.alloc(DeviceId(d), bytes, label).unwrap();
+                    assert_eq!(a.0, devices.len() as u64);
+                    devices.push(d as u16);
+                    live.push(Some((bytes, label)));
+                } else {
+                    let id = g.usize_in(0, devices.len());
+                    if live[id].take().is_some() {
+                        t.free(AllocationId(id as u64));
+                    } else {
+                        double_frees[usize::from(devices[id])] += 1;
+                        assert_eq!(
+                            panics(|| t.free(AllocationId(id as u64))),
+                            cfg!(debug_assertions)
+                        );
+                    }
+                }
+            }
+            for (id, (&d, record)) in devices.iter().zip(&live).enumerate() {
+                let device = DeviceId(usize::from(d));
+                let expect = match *record {
+                    Some((bytes, label)) => AllocationInfo::Live { device, bytes, label },
+                    None => AllocationInfo::Freed { device },
+                };
+                assert_eq!(t.info(AllocationId(id as u64)), Some(expect));
+            }
+            assert_eq!(t.info(AllocationId(devices.len() as u64)), None);
+            for (d, &frees) in double_frees.iter().enumerate() {
+                assert_eq!(t.double_frees_on(DeviceId(d)), frees);
+                let expect: Vec<(&str, u64)> = devices
+                    .iter()
+                    .zip(&live)
+                    .filter(|&(&dev, _)| usize::from(dev) == d)
+                    .filter_map(|(_, record)| record.map(|(bytes, label)| (label, bytes)))
+                    .collect();
+                assert_eq!(t.live_allocations(DeviceId(d)), expect);
+            }
+        });
     }
 
     #[test]

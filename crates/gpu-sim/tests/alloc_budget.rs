@@ -10,7 +10,8 @@
 //! Fired events and finished collectives give their records back, so the
 //! simulator's live heap follows the synchronisation in flight, not the
 //! length of the run. Freed device-memory allocations give theirs back too,
-//! keeping only a two-byte device index per id. A heartbeat probe whose
+//! keeping only a bit-packed device index per id (two bits on four
+//! devices). A heartbeat probe whose
 //! record a dead device dropped can never fire on its own; it gives its
 //! record back as well, keeping a 16-byte entry.
 //!
@@ -291,12 +292,13 @@ fn device_memory_peak(sets: usize) -> u64 {
 #[test]
 fn device_memory_heap_stays_flat_as_the_run_doubles() {
     // 4 * 15,000 allocations stay under 2^16 ids, and twice that under
-    // 2^17, so the device index grows by exactly one doubling.
+    // 2^17, so the device index grows by exactly one doubling: two bits
+    // per id on four devices, a quarter byte per extra allocation.
     const SETS: usize = 15_000;
     let once = device_memory_peak(SETS);
     let twice = device_memory_peak(2 * SETS);
     let extra = (SETS * DEVICES) as u64;
-    let bound = once + 2 * extra + 64 * 1024;
+    let bound = once + extra / 2 + 64 * 1024;
     assert!(
         twice <= bound,
         "peak live heap {twice} B over {} working sets exceeds {bound} B ({once} B over {SETS})",

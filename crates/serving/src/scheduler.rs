@@ -216,6 +216,11 @@ impl SeqState {
 pub(crate) struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     jobs: Vec<GenerationJob>,
+    /// Job indices in (arrival, index) order, sorted at start: the order
+    /// the chained arrival timers fire in.
+    arrivals: Vec<u32>,
+    /// Position in `arrivals` of the next arrival to arm.
+    next_arrival: usize,
     model: &'a ModelConfig,
     cost: &'a CostModel,
     config: SchedulerConfig,
@@ -269,6 +274,8 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
             outstanding: jobs.len(),
             done: vec![false; jobs.len()],
             jobs,
+            arrivals: Vec::new(),
+            next_arrival: 0,
             model,
             cost,
             pool: BlockPool::new(config.pool, devices),
@@ -300,6 +307,15 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
             generation: self.generation,
             serving: self.serving,
             outputs: self.outputs,
+        }
+    }
+
+    /// Arms the timer of the next arrival in (arrival, index) order, if any
+    /// is left.
+    fn arm_next_arrival(&mut self, sim: &mut Simulation) {
+        if let Some(&i) = self.arrivals.get(self.next_arrival) {
+            self.next_arrival += 1;
+            sim.set_timer(self.jobs[i as usize].arrival, RUNNER_TOKEN_BASE | u64::from(i));
         }
     }
 
@@ -756,14 +772,21 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
 
     fn start(&mut self, sim: &mut Simulation) -> bool {
         assert!(
-            // Indices must stay clear of the drain/recovered/expanded/
-            // health/spec-draft marker bits (the lowest is bit 53).
-            self.jobs.len() < (1u64 << 53) as usize,
+            // Indices must fit the `u32` arrival order, which also keeps
+            // them clear of the drain/recovered/expanded/health/spec-draft
+            // marker bits (the lowest is bit 53).
+            u32::try_from(self.jobs.len()).is_ok(),
             "job count overflows the scheduler token namespace"
         );
-        for (i, job) in self.jobs.iter().enumerate() {
-            sim.set_timer(job.arrival, RUNNER_TOKEN_BASE | i as u64);
-        }
+        // Arrival timers are chained: only the next pending arrival has a
+        // timer in flight, so the event heap holds no per-trace entries.
+        // Each arrival arms its successor before it is handled, in the
+        // (arrival, index) order that timers armed all up front fire in,
+        // so unsorted job lists keep working.
+        let jobs = &self.jobs;
+        self.arrivals = (0..jobs.len() as u32).collect();
+        self.arrivals.sort_unstable_by_key(|&i| (jobs[i as usize].arrival, i));
+        self.arm_next_arrival(sim);
         !self.jobs.is_empty()
     }
 
@@ -778,6 +801,7 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
                 }
             }
             Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
+                self.arm_next_arrival(sim);
                 let id = token & !RUNNER_TOKEN_BASE;
                 let job = self.jobs[id as usize];
                 self.states.insert(id, SeqState { job, first_token: None, steps_done: 0 });
@@ -1161,6 +1185,45 @@ mod tests {
         let r = run(1, FaultSpec::new(1), Vec::new(), config(1024, 8));
         assert_eq!(r.generation.completed(), 0);
         assert_eq!(r.serving.completed(), 0);
+    }
+
+    #[test]
+    fn jobs_arriving_together_are_admitted_in_index_order() {
+        // One sequence at a time, so first tokens come out in admission
+        // order. Ids run against the indices: ties go by index, not id.
+        let jobs = vec![
+            job(40, 16, 3, 100),
+            job(7, 16, 3, 0),
+            job(30, 16, 3, 100),
+            job(20, 16, 3, 100),
+            job(9, 16, 3, 50),
+        ];
+        let mut cfg = config(1024, 64);
+        cfg.max_running = 1;
+        let r = run(1, FaultSpec::new(1), jobs, cfg);
+        let mut results = r.generation.results().to_vec();
+        results.sort_by_key(|x| x.first_token);
+        let order: Vec<u64> = results.iter().map(|x| x.id).collect();
+        assert_eq!(order, vec![7, 9, 40, 30, 20]);
+        assert!(results.windows(2).all(|w| w[0].first_token < w[1].first_token));
+    }
+
+    #[test]
+    fn shuffling_jobs_with_distinct_arrivals_changes_nothing() {
+        let jobs: Vec<GenerationJob> =
+            (0..12).map(|i| job(i, 16 + 8 * (i as u32 % 3), 4 + i as u32 % 5, 37 * i)).collect();
+        let run_in = |jobs: Vec<GenerationJob>| {
+            let mut r = run(2, FaultSpec::new(1), jobs, config(1024, 64));
+            let mut results = r.generation.results().to_vec();
+            results.sort_by_key(|x| x.id);
+            (results, std::mem::take(&mut r.outputs))
+        };
+        let sorted = run_in(jobs.clone());
+        assert_eq!(sorted.0.len(), 12);
+        // A fixed permutation: every index moves.
+        let shuffled: Vec<GenerationJob> = (0..12).map(|k| jobs[(5 * k + 7) % 12]).collect();
+        assert_eq!(run_in(shuffled), sorted);
+        assert_eq!(run_in(jobs.into_iter().rev().collect()), sorted);
     }
 
     fn shared_job(
