@@ -550,6 +550,11 @@ impl InferenceEngine for LigerEngine {
         std::mem::take(&mut self.completed)
     }
 
+    fn drain_completions_into(&mut self, out: &mut Vec<(u64, SimTime)>) {
+        // `append` leaves `completed` empty with its capacity kept.
+        out.append(&mut self.completed);
+    }
+
     fn on_device_loss(
         &mut self,
         _dead: DeviceId,

@@ -27,6 +27,9 @@
 //! Lookups of recent ids are one indexed load; spilled ids take a binary
 //! search. Every walk over live ids runs in id order, so callers that act on
 //! several records in turn keep the order they had over a dense table.
+//!
+//! The table is public so that other layers keep their own id-keyed records
+//! the same way: `liger-kvcache` holds its KV blocks in one.
 
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
@@ -39,8 +42,33 @@ const TOMBSTONE: u32 = u32::MAX;
 const WINDOW_SLACK: usize = 256;
 
 /// Live records keyed by dense, monotone, never-reused ids.
+///
+/// [`IdTable::alloc`] issues the next id (`0, 1, 2, ...`) with the slot of
+/// its record; records are read and written by slot (`table[slot]`), and
+/// [`IdTable::slot`] finds the slot of a live id. [`IdTable::reclaim`]
+/// retires an id for good and keeps its slot, record included, for the next
+/// `alloc`: a record that owns buffers keeps their capacity, so a table in
+/// steady state allocates nothing. Walks ([`IdTable::iter_live`],
+/// [`IdTable::for_each_live_mut`]) visit live ids in ascending order.
+///
+/// ```
+/// use liger_gpu_sim::IdTable;
+///
+/// let mut t: IdTable<Vec<u32>> = IdTable::default();
+/// let (a, sa) = t.alloc();
+/// t[sa].push(7);
+/// let (b, _) = t.alloc();
+/// t[sa].clear();
+/// t.reclaim(sa);
+/// let (c, sc) = t.alloc();
+/// assert_eq!((a, b, c), (0, 1, 2), "ids are never reused");
+/// assert_eq!(sc, sa, "the slot is");
+/// assert!(t[sc].capacity() >= 1, "and its record keeps its capacity");
+/// assert_eq!(t.slot(a), None);
+/// assert_eq!(t.iter_live().map(|(id, _)| id).collect::<Vec<_>>(), [b, c]);
+/// ```
 #[derive(Debug, Clone)]
-pub(crate) struct IdTable<T> {
+pub struct IdTable<T> {
     /// Record storage, indexed by slot.
     records: Vec<T>,
     /// The id occupying each slot (meaningful for live slots only).
@@ -74,7 +102,7 @@ impl<T: Default> IdTable<T> {
     /// Issues the next id and returns it with its slot. A recycled slot's
     /// record is handed back as the last [`IdTable::reclaim`] left it; a
     /// fresh slot holds `T::default()`.
-    pub(crate) fn alloc(&mut self) -> (u64, usize) {
+    pub fn alloc(&mut self) -> (u64, usize) {
         let id = self.issued();
         let slot = self.take_slot(id);
         self.window.push_back(slot);
@@ -126,19 +154,19 @@ impl<T: Default> IdTable<T> {
 
 impl<T> IdTable<T> {
     /// Number of ids issued so far: every id below it was handed out once.
-    pub(crate) fn issued(&self) -> u64 {
+    pub fn issued(&self) -> u64 {
         self.base + self.window.len() as u64
     }
 
     /// Number of live (not yet reclaimed) records.
-    pub(crate) fn live(&self) -> usize {
+    pub fn live(&self) -> usize {
         self.live
     }
 
     /// The slot of live id `id`, or `None` when `id` was reclaimed or never
     /// issued (tell the two apart with [`IdTable::issued`]).
     #[inline]
-    pub(crate) fn slot(&self, id: u64) -> Option<usize> {
+    pub fn slot(&self, id: u64) -> Option<usize> {
         if id >= self.base {
             match self.window.get((id - self.base) as usize) {
                 Some(&s) if s != TOMBSTONE => Some(s as usize),
@@ -151,7 +179,7 @@ impl<T> IdTable<T> {
 
     /// Reclaims the live record in `slot`: its id answers `None` from now on
     /// and the slot (record included) goes to the next [`IdTable::alloc`].
-    pub(crate) fn reclaim(&mut self, slot: usize) {
+    pub fn reclaim(&mut self, slot: usize) {
         let id = self.ids[slot];
         debug_assert_eq!(self.slot(id), Some(slot), "reclaiming a dead slot");
         if id >= self.base {
@@ -179,7 +207,7 @@ impl<T> IdTable<T> {
     }
 
     /// Live `(id, slot)` pairs in ascending id order.
-    pub(crate) fn iter_live(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+    pub fn iter_live(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
         let spilled = self.spill.iter().map(|&(id, s)| (id, s as usize));
         let windowed = self
             .window
@@ -188,6 +216,19 @@ impl<T> IdTable<T> {
             .filter(|&(_, &s)| s != TOMBSTONE)
             .map(move |(i, &s)| (self.base + i as u64, s as usize));
         spilled.chain(windowed)
+    }
+
+    /// Calls `f` with each live id and its record, in ascending id order.
+    pub fn for_each_live_mut(&mut self, mut f: impl FnMut(u64, &mut T)) {
+        let records = &mut self.records;
+        for &(id, s) in &self.spill {
+            f(id, &mut records[s as usize]);
+        }
+        for (i, &s) in self.window.iter().enumerate() {
+            if s != TOMBSTONE {
+                f(self.base + i as u64, &mut records[s as usize]);
+            }
+        }
     }
 }
 

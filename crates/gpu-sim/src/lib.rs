@@ -78,6 +78,7 @@ pub use device::DeviceSpec;
 pub use faults::{DeviceDown, FaultSpec, KernelFaultParams, LaunchSpikeParams, ParseError};
 pub use host::HostSpec;
 pub use ids::{CollectiveId, DeviceId, EventId, HostId, KernelId, StreamId, TimerId};
+pub use idtable::IdTable;
 pub use json::{JsonError, JsonParser, JsonValue, ToJson};
 pub use kernel::{KernelClass, KernelSpec};
 pub use memory::{AllocationId, AllocationInfo, MemoryTracker, OutOfMemory};

@@ -10,8 +10,8 @@
 //! Allocation ids are dense, monotone and never reused, so trace marks and
 //! the sanitizer can key on them. The tracker's memory still follows the
 //! allocations in flight, not the ones ever made: size and label live in
-//! the crate's slab of live records (`idtable::IdTable`) and go back to it
-//! on free. All that stays behind for a freed id is its device index, which
+//! the crate's slab of live records ([`IdTable`]) and go back to it on
+//! free. All that stays behind for a freed id is its device index, which
 //! is what a double free needs to be charged to its device and traced
 //! there. Indices are bit-packed at ⌈log₂ n⌉ bits for n devices: two bits
 //! per id on a 4-GPU node, none at all on one GPU.

@@ -49,7 +49,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use liger_gpu_sim::{AllocationId, DeviceId, Simulation};
+use liger_gpu_sim::{AllocationId, DeviceId, IdTable, Simulation};
 use liger_model::{blocks_for_tokens, kv_block_bytes, ModelConfig};
 
 /// Allocation label every KV block carries in traces and the tracker.
@@ -215,9 +215,11 @@ impl fmt::Display for OutOfBlocks {
 
 impl std::error::Error for OutOfBlocks {}
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Block {
     /// One backing allocation per live device (the block's shard on it).
+    /// Emptied when the block is freed; the slab hands the cleared list,
+    /// capacity kept, to a later block.
     allocs: Vec<(DeviceId, AllocationId)>,
     /// Sequences whose tables reference this block.
     refs: u32,
@@ -282,7 +284,10 @@ pub struct PoolStats {
 pub struct BlockPool {
     config: BlockPoolConfig,
     devices: Vec<DeviceId>,
-    blocks: BTreeMap<u64, Block>,
+    /// Live blocks by id. Ids are issued in allocation order and never
+    /// reused, and walks run in id order, so per-device page order is the
+    /// order the blocks were made.
+    blocks: IdTable<Block>,
     seqs: BTreeMap<u64, SeqEntry>,
     /// Content-hash index of published prompt-prefix blocks: chain hash →
     /// cached entry. The cache holds one reference on every indexed block.
@@ -292,11 +297,11 @@ pub struct BlockPool {
     prefix_of_block: BTreeMap<u64, u64>,
     /// Logical clock for prefix LRU ordering.
     prefix_clock: u64,
-    next_block: u64,
     stats: PoolStats,
-    /// Cleared page lists of freed blocks; `grow` backs new blocks with
-    /// them instead of allocating. Never longer than the peak live blocks.
-    spare_pages: Vec<Vec<(DeviceId, AllocationId)>>,
+    /// Pages of the block `grow` is backing. They move into the block's
+    /// record once every device has backed it, so a refused block issues
+    /// no id.
+    backing: Vec<(DeviceId, AllocationId)>,
     /// Cleared tables of released sequences; `grow`, `admit_with_prefix`
     /// and `share` start new tables from them. Never longer than the peak
     /// live sequences.
@@ -314,14 +319,13 @@ impl BlockPool {
         BlockPool {
             config,
             devices,
-            blocks: BTreeMap::new(),
+            blocks: IdTable::default(),
             seqs: BTreeMap::new(),
             prefix: BTreeMap::new(),
             prefix_of_block: BTreeMap::new(),
             prefix_clock: 0,
-            next_block: 0,
             stats: PoolStats::default(),
-            spare_pages: Vec::new(),
+            backing: Vec::new(),
             spare_tables: Vec::new(),
         }
     }
@@ -410,13 +414,9 @@ impl BlockPool {
         entry.table.reserve(delta as usize);
         let mut failed: Option<DeviceId> = None;
         for _ in 0..delta {
-            let mut allocs = match self.spare_pages.pop() {
-                Some(pages) => pages,
-                None => Vec::with_capacity(self.devices.len()),
-            };
             for &d in &self.devices {
                 match sim.alloc_memory(d, self.config.block_bytes, BLOCK_LABEL) {
-                    Ok(id) => allocs.push((d, id)),
+                    Ok(id) => self.backing.push((d, id)),
                     Err(_) => {
                         failed = Some(d);
                         break;
@@ -424,16 +424,16 @@ impl BlockPool {
                 }
             }
             if failed.is_some() {
-                for &(_, id) in &allocs {
+                for &(_, id) in &self.backing {
                     sim.free_memory(id);
                 }
-                allocs.clear();
-                self.spare_pages.push(allocs);
+                self.backing.clear();
                 break;
             }
-            let id = self.next_block;
-            self.next_block += 1;
-            self.blocks.insert(id, Block { allocs, refs: 1 });
+            let (id, slot) = self.blocks.alloc();
+            let block = &mut self.blocks[slot];
+            block.allocs.append(&mut self.backing);
+            block.refs = 1;
             self.stats.allocated += 1;
             entry.table.push(id);
         }
@@ -462,21 +462,34 @@ impl BlockPool {
         Ok(delta)
     }
 
-    /// Removes block `b` and frees its pages in device order, keeping the
-    /// emptied page list for a later `grow`. Counters are the caller's.
+    /// Block `b`, if it is live.
+    fn block(&self, b: u64) -> Option<&Block> {
+        self.blocks.slot(b).map(|s| &self.blocks[s])
+    }
+
+    /// Live block `b`, which a table or the prefix index references.
+    fn block_mut(&mut self, b: u64) -> &mut Block {
+        let slot = self.blocks.slot(b).expect("a reference names a live block");
+        &mut self.blocks[slot]
+    }
+
+    /// Frees block `b`'s pages in device order and retires its id; the slab
+    /// keeps the emptied page list for a later `grow`. Counters are the
+    /// caller's.
     fn free_block(&mut self, sim: &mut Simulation, b: u64) {
-        let mut block = self.blocks.remove(&b).expect("freeing a live block");
-        for &(_, id) in &block.allocs {
+        let slot = self.blocks.slot(b).expect("freeing a live block");
+        let allocs = &mut self.blocks[slot].allocs;
+        for &(_, id) in allocs.iter() {
             sim.free_memory(id);
         }
-        block.allocs.clear();
-        self.spare_pages.push(block.allocs);
+        allocs.clear();
+        self.blocks.reclaim(slot);
     }
 
     /// Drops one reference to block `b`, freeing it when that was the last
     /// one. Returns whether the block was freed.
     fn unref_block(&mut self, sim: &mut Simulation, b: u64) -> bool {
-        let block = self.blocks.get_mut(&b).expect("a reference names a live block");
+        let block = self.block_mut(b);
         block.refs -= 1;
         if block.refs > 0 {
             return false;
@@ -517,7 +530,7 @@ impl BlockPool {
         table.extend_from_slice(&entry.table);
         let cloned = SeqEntry { table, tokens: entry.tokens, rows: entry.rows };
         for &b in &cloned.table {
-            self.blocks.get_mut(&b).expect("table references a live block").refs += 1;
+            self.block_mut(b).refs += 1;
         }
         self.seqs.insert(dst, cloned);
     }
@@ -567,7 +580,7 @@ impl BlockPool {
         let cached_tokens = matched.len() as u32 * self.config.block_tokens;
         if cached_blocks > 0 {
             for &b in &matched {
-                self.blocks.get_mut(&b).expect("cached block is live").refs += 1;
+                self.block_mut(b).refs += 1;
             }
             self.seqs.insert(seq, SeqEntry { table: matched, tokens: cached_tokens, rows: 1 });
         } else {
@@ -624,7 +637,9 @@ impl BlockPool {
             }
             self.prefix.insert(h, PrefixEntry { block: b, parent, children: 0, last_used: clock });
             self.prefix_of_block.insert(b, h);
-            self.blocks.get_mut(&b).expect("table references a live block").refs += 1;
+            // `entry` borrows the tables, so look the block up field-wise.
+            let slot = self.blocks.slot(b).expect("table references a live block");
+            self.blocks[slot].refs += 1;
             published += 1;
             parent = Some(h);
         }
@@ -645,7 +660,7 @@ impl BlockPool {
                 .prefix
                 .iter()
                 .filter(|(_, e)| {
-                    e.children == 0 && self.blocks.get(&e.block).is_some_and(|b| b.refs == 1)
+                    e.children == 0 && self.block(e.block).is_some_and(|b| b.refs == 1)
                 })
                 .min_by_key(|(&h, e)| (e.last_used, h))
                 .map(|(&h, _)| h);
@@ -722,7 +737,7 @@ impl BlockPool {
             return 0;
         }
         let mut freed = 0;
-        for block in self.blocks.values_mut() {
+        self.blocks.for_each_live_mut(|_, block| {
             block.allocs.retain(|&(d, id)| {
                 if d == dead {
                     sim.free_memory(id);
@@ -730,7 +745,7 @@ impl BlockPool {
                 }
                 d != dead
             });
-        }
+        });
         self.devices.retain(|&d| d != dead);
         freed
     }
@@ -746,19 +761,20 @@ impl BlockPool {
         self.devices.push(rejoined);
         self.devices.sort_unstable_by_key(|d| d.0);
         let mut added = 0;
-        for block in self.blocks.values_mut() {
+        let bytes = self.config.block_bytes;
+        self.blocks.for_each_live_mut(|_, block| {
             let id = sim
-                .alloc_memory(rejoined, self.config.block_bytes, BLOCK_LABEL)
+                .alloc_memory(rejoined, bytes, BLOCK_LABEL)
                 .expect("an empty rejoined device backs every live block");
             block.allocs.push((rejoined, id));
             added += 1;
-        }
+        });
         added
     }
 
     /// Live (allocated, unreleased) blocks.
     pub fn live_blocks(&self) -> u64 {
-        self.blocks.len() as u64
+        self.blocks.live() as u64
     }
 
     /// Total blocks the budget holds.
@@ -778,7 +794,7 @@ impl BlockPool {
 
     /// Whether the pool holds no blocks (every serve must end here).
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.blocks.live() == 0
     }
 
     /// Number of sequences holding tables.
@@ -817,7 +833,7 @@ impl BlockPool {
                 ));
             }
             for &b in &entry.table {
-                if !self.blocks.contains_key(&b) {
+                if self.blocks.slot(b).is_none() {
                     return Err(format!("seq {seq} references dead block {b}"));
                 }
                 *refs.entry(b).or_insert(0) += 1;
@@ -835,7 +851,7 @@ impl BlockPool {
             *children.entry(p).or_insert(0) += 1;
         }
         for (&h, entry) in &self.prefix {
-            if !self.blocks.contains_key(&entry.block) {
+            if self.blocks.slot(entry.block).is_none() {
                 return Err(format!("prefix {h:#x} references dead block {}", entry.block));
             }
             if self.prefix_of_block.get(&entry.block) != Some(&h) {
@@ -858,7 +874,8 @@ impl BlockPool {
             }
             *refs.entry(entry.block).or_insert(0) += 1;
         }
-        for (&b, block) in &self.blocks {
+        for (b, slot) in self.blocks.iter_live() {
+            let block = &self.blocks[slot];
             let counted = refs.get(&b).copied().unwrap_or(0);
             if counted != block.refs {
                 return Err(format!(
@@ -1279,7 +1296,9 @@ mod tests {
             index.values().filter_map(|&(parent, _, _)| parent).collect();
         let victim = index
             .iter()
-            .filter(|&(h, &(_, block, _))| !parents.contains(h) && p.blocks[&block].refs == 1)
+            .filter(|&(h, &(_, block, _))| {
+                !parents.contains(h) && p.block(block).expect("indexed block is live").refs == 1
+            })
             .min_by_key(|&(&h, &(_, _, last_used))| (last_used, h))
             .map(|(&h, _)| h);
         (index, victim)

@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use liger_gpu_sim::testkit::{check, Gen};
-use liger_gpu_sim::{DeviceId, DeviceSpec, Driver, HostSpec, Simulation, Wake};
+use liger_gpu_sim::{DeviceId, DeviceSpec, Driver, HostSpec, Simulation, TraceMark, Wake};
 use liger_kvcache::{mix64, BlockPool, BlockPoolConfig};
 
 /// One random pool operation.
@@ -393,4 +393,166 @@ fn recycled_tables_and_page_lists_keep_the_pool_consistent() {
                 && cov.rejoined > 0,
         "the episodes missed a recycling path: {cov:?}"
     );
+}
+
+/// Pages (device, allocation id) of each live block, keyed by block id: the
+/// reference a pool walk in block-id order must match.
+type PagesById = BTreeMap<u64, Vec<(DeviceId, u64)>>;
+
+/// The `Alloc` (true) and `Free` (false) marks recorded since mark `seen`,
+/// in order, as `(alloc, device, allocation id)`; moves `seen` past them.
+fn new_marks(sim: &Simulation, seen: &mut usize) -> Vec<(bool, DeviceId, u64)> {
+    let marks = sim.trace().expect("trace capture is on").marks();
+    let out = marks[*seen..]
+        .iter()
+        .filter_map(|m| match *m {
+            TraceMark::Alloc { id, device, .. } => Some((true, device, id)),
+            TraceMark::Free { id, device, .. } => Some((false, device, id)),
+            _ => None,
+        })
+        .collect();
+    *seen = marks.len();
+    out
+}
+
+/// Grows single-row `seq` to `tokens` and records the pages of the blocks
+/// it gained in `reference`, one per live device in device order, from the
+/// new alloc marks. Returns whether the grow succeeded.
+fn grow_recorded(
+    pool: &mut BlockPool,
+    sim: &mut Simulation,
+    seen: &mut usize,
+    reference: &mut PagesById,
+    seq: u64,
+    tokens: u32,
+) -> bool {
+    let old = pool.seq_blocks(seq).map_or(0, <[u64]>::len);
+    let grown = pool.grow(sim, seq, tokens, 1).is_ok();
+    let marks = new_marks(sim, seen);
+    let added = pool.seq_blocks(seq).map_or(&[][..], |t| &t[old..]);
+    let per_block = pool.devices().len();
+    assert_eq!(marks.len(), added.len() * per_block, "one page per device and block");
+    for (&b, pages) in added.iter().zip(marks.chunks(per_block)) {
+        assert!(pages.iter().all(|&(alloc, _, _)| alloc), "a grow only allocates");
+        let pages = pages.iter().map(|&(_, d, id)| (d, id)).collect();
+        assert!(reference.insert(b, pages).is_none(), "block {b} issued twice");
+    }
+    grown
+}
+
+/// The pool walks its live blocks (device loss, rejoin) in block-id order
+/// even once a long-lived block has spilled out of its slab's window of
+/// recent ids. The prefix cache pins the first block while more than
+/// 2 x live + 256 later blocks churn through the slab, past the point where
+/// the window moves old live ids to its spill list; a `BTreeMap` reference
+/// built from the trace's allocation marks then predicts every page freed
+/// by a device loss and backed by its rejoin.
+#[test]
+fn slab_walks_match_a_block_id_ordered_reference_after_spill_churn() {
+    check("kv_pool_slab_order", 24, |g: &mut Gen| {
+        let devices = g.usize_in(2, 5);
+        let config = BlockPoolConfig {
+            block_tokens: 16,
+            block_bytes: 1 << 10,
+            budget_bytes: 64 << 10,
+            watermark: 0.9,
+        };
+        let mut builder =
+            Simulation::builder().devices(DeviceSpec::test_device(), devices).capture_trace(true);
+        for _ in 0..devices {
+            builder = builder.host(HostSpec::instant());
+        }
+        let mut sim = builder.build().unwrap();
+        let mut pool = BlockPool::new(config, sim.alive_devices());
+        let mut reference = PagesById::new();
+        let mut seen = 0;
+
+        // Seq 0's one full block goes into the prefix cache, which keeps it
+        // alive after the sequence is released.
+        assert!(grow_recorded(&mut pool, &mut sim, &mut seen, &mut reference, 0, 16));
+        let pinned = pool.seq_blocks(0).expect("grown")[0];
+        assert_eq!(pool.publish_prefix(0, &[mix64(0)]), 1);
+        assert_eq!(pool.release(&mut sim, 0), 0, "the cache still holds the block");
+
+        // Churn single-row sequences 1..6 until more than 2 x live + 256
+        // blocks have come and gone behind the pinned one.
+        let mut churned = 0u64;
+        while churned <= 2 * pool.live_blocks() + 256 {
+            let seq = g.u64_in(1, 6);
+            if g.usize_in(0, 3) < 2 {
+                let tokens = g.u32_in(1, 80);
+                grow_recorded(&mut pool, &mut sim, &mut seen, &mut reference, seq, tokens);
+            } else {
+                let freed = pool.release(&mut sim, seq);
+                churned += freed;
+                let marks = new_marks(&sim, &mut seen);
+                assert_eq!(marks.len() as u64, freed * pool.devices().len() as u64);
+                let live: BTreeSet<u64> = pool
+                    .seq_ids()
+                    .iter()
+                    .flat_map(|&s| pool.seq_blocks(s).unwrap())
+                    .copied()
+                    .collect();
+                reference.retain(|b, _| *b == pinned || live.contains(b));
+            }
+            assert_eq!(pool.live_blocks(), reference.len() as u64);
+        }
+        for seq in 1..6 {
+            let tokens = g.u32_in(1, 48);
+            grow_recorded(&mut pool, &mut sim, &mut seen, &mut reference, seq, tokens);
+        }
+        assert_eq!(reference.keys().next(), Some(&pinned), "the pinned block is the oldest");
+        pool.check_consistent().unwrap();
+
+        // A loss frees the dead device's page of every block, in block-id
+        // order.
+        let live = pool.devices().to_vec();
+        let dead = live[g.usize_in(0, live.len())];
+        let expect: Vec<(bool, DeviceId, u64)> = reference
+            .values_mut()
+            .map(|pages| {
+                let k = pages.iter().position(|&(d, _)| d == dead).expect("backed on every device");
+                let (d, id) = pages.remove(k);
+                (false, d, id)
+            })
+            .collect();
+        assert_eq!(pool.on_device_loss(&mut sim, dead), expect.len() as u64);
+        assert_eq!(new_marks(&sim, &mut seen), expect, "loss of {dead}");
+
+        // Its rejoin backs every block again, in block-id order: the k-th
+        // new page belongs to the k-th block of the reference.
+        assert_eq!(pool.on_device_rejoin(&mut sim, dead), reference.len() as u64);
+        let backed = new_marks(&sim, &mut seen);
+        assert_eq!(backed.len(), reference.len());
+        for (pages, &(alloc, d, id)) in reference.values_mut().zip(&backed) {
+            assert!(alloc && d == dead, "a rejoin allocates on the rejoined device");
+            pages.push((d, id));
+        }
+        pool.check_consistent().unwrap();
+
+        // Releasing each sequence, then flushing the cache, frees exactly
+        // the reference's pages, block by block in table order.
+        for seq in pool.seq_ids() {
+            let expect: Vec<(bool, DeviceId, u64)> = pool
+                .seq_blocks(seq)
+                .unwrap()
+                .iter()
+                .flat_map(|b| reference.remove(b).expect("a live block"))
+                .map(|(d, id)| (false, d, id))
+                .collect();
+            pool.release(&mut sim, seq);
+            assert_eq!(new_marks(&sim, &mut seen), expect, "release of seq {seq}");
+        }
+        let expect: Vec<(bool, DeviceId, u64)> = reference
+            .remove(&pinned)
+            .expect("pinned")
+            .into_iter()
+            .map(|(d, id)| (false, d, id))
+            .collect();
+        assert!(reference.is_empty());
+        assert_eq!(pool.flush_prefix_cache(&mut sim), 1);
+        assert_eq!(new_marks(&sim, &mut seen), expect, "flush of the pinned block");
+        assert!(pool.is_empty());
+        assert_eq!(sim.memory_double_frees(), 0);
+    });
 }

@@ -108,6 +108,11 @@ impl InferenceEngine for IntraOpEngine {
     fn drain_completions(&mut self) -> Vec<(u64, SimTime)> {
         std::mem::take(&mut self.completed)
     }
+
+    fn drain_completions_into(&mut self, out: &mut Vec<(u64, SimTime)>) {
+        // `append` leaves `completed` empty with its capacity kept.
+        out.append(&mut self.completed);
+    }
 }
 
 #[cfg(test)]

@@ -171,6 +171,8 @@ pub struct QueryRunner<'a, E: InferenceEngine + ?Sized> {
     outstanding: usize,
     flush_gen: u64,
     requeue_limit: u32,
+    /// Completions drained from the engine, emptied by every collect.
+    drained: Vec<(u64, SimTime)>,
 }
 
 impl<'a, E: InferenceEngine + ?Sized> QueryRunner<'a, E> {
@@ -190,6 +192,7 @@ impl<'a, E: InferenceEngine + ?Sized> QueryRunner<'a, E> {
             outstanding,
             flush_gen: 0,
             requeue_limit: 0,
+            drained: Vec::new(),
         })
     }
 
@@ -239,7 +242,9 @@ impl<'a, E: InferenceEngine + ?Sized> QueryRunner<'a, E> {
     }
 
     fn collect(&mut self, sim: &mut Simulation) {
-        for (rid, finished) in self.engine.drain_completions() {
+        let mut drained = std::mem::take(&mut self.drained);
+        self.engine.drain_completions_into(&mut drained);
+        for (rid, finished) in drained.drain(..) {
             let entry = self.in_flight.get_mut(&rid).expect("unknown request completed");
             if entry.tainted && entry.attempts < self.requeue_limit {
                 // Put the whole batch back on the engine now that its
@@ -261,6 +266,7 @@ impl<'a, E: InferenceEngine + ?Sized> QueryRunner<'a, E> {
                 self.outstanding -= 1;
             }
         }
+        self.drained = drained;
         if self.outstanding == 0 {
             sim.request_stop();
         }

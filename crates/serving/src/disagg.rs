@@ -310,6 +310,8 @@ struct PrefillWorker<'a, E: InferenceEngine + ?Sized> {
     outputs: BTreeMap<u64, Vec<u64>>,
     streamed_blocks: u64,
     streamed_bytes: u64,
+    /// Completions drained from the engine, emptied by every collect.
+    drained: Vec<(u64, SimTime)>,
 }
 
 impl<'a, E: InferenceEngine + ?Sized> PrefillWorker<'a, E> {
@@ -341,6 +343,7 @@ impl<'a, E: InferenceEngine + ?Sized> PrefillWorker<'a, E> {
             outputs: BTreeMap::new(),
             streamed_blocks: 0,
             streamed_bytes: 0,
+            drained: Vec::new(),
         }
     }
 
@@ -449,7 +452,9 @@ impl<'a, E: InferenceEngine + ?Sized> PrefillWorker<'a, E> {
     }
 
     fn collect(&mut self, sim: &mut Simulation) {
-        for (rid, finished) in self.engine.drain_completions() {
+        let mut drained = std::mem::take(&mut self.drained);
+        self.engine.drain_completions_into(&mut drained);
+        for (rid, finished) in drained.drain(..) {
             if let Some(id) = self.inflight.remove(&rid) {
                 let job = self.jobs[id as usize];
                 let tokens = job.prompt_len as u64 * job.batch as u64;
@@ -457,6 +462,7 @@ impl<'a, E: InferenceEngine + ?Sized> PrefillWorker<'a, E> {
                 self.prefill_done(id, finished, sim);
             }
         }
+        self.drained = drained;
         if self.outstanding == 0 {
             debug_assert!(self.pool.is_empty(), "prefill ended with live KV blocks");
             sim.request_stop();
@@ -533,6 +539,8 @@ struct DecodeWorker<'a, E: InferenceEngine + ?Sized> {
     /// Completion instants in job-id order (ordered so the final report is
     /// identical across runs and hash seeds).
     finished_at: BTreeMap<u64, SimTime>,
+    /// Completions drained from the engine, emptied by every collect.
+    drained: Vec<(u64, SimTime)>,
 }
 
 impl<'a, E: InferenceEngine + ?Sized> DecodeWorker<'a, E> {
@@ -561,6 +569,7 @@ impl<'a, E: InferenceEngine + ?Sized> DecodeWorker<'a, E> {
             generation: GenerationMetrics::default(),
             outputs: BTreeMap::new(),
             finished_at: BTreeMap::new(),
+            drained: Vec::new(),
         }
     }
 
@@ -687,7 +696,9 @@ impl<'a, E: InferenceEngine + ?Sized> DecodeWorker<'a, E> {
     }
 
     fn collect(&mut self, sim: &mut Simulation) {
-        for (rid, finished) in self.engine.drain_completions() {
+        let mut drained = std::mem::take(&mut self.drained);
+        self.engine.drain_completions_into(&mut drained);
+        for (rid, finished) in drained.drain(..) {
             if self.decode_inflight.as_ref().is_some_and(|&(d, _)| d == rid) {
                 let (_, members) = self.decode_inflight.take().expect("checked above");
                 for id in members {
@@ -707,6 +718,7 @@ impl<'a, E: InferenceEngine + ?Sized> DecodeWorker<'a, E> {
                 }
             }
         }
+        self.drained = drained;
         if self.outstanding == 0 {
             debug_assert!(self.pool.is_empty(), "decode ended with live KV blocks");
             sim.request_stop();

@@ -3,7 +3,8 @@
 //! An [`InferenceEngine`] runs *inside* a simulation, driven by a serving
 //! driver such as [`serve`](crate::runner::serve)'s: the driver delivers
 //! arriving requests and routes simulator wakes; the engine launches kernels
-//! and reports completed requests.
+//! and reports completed requests, which the driver drains into a buffer it
+//! owns and reuses from step to step.
 
 use liger_gpu_sim::{DeviceId, SimTime, Simulation, Wake};
 
@@ -30,8 +31,24 @@ pub trait InferenceEngine {
     fn on_wake(&mut self, wake: Wake, sim: &mut Simulation);
 
     /// Requests that finished since the last drain: `(request id, GPU-side
-    /// completion instant)`.
+    /// completion instant)`, in completion order.
+    ///
+    /// Drivers never call this; they drain through
+    /// [`InferenceEngine::drain_completions_into`]. It remains the required
+    /// method only because perfbench's `Traced` wrapper implements it: the
+    /// benchmark change that moves `Traced` to `drain_completions_into`
+    /// deletes this method and makes `drain_completions_into` the required
+    /// one.
     fn drain_completions(&mut self) -> Vec<(u64, SimTime)>;
+
+    /// Appends the requests that finished since the last drain to `out`, in
+    /// completion order, as [`InferenceEngine::drain_completions`] returns
+    /// them. Every driver drains through this method into one buffer it
+    /// reuses, so an engine that appends from a list it keeps (instead of
+    /// handing the list out) drains without allocating.
+    fn drain_completions_into(&mut self, out: &mut Vec<(u64, SimTime)>) {
+        out.append(&mut self.drain_completions());
+    }
 
     /// A device was confirmed permanently lost (by the health watchdog, not
     /// an oracle). The engine must stop tracking every in-flight and queued

@@ -162,6 +162,8 @@ pub struct GenerationRunner<'a, E: InferenceEngine + ?Sized> {
     next_request: u64,
     metrics: GenerationMetrics,
     outstanding: usize,
+    /// Completions drained from the engine, emptied by every collect.
+    drained: Vec<(u64, SimTime)>,
 }
 
 impl<'a, E: InferenceEngine + ?Sized> GenerationRunner<'a, E> {
@@ -176,6 +178,7 @@ impl<'a, E: InferenceEngine + ?Sized> GenerationRunner<'a, E> {
             next_request: 0,
             metrics: GenerationMetrics::default(),
             outstanding,
+            drained: Vec::new(),
         }
     }
 
@@ -198,7 +201,9 @@ impl<'a, E: InferenceEngine + ?Sized> GenerationRunner<'a, E> {
     }
 
     fn collect(&mut self, sim: &mut Simulation) {
-        for (rid, finished) in self.engine.drain_completions() {
+        let mut drained = std::mem::take(&mut self.drained);
+        self.engine.drain_completions_into(&mut drained);
+        for (rid, finished) in drained.drain(..) {
             let (job_id, step) = self.requests.remove(&rid).expect("unknown request completed");
             let (done, next_step) = {
                 let state = self.states.get_mut(&job_id).expect("completion for unknown job");
@@ -229,6 +234,7 @@ impl<'a, E: InferenceEngine + ?Sized> GenerationRunner<'a, E> {
                 self.submit_step(job_id, next_step, sim);
             }
         }
+        self.drained = drained;
         if self.outstanding == 0 {
             sim.request_stop();
         }

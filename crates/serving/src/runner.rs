@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use liger_gpu_sim::{CoreSelect, DeviceId, SimDuration, Simulation, Wake};
+use liger_gpu_sim::{CoreSelect, DeviceId, SimDuration, SimTime, Simulation, Wake};
 
 use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
 use crate::membership::{MembershipController, MembershipDriver, Recovery};
@@ -89,6 +89,8 @@ pub(crate) struct RequestDriver<'a, E: InferenceEngine + ?Sized> {
     deferred: VecDeque<u64>,
     /// Cancelled in-flight ids whose KV the replan must rebuild.
     lost: Vec<u64>,
+    /// Completions drained from the engine, emptied by every collect.
+    drained: Vec<(u64, SimTime)>,
 }
 
 impl<E: InferenceEngine + ?Sized> RequestDriver<'_, E> {
@@ -179,7 +181,9 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for RequestDriver<'_, E> {
     }
 
     fn collect(&mut self, _serving: bool, sim: &mut Simulation) -> bool {
-        for (id, finished) in self.engine.drain_completions() {
+        let mut drained = std::mem::take(&mut self.drained);
+        self.engine.drain_completions_into(&mut drained);
+        for (id, finished) in drained.drain(..) {
             let idx = id as usize;
             let s = &mut self.states[idx];
             if s.done {
@@ -202,6 +206,7 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for RequestDriver<'_, E> {
             self.metrics.record(Completion { id, arrival, finished });
             self.outstanding = self.outstanding.saturating_sub(1);
         }
+        self.drained = drained;
         self.outstanding == 0
     }
 
@@ -279,6 +284,7 @@ pub(crate) fn drive<E: InferenceEngine + ?Sized>(
         retry,
         deferred: VecDeque::new(),
         lost: Vec::new(),
+        drained: Vec::new(),
     };
     let mut controller = MembershipController::new(driver, recovery);
     sim.run_to_completion(&mut controller);

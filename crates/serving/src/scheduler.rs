@@ -243,6 +243,8 @@ pub(crate) struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     /// Digest lists of completed or cancelled prefills, for later
     /// admissions to refill (at most the peak prefills in flight).
     spare_digests: Vec<Vec<u64>>,
+    /// Completions drained from the engine, emptied by every collect.
+    drained: Vec<(u64, SimTime)>,
     /// The one in-flight speculative round, if any (mutually exclusive with
     /// `decode_inflight`).
     spec_pending: Option<SpecRound>,
@@ -287,6 +289,7 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
             decode_inflight: None,
             decode_members: Vec::new(),
             spare_digests: Vec::new(),
+            drained: Vec::new(),
             spec_pending: None,
             spec_epoch: 0,
             prefill_tokens_inflight: 0,
@@ -812,7 +815,9 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
     }
 
     fn collect(&mut self, serving: bool, sim: &mut Simulation) -> bool {
-        for (rid, finished) in self.engine.drain_completions() {
+        let mut drained = std::mem::take(&mut self.drained);
+        self.engine.drain_completions_into(&mut drained);
+        for (rid, finished) in drained.drain(..) {
             if let Some(p) = self.prefill_inflight.remove(&rid) {
                 let id = p.seq;
                 self.prefill_tokens_inflight =
@@ -865,6 +870,7 @@ impl<E: InferenceEngine + ?Sized> MembershipDriver for ContinuousScheduler<'_, E
             }
             // Anything else is a stale completion from before a replan.
         }
+        self.drained = drained;
         if self.outstanding == 0 {
             let flushed = self.pool.flush_prefix_cache(sim);
             self.serving.prefix_mut().flushed_blocks += flushed;
